@@ -17,9 +17,8 @@ from .core import (
     Element,
     Family,
     ONE,
-    Scalar,
-    ZERO,
     as_scalar,
+    axpy,
     bidx,
 )
 
@@ -169,12 +168,7 @@ class AlgebraSpec:
         for idxs, coeff in stack:
             if not coeff:
                 continue
-            for oi, oc in rule(idxs).terms.items():
-                v = acc.get(oi, ZERO) + coeff * oc
-                if v:
-                    acc[oi] = v
-                else:
-                    acc.pop(oi, None)
+            axpy(acc, coeff, rule(idxs).terms)
         return Element(acc)
 
 
@@ -437,28 +431,28 @@ def _make_extended_laurent(params) -> AlgebraSpec:
 # finite algebras
 
 
-def _finite_from_table(name, basis, table, grade2_fn=None, display="") -> AlgebraSpec:
-    """Binary finite algebra from an upper table {(i,j): [(k, coeff)...]}, i < j positions.
+def _skew_rule(basis, table: dict) -> Callable:
+    """Bracket rule from its values {increasing position tuple: Element}.
 
-    The lower half is filled by antisymmetry and the diagonal is zero.
+    Other orderings of distinct positions follow by full skew-symmetry;
+    every other tuple brackets to zero.
     """
     pos = {idx: k for k, idx in enumerate(basis)}
-    full: dict = {}
-    for (i, j), terms in table.items():
-        full[(i, j)] = _el((basis[k], c) for k, c in terms)
-        full[(j, i)] = -full[(i, j)]
 
     def rule(idxs):
-        x, y = idxs
-        return full.get((pos[x], pos[y]), Element.zero())
+        ps = [pos[i] for i in idxs]
+        out = table.get(tuple(sorted(ps)))
+        if out is None:
+            return Element.zero()
+        return out.scale(_perm_sign(sorted(range(len(ps)), key=ps.__getitem__)))
 
-    return AlgebraSpec(
-        name=name,
-        basis_list=tuple(basis),
-        bracket_fn=rule,
-        grade2_fn=grade2_fn,
-        display=display or name,
-    )
+    return rule
+
+
+def _finite_from_table(name, basis, table) -> AlgebraSpec:
+    """Binary finite algebra from an upper table {(i,j): [(k, coeff)...]}, i < j positions."""
+    values = {key: _el((basis[k], c) for k, c in terms) for key, terms in table.items()}
+    return AlgebraSpec(name=name, basis_list=tuple(basis), bracket_fn=_skew_rule(basis, values))
 
 
 def _make_sl2(params) -> AlgebraSpec:
@@ -516,26 +510,17 @@ def _make_nary_simple(params) -> AlgebraSpec:
     if not isinstance(n, int) or n < 3:
         raise ValueError("nary_simple needs an integer arity n >= 3")
     basis = tuple(bidx(_E, 2 * k) for k in range(1, n + 2))
-    pos = {idx: k for k, idx in enumerate(basis)}
-
-    def rule(idxs):
-        ps = [pos[i] for i in idxs]
-        if len(set(ps)) != n:
-            return Element.zero()
-        missing = (n * (n + 1)) // 2 - sum(ps)
-        target = [k for k in range(n + 1) if k != missing]
-        # sign of the permutation taking the given tuple to ascending order
-        order = sorted(range(n), key=lambda t: ps[t])
-        perm_sign = _perm_sign([order.index(t) for t in range(n)])
-        base_sign = (-1) ** (n - missing)  # (-1)^{n+1-i} with i = missing+1
-        return Element.single(basis[missing], perm_sign * base_sign)
-
+    # [e_1,..,e_{i-1},e_{i+1},..,e_{n+1}] = (-1)^{n+1-i} e_i, i = m + 1
+    table = {
+        tuple(k for k in range(n + 1) if k != m): Element.single(basis[m], (-1) ** (n - m))
+        for m in range(n + 1)
+    }
     return AlgebraSpec(
         name="nary_simple",
         arity=n,
         params={"n": n},
         basis_list=basis,
-        bracket_fn=rule,
+        bracket_fn=_skew_rule(basis, table),
         grade2_fn=lambda idx: 0,
         display=f"nary_simple (n={n}, dim {n + 1})",
     )
@@ -638,13 +623,7 @@ def identity_residual(alg: AlgebraSpec, args: tuple) -> Element:
         moved = _apply_in_last_slot(alg, xs, Element.basis(yi))
         acc: dict = {}
         for mi, mc in moved.terms.items():
-            out = alg.bracket_basis(ys[:i] + (mi,) + ys[i + 1 :])
-            for oi, oc in out.terms.items():
-                v = acc.get(oi, ZERO) + mc * oc
-                if v:
-                    acc[oi] = v
-                else:
-                    acc.pop(oi, None)
+            axpy(acc, mc, alg.bracket_basis(ys[:i] + (mi,) + ys[i + 1 :]).terms)
         term = Element(acc)
         if p and prefix % 2:
             rhs = rhs - term
@@ -658,13 +637,7 @@ def _apply_in_last_slot(alg, xs: tuple, el: Element) -> Element:
     """bracket(x_1,..,x_{n-1}, el) extended linearly in the last slot."""
     acc: dict = {}
     for i, c in el.terms.items():
-        out = alg.bracket_basis(xs + (i,))
-        for oi, oc in out.terms.items():
-            v = acc.get(oi, ZERO) + c * oc
-            if v:
-                acc[oi] = v
-            else:
-                acc.pop(oi, None)
+        axpy(acc, c, alg.bracket_basis(xs + (i,)).terms)
     return Element(acc)
 
 
@@ -755,29 +728,21 @@ def algebra_from_structure_json(data: dict, name: str = "custom") -> AlgebraSpec
         combo = tuple(int(k) for k in combo)
         if len(combo) != arity:
             raise ValueError(f"entry {entry!r} does not match arity {arity}")
-        if any(k < 0 or k >= dim for k in combo):
+        outs = tuple(int(k) for k, _ in terms)
+        if any(not 0 <= k < dim for k in combo + outs):
             raise ValueError(f"entry {entry!r} indexes outside dim {dim}")
+        if len(set(outs)) != len(outs):
+            raise ValueError(f"entry {entry!r} repeats an output position")
         if sorted(set(combo)) != list(combo):
             raise ValueError(f"entry {entry!r} must use a strictly increasing tuple")
-        table[combo] = _el((basis[int(k)], as_scalar(c)) for k, c in terms)
-    pos = {idx: k for k, idx in enumerate(basis)}
-
-    def rule(idxs):
-        ps = [pos[i] for i in idxs]
-        if len(set(ps)) != arity:
-            return Element.zero()
-        order = sorted(range(arity), key=lambda t: ps[t])
-        sign = _perm_sign([order.index(t) for t in range(arity)])
-        out = table.get(tuple(sorted(ps)))
-        if out is None:
-            return Element.zero()
-        return out.scale(sign)
-
+        if combo in table:
+            raise ValueError(f"entry {entry!r} repeats the tuple {list(combo)}")
+        table[combo] = _el((basis[int(k)], c) for k, c in terms)
     return AlgebraSpec(
         name=name,
         arity=arity,
         basis_list=basis,
-        bracket_fn=rule,
+        bracket_fn=_skew_rule(basis, table),
         grade2_fn=lambda idx: 0,
         display=f"{name} (imported, dim {dim})",
     )

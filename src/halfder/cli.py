@@ -26,13 +26,13 @@ from .poisson import (
     check_tpa_window,
     find_poisson_witness,
     mutation_closure_check,
-    normal_form_product,
     parse_product_literal,
     poisson_residual,
     product_eval,
     tpa_residual,
 )
 from .solver import (
+    bounded_tuples,
     delta_residual,
     is_trivial_space,
     solve_delta_derivations,
@@ -159,18 +159,6 @@ def _window_sources(alg, window):
     return alg.window_indices(window)
 
 
-def _bounded_tuples(alg, window) -> list:
-    """Argument tuples whose inputs and bracket outputs stay in the window."""
-    srcs = _window_sources(alg, window)
-    sset = set(srcs)
-    out = []
-    for args in combinations_with_replacement(srcs, alg.arity):
-        b = alg.bracket_basis(args)
-        if all(t in sset for t in b.terms):
-            out.append(args)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # verbs
 
@@ -247,7 +235,7 @@ def _verb_derive_solve(ns):
         except ValueError as e:
             raise UsageError(str(e)) from None
     trivial = is_trivial_space(space)
-    tuples = _bounded_tuples(alg, ns.window)
+    tuples = [args for args, _ in bounded_tuples(alg, _window_sources(alg, ns.window))]
     checked = 0
     for phi in space.basis:
         for args in tuples:
@@ -262,9 +250,9 @@ def _verb_derive_solve(ns):
     return "pass", payload
 
 
-def _product_for(ns, alg):
+def _product_for(literal, alg):
     try:
-        return parse_product_literal(ns.product, alg)
+        return parse_product_literal(literal, alg)
     except ParseError as e:
         raise UsageError(f"bad element in product literal: {e}") from None
     except ValueError as e:
@@ -274,7 +262,7 @@ def _product_for(ns, alg):
 def _verb_tpa_verify(ns):
     params = _parse_params(ns.param)
     alg = _make_algebra(ns, params)
-    p = _product_for(ns, alg)
+    p = _product_for(ns.product, alg)
     _window_sources(alg, ns.window)
     witness, checked = check_tpa_window(alg, p, ns.window)
     base = {"product": p.name, "window": ns.window, "tuples_checked": checked}
@@ -295,7 +283,7 @@ def _verb_tpa_witness(ns):
     alg = _make_algebra(ns, params)
     if alg.arity != 2:
         raise UsageError("the Poisson Leibniz check needs a binary bracket")
-    p = _product_for(ns, alg)
+    p = _product_for(ns.product, alg)
     _window_sources(alg, ns.window)
     triple = find_poisson_witness(alg, p, ns.window)
     base = {"product": p.name, "window": ns.window}
@@ -311,20 +299,15 @@ def _verb_tpa_normal_form(ns):
     if ns.algebra == "thin":
         if set(params) != {"k"}:
             raise UsageError("tpa-normal-form on thin takes exactly --param k=<int>")
-        family, prod_params = "thin_k", {"k": params["k"]}
+        literal = f"table:thin_k:{params['k']}"
     elif ns.algebra == "solvable":
         if set(params) != {"variant"}:
             raise UsageError("tpa-normal-form on solvable takes exactly --param variant=<1|2|3>")
-        if params["variant"] not in (1, 2, 3):
-            raise UsageError("variant must be 1, 2 or 3")
-        family, prod_params = f"solvable_{params['variant']}", {}
+        literal = f"table:solvable:{params['variant']}"
     else:
         raise UsageError("tpa-normal-form applies to the thin and solvable algebras")
     alg = make_algebra(ns.algebra)
-    try:
-        p = normal_form_product(family, prod_params)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    p = _product_for(literal, alg)
     srcs = _window_sources(alg, ns.window)
     table = []
     for i, x in enumerate(srcs):
@@ -349,7 +332,7 @@ def _verb_tpa_normal_form(ns):
 def _verb_closure_check(ns):
     params = _parse_params(ns.param)
     alg = _make_algebra(ns, params)
-    p = _product_for(ns, alg)
+    p = _product_for(ns.product, alg)
     if p.kind != "mutation":
         raise UsageError("closure-check needs a mutation product")
     try:

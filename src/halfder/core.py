@@ -170,26 +170,10 @@ class Element:
             return self
         if not self.terms:
             return other
-        out = dict(self.terms)
-        for i, c in other.terms.items():
-            v = out.get(i, ZERO) + c
-            if v:
-                out[i] = v
-            else:
-                out.pop(i, None)
-        return _wrap(out)
+        return _wrap(axpy(dict(self.terms), ONE, other.terms))
 
     def __sub__(self, other: "Element") -> "Element":
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for i, c in other.terms.items():
-            v = out.get(i, ZERO) - c
-            if v:
-                out[i] = v
-            else:
-                out.pop(i, None)
-        return _wrap(out)
+        return self + -other
 
     def __neg__(self) -> "Element":
         return _wrap({i: -c for i, c in self.terms.items()})
@@ -226,19 +210,37 @@ def _wrap(terms: dict[BasisIndex, Fraction]) -> Element:
 _ZERO_ELEMENT = _wrap({})
 
 
+def axpy(acc: dict, c: Fraction, terms: Mapping) -> dict:
+    """acc += c * terms in place, dropping every entry that cancels to zero.
+
+    The package's sparse accumulate kernel.  Passing the ONE object as c
+    adds without multiplying.
+    """
+    get, pop = acc.get, acc.pop
+    if c is ONE:
+        for k, v in terms.items():
+            v = get(k, ZERO) + v
+            if v:
+                acc[k] = v
+            else:
+                pop(k, None)
+    else:
+        for k, v in terms.items():
+            v = get(k, ZERO) + c * v
+            if v:
+                acc[k] = v
+            else:
+                pop(k, None)
+    return acc
+
+
 def element_combine(pairs: Iterable[tuple[object, Element]]) -> Element:
     """Exact linear combination sum(c_k * e_k)."""
     out: dict[BasisIndex, Fraction] = {}
     for coeff, el in pairs:
         c = as_scalar(coeff)
-        if not c:
-            continue
-        for i, v in el.terms.items():
-            nv = out.get(i, ZERO) + c * v
-            if nv:
-                out[i] = nv
-            else:
-                out.pop(i, None)
+        if c:
+            axpy(out, c, el.terms)
     return _wrap(out)
 
 
@@ -372,11 +374,7 @@ def parse_element(text: str, alg=None) -> Element:
                 raise ParseError("expected '*' between coefficient and basis token", star)
             coeff = Fraction(num, den)
         idx = _parse_basis_token(sc, alg)
-        v = acc.get(idx, ZERO) + sign * coeff
-        if v:
-            acc[idx] = v
-        else:
-            acc.pop(idx, None)
+        axpy(acc, ONE, {idx: sign * coeff})
         if sc.done():
             break
         if sc.take("+"):

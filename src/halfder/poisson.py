@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement, product as iproduct
 from typing import Callable, Optional
 
 from .algebras import AlgebraSpec, make_algebra
-from .core import BasisIndex, Element, Family, ONE, ZERO, bidx, parse_element, render
+from .core import BasisIndex, Element, Family, ONE, axpy, bidx, parse_element, render
 from .solver import LinMapWindow
 
 __all__ = [
@@ -34,6 +34,13 @@ __all__ = [
 ]
 
 NORMAL_FORM_FAMILIES = ("thin_k", "solvable_1", "solvable_2", "solvable_3")
+
+# solvable family: (subscripts summed in e_1*e_1, whether e_1*e_n = e_n for n >= 2)
+_SOLVABLE_FORMS = {
+    "solvable_1": ((1, 2), True),
+    "solvable_2": ((2,), False),
+    "solvable_3": ((1,), True),
+}
 
 
 def _e(i):
@@ -115,48 +122,22 @@ def normal_form_product(family: str, params: Optional[dict] = None) -> ProductSp
         k = params["k"]
         if not isinstance(k, int) or isinstance(k, bool) or k < 2:
             raise ValueError("thin_k needs an integer k >= 2")
-    elif params:
-        raise ValueError(f"{family} takes no parameters")
-
-    if family == "thin_k":
-        k = params["k"]
-
-        def rule(x, y):
-            i, j = sorted((_table_sub(x), _table_sub(y)))
-            if i == 1 and j == 1:
-                return Element.basis(_e(k))
-            return Element.zero()
-
-        name = f"table:thin_k:{k}"
-    elif family == "solvable_1":
-
-        def rule(x, y):
-            i, j = sorted((_table_sub(x), _table_sub(y)))
-            if i != 1:
-                return Element.zero()
-            if j == 1:
-                return Element.basis(_e(1)) + Element.basis(_e(2))
-            return Element.basis(_e(j))
-
-        name = "table:solvable:1"
-    elif family == "solvable_2":
-
-        def rule(x, y):
-            i, j = sorted((_table_sub(x), _table_sub(y)))
-            if i == 1 and j == 1:
-                return Element.basis(_e(2))
-            return Element.zero()
-
-        name = "table:solvable:2"
+        square, unit, name = (k,), False, f"table:thin_k:{k}"
     else:
+        if params:
+            raise ValueError(f"{family} takes no parameters")
+        square, unit = _SOLVABLE_FORMS[family]
+        name = f"table:solvable:{family[-1]}"
+    square_el = Element({_e(i): ONE for i in square})
 
-        def rule(x, y):
-            i, j = sorted((_table_sub(x), _table_sub(y)))
-            if i == 1:
-                return Element.basis(_e(j))
+    def rule(x, y):
+        i, j = sorted((_table_sub(x), _table_sub(y)))
+        if i != 1:
             return Element.zero()
+        if j == 1:
+            return square_el
+        return Element.basis(_e(j)) if unit else Element.zero()
 
-        name = "table:solvable:3"
     return ProductSpec(kind="table", name=name, rule=rule)
 
 
@@ -174,13 +155,7 @@ def product_eval(p: ProductSpec, x, y) -> Element:
     acc: dict = {}
     for xi, xc in xe.terms.items():
         for yi, yc in ye.terms.items():
-            c = xc * yc
-            for oi, oc in p.basis_product(xi, yi).terms.items():
-                v = acc.get(oi, ZERO) + c * oc
-                if v:
-                    acc[oi] = v
-                else:
-                    acc.pop(oi, None)
+            axpy(acc, xc * yc, p.basis_product(xi, yi).terms)
     return Element(acc)
 
 
@@ -218,15 +193,10 @@ def tpa_residual(alg: AlgebraSpec, p: ProductSpec, z, args: tuple) -> Element:
             for slot, xi in enumerate(idxs):
                 moved = p.basis_product(zt, xi)
                 if not moved.is_zero():
-                    sgn = -coeff if (zt.parity and prefix % 2) else coeff
+                    sgn = coeff if (zt.parity and prefix % 2) else -coeff
                     for t, tc in moved.terms.items():
                         inner = alg.bracket_basis(idxs[:slot] + (t,) + idxs[slot + 1 :])
-                        for oi, oc in inner.terms.items():
-                            v = acc.get(oi, ZERO) - sgn * tc * oc
-                            if v:
-                                acc[oi] = v
-                            else:
-                                acc.pop(oi, None)
+                        axpy(acc, sgn * tc, inner.terms)
                 prefix += xi.parity
     return Element(acc)
 
@@ -251,21 +221,18 @@ def find_poisson_witness(alg: AlgebraSpec, p: ProductSpec, window: int) -> Optio
     """First window triple (x, y, z) with a nonzero Leibniz defect, or None.
 
     Triples are ordered by degree triple first, family triple second, so
-    reports are deterministic.
+    reports are deterministic.  They are generated in that order, degree
+    triple by degree triple, rather than sorted up front.
     """
     if alg.arity != 2:
         raise ValueError("the Poisson Leibniz rule is a binary-bracket check")
-    srcs = alg.window_indices(window)
-    triples = sorted(
-        iproduct(srcs, repeat=3),
-        key=lambda t: (
-            tuple(i.degree2 for i in t),
-            tuple(int(i.family) for i in t),
-        ),
-    )
-    for x, y, z in triples:
-        if not poisson_residual(alg, p, x, y, z).is_zero():
-            return (x, y, z)
+    levels: dict = {}
+    for s in _scan_order(alg, window):
+        levels.setdefault(s.degree2, []).append(s)
+    for xs, ys, zs in iproduct(levels.values(), repeat=3):
+        for x, y, z in iproduct(xs, ys, zs):
+            if not poisson_residual(alg, p, x, y, z).is_zero():
+                return (x, y, z)
     return None
 
 

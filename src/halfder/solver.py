@@ -13,17 +13,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
 from .algebras import AlgebraSpec, same_algebra
-from .core import Element, Family, ONE, Scalar, ZERO, as_scalar, bidx
+from .core import Element, Family, ONE, ZERO, as_scalar, axpy, bidx
 
 __all__ = [
     "LinMapWindow",
     "SolutionSpace",
     "WindowEscapeError",
+    "bounded_tuples",
     "closed_form_map",
     "delta_residual",
     "is_trivial_space",
@@ -87,12 +89,7 @@ class LinMapWindow:
     def apply(self, el: Element) -> Element:
         acc: dict = {}
         for i, c in el.terms.items():
-            for oi, oc in self(i).terms.items():
-                v = acc.get(oi, ZERO) + c * oc
-                if v:
-                    acc[oi] = v
-                else:
-                    acc.pop(oi, None)
+            axpy(acc, c, self(i).terms)
         return Element(acc)
 
     def __repr__(self):
@@ -128,24 +125,13 @@ def delta_residual(alg, phi: LinMapWindow, delta, args: tuple) -> Element:
             )
     acc: dict = {}
     for bi, bc in bout.terms.items():
-        for oi, oc in phi(bi).terms.items():
-            v = acc.get(oi, ZERO) + bc * oc
-            if v:
-                acc[oi] = v
-            else:
-                acc.pop(oi, None)
+        axpy(acc, bc, phi(bi).terms)
     prefix = 0
     for i, xi in enumerate(args):
         for t, tc in phi(xi).terms.items():
             p = t.parity ^ xi.parity
-            coeff = -d * tc if (p and prefix % 2) else d * tc
-            inner = alg.bracket_basis(args[:i] + (t,) + args[i + 1 :])
-            for oi, oc in inner.terms.items():
-                v = acc.get(oi, ZERO) - coeff * oc
-                if v:
-                    acc[oi] = v
-                else:
-                    acc.pop(oi, None)
+            coeff = d * tc if (p and prefix % 2) else -d * tc
+            axpy(acc, coeff, alg.bracket_basis(args[:i] + (t,) + args[i + 1 :]).terms)
         prefix += xi.parity
     return Element(acc)
 
@@ -154,43 +140,40 @@ def delta_residual(alg, phi: LinMapWindow, delta, args: tuple) -> Element:
 # exact elimination engine (sparse rows over Q)
 
 
+def _reduce(row: dict, pivots: dict) -> dict:
+    """Eliminate row in place until its lead column has no pivot; returns it.
+
+    The row comes back empty exactly when it lies in the span of the pivots.
+    """
+    while row:
+        lead = min(row)
+        p = pivots.get(lead)
+        if p is None:
+            break
+        axpy(row, row.pop(lead), p)
+    return row
+
+
 def _rref(rows: Iterable[dict]) -> dict:
-    """Reduced row echelon pivots {col: normalized row dict}, exact over Q."""
+    """Reduced row echelon form, exact over Q, as {lead: {col: c}}.
+
+    Each pivot row is stored solved for its lead, x_lead = sum c * x_col:
+    the unit lead entry is implicit, and a row with coefficient f at the
+    lead is eliminated by axpy(row, f, pivot), with no negation per step.
+    """
     pivots: dict = {}
     for row in rows:
-        r = dict(row)
-        while r:
+        r = _reduce(dict(row), pivots)
+        if r:
             lead = min(r)
-            p = pivots.get(lead)
-            if p is None:
-                inv = ONE / r[lead]
-                pivots[lead] = {c: v * inv for c, v in r.items()}
-                break
-            f = r.pop(lead)
-            for c, v in p.items():
-                if c == lead:
-                    continue
-                nv = r.get(c, ZERO) - f * v
-                if nv:
-                    r[c] = nv
-                else:
-                    r.pop(c, None)
+            inv = -ONE / r.pop(lead)
+            pivots[lead] = {c: v * inv for c, v in r.items()}
     for lead in sorted(pivots, reverse=True):
         prow = pivots[lead]
         for other in pivots.values():
-            if other is prow:
-                continue
-            f = other.get(lead)
+            f = other.pop(lead, None)
             if f:
-                del other[lead]
-                for c, v in prow.items():
-                    if c == lead:
-                        continue
-                    nv = other.get(c, ZERO) - f * v
-                    if nv:
-                        other[c] = nv
-                    else:
-                        other.pop(c, None)
+                axpy(other, f, prow)
     return pivots
 
 
@@ -204,7 +187,7 @@ def _nullspace_vectors(pivots: dict, cols: Sequence) -> list[dict]:
         for lead, row in pivots.items():
             c = row.get(f)
             if c:
-                vec[lead] = -c
+                vec[lead] = c
         out.append(vec)
     return out
 
@@ -259,7 +242,6 @@ class _Window:
                 s: alg.indices_in_degree2_range(s.degree2 - 2 * shift, s.degree2 + 2 * shift)
                 for s in self.sources
             }
-        self.source_set = frozenset(self.sources)
         self.unknowns = []
         self.uid = {}
         for s in self.sources:
@@ -296,6 +278,16 @@ class _Window:
         )
 
 
+def bounded_tuples(alg, sources: Sequence):
+    """Yield (args, bracket) for the sorted argument tuples over the sorted
+    sources whose bracket output stays inside them."""
+    inside = frozenset(sources)
+    for args in combinations_with_replacement(sources, alg.arity):
+        bout = alg.bracket_basis(args)
+        if inside.issuperset(bout.terms):
+            yield args, bout
+
+
 def _system_rows(win: _Window, delta: Fraction) -> list[tuple]:
     """Residual rows, one per (tuple, output index), normalized and deduped.
 
@@ -303,12 +295,8 @@ def _system_rows(win: _Window, delta: Fraction) -> list[tuple]:
     so only sorted tuples are generated.
     """
     alg = win.alg
-    n = alg.arity
     rows = set()
-    for args in combinations_with_replacement(win.sources, n):
-        bout = alg.bracket_basis(args)
-        if any(t not in win.source_set for t in bout.terms):
-            continue
+    for args, bout in bounded_tuples(alg, win.sources):
         acc: dict = {}
         for bi, bc in bout.terms.items():
             for t in win.targets[bi]:
@@ -370,33 +358,21 @@ class SolutionSpace:
     def _window(self) -> _Window:
         return _Window(self.alg, self.window, self.shift)
 
+    @cached_property
+    def _pivots(self) -> dict:
+        win = self._window()
+        return _rref([win.vector_of(b) for b in self.basis])
+
     def contains(self, phi: LinMapWindow) -> bool:
         """Exact span membership of a map over the same window/shift set-up."""
         win = self._window()
         if phi.source_set != set(win.sources):
             raise ValueError("membership needs a map over the same source window")
-        rows = [win.vector_of(b) for b in self.basis]
         cand = win.vector_of(phi, strict=False)
         if cand is None:
             # some image coefficient is outside the space's shift bound
             return False
-        pivots = _rref(rows)
-        r = dict(cand)
-        while r:
-            lead = min(r)
-            p = pivots.get(lead)
-            if p is None:
-                return False
-            f = r.pop(lead)
-            for c, v in p.items():
-                if c == lead:
-                    continue
-                nv = r.get(c, ZERO) - f * v
-                if nv:
-                    r[c] = nv
-                else:
-                    r.pop(c, None)
-        return True
+        return not _reduce(cand, self._pivots)
 
 
 def solve_delta_derivations(alg, delta, window=None, shift=None) -> SolutionSpace:
@@ -471,7 +447,7 @@ def stabilize(space_small: SolutionSpace, space_large: SolutionSpace) -> Solutio
         if vec:
             rows.append(vec)
     pivots = _rref(rows)
-    vectors = [pivots[lead] for lead in sorted(pivots)]
+    vectors = [{lead: ONE, **{c: -v for c, v in pivots[lead].items()}} for lead in sorted(pivots)]
     basis = tuple(win.map_of(v) for v in vectors)
     return SolutionSpace(
         alg=space_small.alg,
@@ -487,9 +463,9 @@ def solve_stabilized(alg, delta, window=None, shift=None, bump=None) -> Solution
     """Solve at W and at W + bump (default S + 2), then stabilize."""
     if alg.is_finite:
         return solve_delta_derivations(alg, delta)
+    small = solve_delta_derivations(alg, delta, window, shift)
     if bump is None:
         bump = shift + 2
-    small = solve_delta_derivations(alg, delta, window, shift)
     large = solve_delta_derivations(alg, delta, window + bump, shift)
     return stabilize(small, large)
 

@@ -331,6 +331,15 @@ def test_structure_json_rejects_bad_entries():
         algebra_from_structure_json({"dim": 2, "brackets": [[0, 5, [[0, "1"]]]]})
     with pytest.raises(ValueError):
         algebra_from_structure_json({"dim": 3, "brackets": [[1, 0, [[0, "1"]]]]})
+    # output positions must name a basis vector; -1 must not wrap to the last one
+    with pytest.raises(ValueError):
+        algebra_from_structure_json({"dim": 3, "brackets": [[0, 1, [[-1, "1"]]]]})
+    with pytest.raises(ValueError):
+        algebra_from_structure_json({"dim": 3, "brackets": [[0, 1, [[3, "1"]]]]})
+    with pytest.raises(ValueError):
+        algebra_from_structure_json({"dim": 3, "brackets": [[0, 1, [[2, "1"]]], [0, 1, [[2, "2"]]]]})
+    with pytest.raises(ValueError):
+        algebra_from_structure_json({"dim": 3, "brackets": [[0, 1, [[2, "1"], [2, "1"]]]]})
     with pytest.raises(ValueError):
         finite_structure_json(make_algebra("witt"))
 

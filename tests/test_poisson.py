@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product as iproduct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -316,14 +316,7 @@ def test_find_poisson_witness_order_and_existence():
     assert witness is not None
     assert not poisson_residual(witt, p, *witness).is_zero()
     # first-ness in the declared scan order
-    from itertools import product as iproduct
-
-    srcs = witt.window_indices(3)
-    ordered = sorted(
-        iproduct(srcs, repeat=3),
-        key=lambda t: (tuple(i.degree2 for i in t), tuple(int(i.family) for i in t)),
-    )
-    for t in ordered:
+    for t in _sorted_triples(witt, 3):
         if t == witness:
             break
         assert poisson_residual(witt, p, *t).is_zero(), t
@@ -334,6 +327,77 @@ def test_find_poisson_witness_order_and_existence():
     sol = make_algebra("solvable")
     for v in ("1", "2", "3"):
         assert find_poisson_witness(sol, normal_form_product(f"solvable_{v}"), 6) is not None
+
+
+def _sorted_triples(alg, window):
+    """Every window triple in the reference witness order: one full sort by
+    degree triple, then family triple."""
+    return sorted(
+        iproduct(alg.window_indices(window), repeat=3),
+        key=lambda t: (tuple(i.degree2 for i in t), tuple(int(i.family) for i in t)),
+    )
+
+
+def _reference_witness(alg, p, window):
+    for t in _sorted_triples(alg, window):
+        if not poisson_residual(alg, p, *t).is_zero():
+            return t
+    return None
+
+
+def _random_element(rng, families, span):
+    el = Element.zero()
+    for _ in range(rng.randint(1, 3)):
+        coeff = rng.choice([c for c in range(-3, 4) if c])
+        el = el + Element.single(bidx(rng.choice(families), 2 * rng.randint(-span, span)), Fraction(coeff))
+    return el
+
+
+def _witness_cases():
+    """The claim-7 products, random witt and wab mutations, and the six
+    table products, each with its algebra."""
+    witt, thin, sol = make_algebra("witt"), make_algebra("thin"), make_algebra("solvable")
+    laurent, extended = make_algebra("laurent"), make_algebra("extended_laurent")
+    rng = random.Random(7)  # the claim-7 draw
+    out = [(witt, mutation_product(laurent, _random_element(rng, (Family.E,), 3))) for _ in range(20)]
+    ws = [_random_element(rng, (Family.L, Family.I), 2) for _ in range(8)]
+    for a in (0, 1, 3, Fraction(-1, 2)):
+        wab = make_algebra("wab", a=a, b=-1)
+        out += [(wab, mutation_product(extended, w)) for w in ws]
+    rng = random.Random(2010)
+    for _ in range(20):
+        out.append((witt, mutation_product(laurent, _random_element(rng, (Family.E,), 4))))
+        wab = make_algebra("wab", a=Fraction(rng.randint(-4, 4), 2), b=Fraction(rng.randint(-4, 4), 2))
+        out.append((wab, mutation_product(extended, _random_element(rng, (Family.L, Family.I), 4))))
+    out += [(thin, normal_form_product("thin_k", {"k": k})) for k in (2, 3, 5)]
+    out += [(sol, normal_form_product(f"solvable_{v}")) for v in (1, 2, 3)]
+    return out
+
+
+def test_find_poisson_witness_matches_sorted_reference():
+    cases = _witness_cases()
+    assert len(cases) == 98
+    for alg, p in cases:
+        assert find_poisson_witness(alg, p, 6) == _reference_witness(alg, p, 6), p.name
+
+
+@pytest.mark.parametrize("name, params, window", [("witt", {}, 3), ("wab", {"a": 1, "b": -1}, 2), ("thin", {}, 4)])
+def test_find_poisson_witness_scans_in_sorted_order(monkeypatch, name, params, window):
+    """With every residual forced to zero the search visits all triples,
+    in exactly the reference order."""
+    from halfder import poisson
+
+    alg = make_algebra(name, params)
+    seen = []
+
+    def record(alg, p, x, y, z):
+        seen.append((x, y, z))
+        return Element.zero()
+
+    monkeypatch.setattr(poisson, "poisson_residual", record)
+    # the product is never evaluated: record() stands in for the residual
+    assert find_poisson_witness(alg, laurent_mutation("0"), window) is None
+    assert seen == _sorted_triples(alg, window)
 
 
 # ---------------------------------------------------------------------------

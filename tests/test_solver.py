@@ -310,6 +310,8 @@ def test_solver_window_validation():
         solve_delta_derivations(witt, HALF, window=None, shift=None)
     with pytest.raises(ValueError):
         solve_delta_derivations(witt, HALF, window=6, shift=0)
+    with pytest.raises(ValueError, match="window and shift bounds"):
+        solve_stabilized(witt, HALF)
 
 
 def test_empty_space_flags_anomaly():
