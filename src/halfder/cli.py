@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -154,7 +155,7 @@ def _make_algebra(ns, params):
 
 
 def _window_sources(alg, window):
-    if window <= 0:
+    if window <= 0 and not alg.is_finite:
         raise UsageError("window must be positive")
     return alg.window_indices(window)
 
@@ -424,7 +425,13 @@ def emit_report(report: Report, fmt: str | None = None) -> str:
 def main(argv=None) -> int:
     code, report = run_command(sys.argv[1:] if argv is None else argv)
     if report is not None:
-        print(emit_report(report))
+        try:
+            print(emit_report(report))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout; keep the exit-time flush from raising again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
     return code
 

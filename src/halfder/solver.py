@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .algebras import AlgebraSpec, same_algebra
@@ -289,10 +290,13 @@ def bounded_tuples(alg, sources: Sequence):
 
 
 def _system_rows(win: _Window, delta: Fraction) -> list[tuple]:
-    """Residual rows, one per (tuple, output index), normalized and deduped.
+    """Residual rows, one per (tuple, output index), deduped.
 
-    Rows for permuted argument tuples are scalar multiples of each other,
-    so only sorted tuples are generated.
+    Each row is a primitive integer row, the flat tuple (u_1..u_k, c_1..c_k)
+    with ascending unknowns, coprime coefficients and c_1 > 0, so rows that
+    are rational multiples of each other coincide.  Rows for permuted
+    argument tuples are scalar multiples of each other, so only sorted
+    tuples are generated.
     """
     alg = win.alg
     rows = set()
@@ -318,9 +322,60 @@ def _system_rows(win: _Window, delta: Fraction) -> list[tuple]:
             row = sorted((u, c) for u, c in d.items() if c)
             if not row:
                 continue
-            lead = row[0][1]
-            rows.add(tuple((u, c / lead) for u, c in row))
+            ints = _cleared([c for _, c in row])
+            g = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
+            rows.add(tuple(u for u, _ in row) + tuple(c // g for c in ints))
     return sorted(rows)
+
+
+def _cleared(cs) -> list[int]:
+    """The rationals cs times their common denominator, as ints."""
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs]
+
+
+def _row_dict(row: tuple) -> dict:
+    """{unknown: coefficient} of a flat integer row."""
+    k = len(row) // 2
+    return dict(zip(row[:k], row[k:]))
+
+
+# rows independent mod this prime are independent over Q
+_P = (1 << 61) - 1
+
+
+def _component_nullspace(rows: Sequence[tuple], cols: Sequence) -> list[dict]:
+    """Canonical nullspace basis of one component's integer rows.
+
+    Exact elimination runs only on the rows that raise the rank mod _P, up
+    to full column rank.  Their nullspace contains the component's, and
+    equals it when every candidate vector annihilates every row; the
+    canonical basis is then the full elimination's.  Otherwise (an unlucky
+    prime) the full exact elimination runs.
+    """
+    pivots: dict = {}  # mod _P, each row solved for its lead as in _rref
+    kept = []
+    for row in rows:
+        if len(pivots) == len(cols):
+            break
+        r = {u: x for u, c in _row_dict(row).items() if (x := c % _P)}
+        while r and (lead := min(r)) in pivots:
+            f = r.pop(lead)
+            for c, v in pivots[lead].items():
+                if x := (r.get(c, 0) + f * v) % _P:
+                    r[c] = x
+                else:
+                    r.pop(c, None)
+        if r:
+            inv = _P - pow(r.pop(lead), -1, _P)
+            pivots[lead] = {c: v * inv % _P for c, v in r.items()}
+            kept.append(row)
+    vecs = _nullspace_vectors(_rref(map(_row_dict, kept)), cols)
+    for vec in vecs:
+        ivec = dict(zip(vec, _cleared(vec.values())))
+        if any(sum(c * ivec.get(u, 0) for u, c in _row_dict(row).items()) for row in rows):
+            return _nullspace_vectors(_rref(map(_row_dict, rows)), cols)
+    return vecs
 
 
 class _UnionFind:
@@ -388,21 +443,17 @@ def solve_delta_derivations(alg, delta, window=None, shift=None) -> SolutionSpac
     nuids = len(win.unknowns)
     uf = _UnionFind(nuids)
     for row in rows:
-        first = row[0][0]
-        for u, _ in row[1:]:
-            uf.union(first, u)
+        for u in row[1 : len(row) // 2]:
+            uf.union(row[0], u)
     comp_rows: dict = {}
     for row in rows:
-        comp_rows.setdefault(uf.find(row[0][0]), []).append(row)
+        comp_rows.setdefault(uf.find(row[0]), []).append(row)
     comp_cols: dict = {}
     for u in range(nuids):
         comp_cols.setdefault(uf.find(u), []).append(u)
     vectors = []
     for root in sorted(comp_cols):
-        cols = comp_cols[root]
-        rws = [dict(r) for r in comp_rows.get(root, [])]
-        pivots = _rref(rws)
-        vectors.extend(_nullspace_vectors(pivots, cols))
+        vectors.extend(_component_nullspace(comp_rows.get(root, []), comp_cols[root]))
     vectors.sort(key=lambda v: min(v))
     basis = tuple(win.map_of(v) for v in vectors)
     return SolutionSpace(

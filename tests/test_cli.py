@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from halfder.cli import emit_report, main, run_command
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(args):
@@ -221,3 +227,33 @@ def test_main_prints_report_and_timing(capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert "error" in err
+
+
+def test_finite_algebras_ignore_the_window():
+    code, report = run(["algebra-check", "--algebra", "sl2", "--window", "0"])
+    assert code == 0 and report.status == "pass"
+    code, zero = run(["derive-solve", "--algebra", "sl2", "--window", "0"])
+    assert code == 0 and zero.status == "pass"
+    _, eight = run(["derive-solve", "--algebra", "sl2", "--window", "8"])
+    assert emit_report(zero) == emit_report(eight)
+    for verb in ("derive-solve", "algebra-check"):
+        code, report = run([verb, "--algebra", "witt", "--window", "0"])
+        assert code == 2 and report is None, verb
+
+
+def test_closed_stdout_exits_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "halfder.cli", "derive-solve", "--algebra", "sl2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr

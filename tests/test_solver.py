@@ -1,15 +1,26 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from halfder.algebras import direct_sum, make_algebra
+from halfder import solver
+from halfder.algebras import algebra_from_structure_json, direct_sum, make_algebra
 from halfder.core import Element, Family, bidx
 from halfder.solver import (
+    _P,
     LinMapWindow,
     SolutionSpace,
     WindowEscapeError,
+    _component_nullspace,
+    _nullspace_vectors,
+    _row_dict,
+    _rref,
+    _system_rows,
+    _Window,
     closed_form_map,
     delta_residual,
     identity_map,
@@ -364,3 +375,112 @@ def test_contains_requires_matching_window():
         space.contains(other)
     wide = closed_form_map("witt_shift_family", {3: 1}, witt, 6)  # shift 3 > S=2
     assert not space.contains(wide)
+
+
+# ---------------------------------------------------------------------------
+# integer rows and the certified modular elimination
+
+
+@pytest.mark.parametrize(
+    "name, params, window, shift, count",
+    [("witt", {}, 8, 2, 514), ("n2sca", {"sector": "ramond"}, 3, 1, 3440)],
+)
+def test_system_rows_are_primitive_and_pairwise_independent(name, params, window, shift, count):
+    rows = _system_rows(_Window(make_algebra(name, params), window, shift), HALF)
+    assert isinstance(rows, list) and len(rows) == count  # as with lead-1 Fraction rows
+    lead_one = set()
+    for row in rows:
+        k = len(row) // 2
+        us, cs = row[:k], row[k:]
+        assert list(us) == sorted(set(us))
+        assert all(type(c) is int and c for c in cs)
+        assert cs[0] > 0 and gcd(*cs) == 1
+        lead_one.add(us + tuple(Fraction(c, cs[0]) for c in cs))
+    assert len(lead_one) == len(rows)
+
+
+def _flat(row: dict) -> tuple:
+    return tuple(sorted(row)) + tuple(row[u] for u in sorted(row))
+
+
+def _reference_nullspace(rows, cols):
+    return _nullspace_vectors(_rref(map(_row_dict, rows)), cols)
+
+
+@st.composite
+def integer_row_sets(draw):
+    ncols = draw(st.integers(1, 6))
+    coeff = st.integers(-3, 3) | st.sampled_from([_P, -2 * _P, _P + 1])
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        how = draw(st.sampled_from(["new", "scaled", "sum"])) if rows else "new"
+        if how == "new":
+            row = {c: draw(coeff) for c in draw(st.sets(st.integers(0, ncols - 1), min_size=1))}
+        elif how == "scaled":
+            k = draw(st.sampled_from([-3, -1, 2, 5]))
+            row = {c: k * v for c, v in draw(st.sampled_from(rows)).items()}
+        else:
+            row = dict(draw(st.sampled_from(rows)))
+            for c, v in draw(st.sampled_from(rows)).items():
+                row[c] = row.get(c, 0) + v
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            rows.append(row)
+    return [_flat(r) for r in rows], list(range(ncols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_row_sets())
+def test_component_nullspace_matches_full_elimination(case):
+    rows, cols = case
+    assert _component_nullspace(rows, cols) == _reference_nullspace(rows, cols)
+
+
+@st.composite
+def finite_structures(draw):
+    dim = draw(st.integers(2, 4))
+    coeff = st.sampled_from(["1", "-1", "2", "1/2", "-3/2"])
+    brackets = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            outs = draw(st.sets(st.integers(0, dim - 1), max_size=2))
+            if outs:
+                brackets.append([i, j, [[k, draw(coeff)] for k in sorted(outs)]])
+    return {"dim": dim, "brackets": brackets}
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_structures(), st.sampled_from([HALF, Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(0)]))
+def test_finite_solve_matches_full_elimination(data, delta):
+    alg = algebra_from_structure_json(data)
+    win = _Window(alg, None, None)
+    rows = _system_rows(win, delta)
+    expected = sorted(_reference_nullspace(rows, range(len(win.unknowns))), key=min)
+    space = solve_delta_derivations(alg, delta)
+    assert [win.vector_of(b) for b in space.basis] == expected
+
+
+def test_unlucky_prime_falls_back_to_full_elimination(monkeypatch):
+    rows = [(0, 1, 1, 1), (0, 1, 1, -1)]  # x0 + x1 and x0 - x1 are equal mod 2
+    calls = []
+
+    def spy(rws):
+        rws = list(rws)
+        calls.append(len(rws))
+        return _rref(rws)
+
+    monkeypatch.setattr(solver, "_P", 2)
+    monkeypatch.setattr(solver, "_rref", spy)
+    assert _component_nullspace(rows, [0, 1]) == _reference_nullspace(rows, [0, 1]) == []
+    assert calls == [1, 2]
+    # a whole solve through the fallback gives the reference basis too
+    vir = make_algebra("virasoro")
+    calls.clear()
+    forced = solve_delta_derivations(vir, HALF, 4, 2)
+    forced_calls = len(calls)
+    monkeypatch.setattr(solver, "_P", _P)
+    calls.clear()
+    real = solve_delta_derivations(vir, HALF, 4, 2)
+    assert forced_calls > len(calls)  # p = 2 sent some components to the fallback
+    assert real.dimension == 1
+    assert [b.images for b in forced.basis] == [b.images for b in real.basis]
