@@ -236,7 +236,7 @@ def _verb_derive_solve(ns):
         except ValueError as e:
             raise UsageError(str(e)) from None
     trivial = is_trivial_space(space)
-    tuples = [args for args, _ in bounded_tuples(alg, _window_sources(alg, ns.window))]
+    tuples = list(bounded_tuples(alg, _window_sources(alg, ns.window)))
     checked = 0
     for phi in space.basis:
         for args in tuples:
@@ -428,8 +428,9 @@ def main(argv=None) -> int:
         try:
             print(emit_report(report))
             sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader closed stdout; keep the exit-time flush from raising again
+        except OSError as e:
+            # stdout is closed or full; keep the exit-time flush from raising again
+            print(f"error: cannot write the report: {e}", file=sys.stderr)
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 1
         print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)

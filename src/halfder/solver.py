@@ -15,8 +15,8 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import gcd, lcm
+from itertools import combinations_with_replacement, takewhile
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .algebras import AlgebraSpec, same_algebra
@@ -279,59 +279,23 @@ class _Window:
         )
 
 
-def bounded_tuples(alg, sources: Sequence):
-    """Yield (args, bracket) for the sorted argument tuples over the sorted
-    sources whose bracket output stays inside them."""
+def bounded_tuples(alg, sources: Sequence, outputs=None):
+    """Yield the sorted argument tuples over the sorted sources whose
+    bracket outputs, outputs(args) (by default those of
+    alg.bracket_basis(args)), stay inside them."""
+    outputs = outputs or (lambda args: alg.bracket_basis(args).terms)
     inside = frozenset(sources)
     for args in combinations_with_replacement(sources, alg.arity):
-        bout = alg.bracket_basis(args)
-        if inside.issuperset(bout.terms):
-            yield args, bout
+        if inside.issuperset(outputs(args)):
+            yield args
 
 
 def _system_rows(win: _Window, delta: Fraction) -> list[tuple]:
-    """Residual rows, one per (tuple, output index), deduped.
+    """rows.select_rows over rows.residual_rows; imported on the first solve,
+    so processes that never solve (the scans) never compile that module."""
+    from .rows import residual_rows, select_rows
 
-    Each row is a primitive integer row, the flat tuple (u_1..u_k, c_1..c_k)
-    with ascending unknowns, coprime coefficients and c_1 > 0, so rows that
-    are rational multiples of each other coincide.  Rows for permuted
-    argument tuples are scalar multiples of each other, so only sorted
-    tuples are generated.
-    """
-    alg = win.alg
-    rows = set()
-    for args, bout in bounded_tuples(alg, win.sources):
-        acc: dict = {}
-        for bi, bc in bout.terms.items():
-            for t in win.targets[bi]:
-                u = win.uid[(bi, t)]
-                d = acc.setdefault(t, {})
-                d[u] = d.get(u, ZERO) + bc
-        prefix = 0
-        for i, xi in enumerate(args):
-            for t in win.targets[xi]:
-                u = win.uid[(xi, t)]
-                p = t.parity ^ xi.parity
-                coeff = -delta if (p and prefix % 2) else delta
-                inner = alg.bracket_basis(args[:i] + (t,) + args[i + 1 :])
-                for oi, oc in inner.terms.items():
-                    d = acc.setdefault(oi, {})
-                    d[u] = d.get(u, ZERO) - coeff * oc
-            prefix += xi.parity
-        for d in acc.values():
-            row = sorted((u, c) for u, c in d.items() if c)
-            if not row:
-                continue
-            ints = _cleared([c for _, c in row])
-            g = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
-            rows.add(tuple(u for u, _ in row) + tuple(c // g for c in ints))
-    return sorted(rows)
-
-
-def _cleared(cs) -> list[int]:
-    """The rationals cs times their common denominator, as ints."""
-    den = lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs]
+    return select_rows(residual_rows(win, delta))
 
 
 def _row_dict(row: tuple) -> dict:
@@ -344,55 +308,70 @@ def _row_dict(row: tuple) -> dict:
 _P = (1 << 61) - 1
 
 
+def _raises_rank(row: tuple, pivots: dict) -> bool:
+    """Reduce a flat integer row mod _P against pivots, each solved for its
+    lead as in _rref; a nonzero remainder joins them and returns True."""
+    r = {u: x for u, c in _row_dict(row).items() if (x := c % _P)}
+    while r and (lead := min(r)) in pivots:
+        f = r.pop(lead)
+        for c, v in pivots[lead].items():
+            if x := (r.get(c, 0) + f * v) % _P:
+                r[c] = x
+            else:
+                r.pop(c, None)
+    if not r:
+        return False
+    inv = _P - pow(r.pop(lead), -1, _P)
+    pivots[lead] = {c: v * inv % _P for c, v in r.items()}
+    return True
+
+
 def _component_nullspace(rows: Sequence[tuple], cols: Sequence) -> list[dict]:
     """Canonical nullspace basis of one component's integer rows.
 
-    Exact elimination runs only on the rows that raise the rank mod _P, up
-    to full column rank.  Their nullspace contains the component's, and
-    equals it when every candidate vector annihilates every row; the
-    canonical basis is then the full elimination's.  Otherwise (an unlucky
-    prime) the full exact elimination runs.
+    Exact elimination runs only on the leading rows that raise the rank
+    mod _P, up to full column rank; rows.select_rows puts the rows it kept,
+    which do, before those it held.  Their nullspace contains the
+    component's, and equals it when every candidate vector annihilates
+    every row; the canonical basis is then the full elimination's.
+    Otherwise (an unlucky prime, or rows in another order) the full exact
+    elimination runs.
     """
-    pivots: dict = {}  # mod _P, each row solved for its lead as in _rref
-    kept = []
-    for row in rows:
-        if len(pivots) == len(cols):
-            break
-        r = {u: x for u, c in _row_dict(row).items() if (x := c % _P)}
-        while r and (lead := min(r)) in pivots:
-            f = r.pop(lead)
-            for c, v in pivots[lead].items():
-                if x := (r.get(c, 0) + f * v) % _P:
-                    r[c] = x
-                else:
-                    r.pop(c, None)
-        if r:
-            inv = _P - pow(r.pop(lead), -1, _P)
-            pivots[lead] = {c: v * inv % _P for c, v in r.items()}
-            kept.append(row)
+    pivots: dict = {}  # mod _P
+    kept = list(takewhile(lambda row: len(pivots) < len(cols) and _raises_rank(row, pivots), rows))
     vecs = _nullspace_vectors(_rref(map(_row_dict, kept)), cols)
     for vec in vecs:
-        ivec = dict(zip(vec, _cleared(vec.values())))
+        den = lcm(*(c.denominator for c in vec.values()))
+        ivec = {u: c.numerator * (den // c.denominator) for u, c in vec.items()}
         if any(sum(c * ivec.get(u, 0) for u, c in _row_dict(row).items()) for row in rows):
             return _nullspace_vectors(_rref(map(_row_dict, rows)), cols)
     return vecs
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+class _UnionFind(dict):
+    """Union-find over hashable items; an unseen item is its own root."""
 
     def find(self, a):
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
+        self.setdefault(a, a)
+        while self[a] != a:
+            self[a] = self[self[a]]
+            a = self[a]
         return a
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+
+def _rows_nullspace(rows: Sequence[tuple], ncols: int) -> list[dict]:
+    """Canonical nullspace basis of integer rows over unknowns 0..ncols-1,
+    solved per connected component; vectors in order of their least key."""
+    uf = _UnionFind()
+    for row in rows:
+        for u in row[1 : len(row) // 2]:
+            uf[uf.find(u)] = uf.find(row[0])
+    comps: dict = {}
+    for u in range(ncols):
+        comps.setdefault(uf.find(u), ([], []))[1].append(u)
+    for row in rows:
+        comps[uf.find(row[0])][0].append(row)
+    return sorted((v for rws, cols in comps.values() for v in _component_nullspace(rws, cols)), key=min)
 
 
 @dataclass(eq=False)
@@ -439,22 +418,7 @@ def solve_delta_derivations(alg, delta, window=None, shift=None) -> SolutionSpac
     """
     d = as_scalar(delta)
     win = _Window(alg, window, shift)
-    rows = _system_rows(win, d)
-    nuids = len(win.unknowns)
-    uf = _UnionFind(nuids)
-    for row in rows:
-        for u in row[1 : len(row) // 2]:
-            uf.union(row[0], u)
-    comp_rows: dict = {}
-    for row in rows:
-        comp_rows.setdefault(uf.find(row[0]), []).append(row)
-    comp_cols: dict = {}
-    for u in range(nuids):
-        comp_cols.setdefault(uf.find(u), []).append(u)
-    vectors = []
-    for root in sorted(comp_cols):
-        vectors.extend(_component_nullspace(comp_rows.get(root, []), comp_cols[root]))
-    vectors.sort(key=lambda v: min(v))
+    vectors = _rows_nullspace(_system_rows(win, d), len(win.unknowns))
     basis = tuple(win.map_of(v) for v in vectors)
     return SolutionSpace(
         alg=alg,

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from halfder.cli import emit_report, main, run_command
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -257,3 +259,19 @@ def test_closed_stdout_exits_without_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_full_stdout_exits_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "halfder.cli", "derive-solve", "--algebra", "sl2"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1

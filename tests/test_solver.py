@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from halfder import solver
 from halfder.algebras import algebra_from_structure_json, direct_sum, make_algebra
 from halfder.core import Element, Family, bidx
+from halfder.rows import residual_rows, select_rows
 from halfder.solver import (
     _P,
     LinMapWindow,
@@ -18,6 +19,8 @@ from halfder.solver import (
     _component_nullspace,
     _nullspace_vectors,
     _row_dict,
+    _raises_rank,
+    _rows_nullspace,
     _rref,
     _system_rows,
     _Window,
@@ -386,8 +389,8 @@ def test_contains_requires_matching_window():
     [("witt", {}, 8, 2, 514), ("n2sca", {"sector": "ramond"}, 3, 1, 3440)],
 )
 def test_system_rows_are_primitive_and_pairwise_independent(name, params, window, shift, count):
-    rows = _system_rows(_Window(make_algebra(name, params), window, shift), HALF)
-    assert isinstance(rows, list) and len(rows) == count  # as with lead-1 Fraction rows
+    rows = sorted(set(residual_rows(_Window(make_algebra(name, params), window, shift), HALF)))
+    assert len(rows) == count  # as with lead-1 Fraction rows
     lead_one = set()
     for row in rows:
         k = len(row) // 2
@@ -405,6 +408,20 @@ def _flat(row: dict) -> tuple:
 
 def _reference_nullspace(rows, cols):
     return _nullspace_vectors(_rref(map(_row_dict, rows)), cols)
+
+
+@pytest.mark.parametrize(
+    "name, params, window, shift, count",
+    [("n2sca", {"sector": "ramond"}, 3, 1, 705), ("virasoro", {}, 6, 2, 138)],
+)
+def test_system_rows_keep_a_spanning_selection(name, params, window, shift, count):
+    win = _Window(make_algebra(name, params), window, shift)
+    full = list(residual_rows(win, HALF))
+    rows = _system_rows(win, HALF)
+    assert isinstance(rows, list) and len(rows) == count < len(set(full))
+    assert set(rows) <= set(full)
+    expected = _reference_nullspace(full, range(len(win.unknowns)))
+    assert _rows_nullspace(rows, len(win.unknowns)) == sorted(expected, key=min)
 
 
 @st.composite
@@ -454,7 +471,7 @@ def finite_structures(draw):
 def test_finite_solve_matches_full_elimination(data, delta):
     alg = algebra_from_structure_json(data)
     win = _Window(alg, None, None)
-    rows = _system_rows(win, delta)
+    rows = list(residual_rows(win, delta))
     expected = sorted(_reference_nullspace(rows, range(len(win.unknowns))), key=min)
     space = solve_delta_derivations(alg, delta)
     assert [win.vector_of(b) for b in space.basis] == expected
@@ -484,3 +501,84 @@ def test_unlucky_prime_falls_back_to_full_elimination(monkeypatch):
     assert forced_calls > len(calls)  # p = 2 sent some components to the fallback
     assert real.dimension == 1
     assert [b.images for b in forced.basis] == [b.images for b in real.basis]
+
+
+@settings(max_examples=150, deadline=None)
+@pytest.mark.parametrize("p", [_P, 2])
+@given(integer_row_sets(), st.data())
+def test_row_selection_is_order_independent(p, case, data):
+    rows, cols = case
+    stream = data.draw(st.permutations(rows + rows[::2]))  # with exact repeats
+    monkeypatch = pytest.MonkeyPatch()
+    monkeypatch.setattr(solver, "_P", p)
+    try:
+        selected = select_rows(stream)
+        assert set(selected) <= set(rows)
+        got = _rows_nullspace(selected, len(cols))
+    finally:
+        monkeypatch.undo()
+    assert got == sorted(_reference_nullspace(rows, cols), key=min)
+
+
+def test_raises_rank_reduces_mod_p():
+    pivots: dict = {}
+    assert _raises_rank((0, 1, 2, 4), pivots)  # 2 x0 + 4 x1, solved: x0 = -2 x1
+    assert pivots == {0: {1: _P - 2}}
+    assert not _raises_rank((0, 1, 1, 2), pivots)
+    assert not _raises_rank((1, _P), pivots)  # vanishes mod p
+    assert _raises_rank((1, 3), pivots) and set(pivots) == {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# integer row assembly against delta_residual
+
+
+def _oracle_rows(win, delta):
+    """Primitive residual rows built column by column: delta_residual of
+    the unit map of each unknown, on every in-window sorted tuple."""
+    alg = win.alg
+    inside = set(win.sources)
+    tuples = [
+        args
+        for args in combinations_with_replacement(win.sources, alg.arity)
+        if inside.issuperset(alg.bracket_basis(args).terms)
+    ]
+    rows: dict = {}
+    for u, (s, t) in enumerate(win.unknowns):
+        phi = LinMapWindow(alg, win.window, {s: Element.basis(t)}, sources=win.sources)
+        for args in tuples:
+            for o, c in delta_residual(alg, phi, delta, args).terms.items():
+                rows.setdefault((args, o), {})[u] = c
+    out = set()
+    for row in rows.values():
+        us = sorted(row)
+        den = lcm(*(row[u].denominator for u in us))
+        ints = [int(row[u] * den) for u in us]
+        g = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
+        out.add(tuple(us) + tuple(c // g for c in ints))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, params, window, shift, delta",
+    [
+        ("witt", {}, 4, 1, HALF),
+        ("witt", {}, 3, 2, Fraction(-2, 3)),
+        ("virasoro", {}, 3, 1, HALF),  # the central term carries /12
+        ("wab", {"a": "1/2", "b": "-3/2"}, 3, 1, HALF),
+        ("n2sca", {"sector": "ramond"}, 2, 1, HALF),
+        ("n2sca", {"sector": "neveu_schwarz"}, 2, 1, Fraction(1, 3)),
+        ("svir", {"sector": "ramond"}, 3, 1, HALF),
+        ("nary_simple", {"n": "3"}, None, None, Fraction(1, 3)),
+    ],
+)
+def test_integer_rows_match_delta_residual(name, params, window, shift, delta):
+    win = _Window(make_algebra(name, params), window, shift)
+    assert set(residual_rows(win, delta)) == _oracle_rows(win, delta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_structures(), st.sampled_from([HALF, Fraction(1), Fraction(-1, 3), Fraction(0)]))
+def test_integer_rows_match_delta_residual_on_random_tables(data, delta):
+    win = _Window(algebra_from_structure_json(data), None, None)
+    assert set(residual_rows(win, delta)) == _oracle_rows(win, delta)
