@@ -1,8 +1,9 @@
 """Streamed residual rows of the windowed delta-derivation system.
 
 residual_rows yields the equations one at a time as primitive integer
-rows; select_rows keeps the few that still carry information, so a solve
-never holds its whole system.  solver._system_rows imports this module.
+rows; select_rows splits them into components and keeps the few rows that
+still carry information, so a solve never holds its whole system.
+solver._system_rows imports this module.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable
 
-from .solver import _raises_rank, _UnionFind, _Window, bounded_tuples
+from .solver import _row_dict, _Window, bounded_tuples
+
+# rows independent mod this prime are independent over Q
+_P = (1 << 61) - 1
 
 
 def residual_rows(win: _Window, delta: Fraction):
@@ -65,40 +69,78 @@ def residual_rows(win: _Window, delta: Fraction):
                 yield tuple(u for u, _ in row) + tuple(c // g for _, c in row)
 
 
-def select_rows(rows: Iterable[tuple]) -> list[tuple]:
-    """The rows of a stream that span all of its rows over Q.
+def _raises_rank(row: tuple, pivots: dict) -> bool:
+    """Reduce a flat integer row mod _P against pivots, each solved for its
+    lead as in solver._rref; a nonzero remainder joins them and returns True."""
+    r = {u: x for u, c in _row_dict(row).items() if (x := c % _P)}
+    while r and (lead := min(r)) in pivots:
+        f = r.pop(lead)
+        for c, v in pivots[lead].items():
+            if x := (r.get(c, 0) + f * v) % _P:
+                r[c] = x
+            else:
+                r.pop(c, None)
+    if not r:
+        return False
+    inv = _P - pow(r.pop(lead), -1, _P)
+    pivots[lead] = {c: v * inv % _P for c, v in r.items()}
+    return True
+
+
+def select_rows(rows: Iterable[tuple], ncols: int) -> list[tuple]:
+    """The components of a stream over unknowns 0..ncols-1 that still have
+    a nullspace, as (cols, kept, held) with cols ascending.
 
     A union-find over unknowns keeps, per root, its column count, its
-    pivots mod _P and its held rows.  A row whose root has full mod-p rank
-    is dropped: the root's kept rows are independent over Q, so they span
-    every row on its columns.  Otherwise a row that raises the mod-p rank
-    is kept, and one that does not is held, since over Q it may still be
-    independent; held rows go when their root reaches full rank.
-    Returns the kept rows, then the held ones.
+    pivots mod _P, its kept rows and its held rows.  A row whose root has
+    full mod-p rank is dropped: the root's kept rows are independent over
+    Q, so they span every row on its columns.  Otherwise a row that raises
+    the mod-p rank is kept, and one that does not is held, since over Q it
+    may still be independent; held rows go when their root reaches full
+    rank.  Components at full rank, whose nullspace is {0}, are left out;
+    an unknown in no row is a component of one column.  Exact repeats
+    reduce to zero, so they are held; each distinct held row is returned
+    once.  Deduplicating after the stream keeps a hash table of the held
+    rows out of the memory peak, which falls while residual_rows still
+    holds its bracket table.
     """
-    uf = _UnionFind()
-    roots: dict = {}  # root -> [column count, pivots mod _P, held rows]
-    kept = []
+    parent: dict = {}
+    roots: dict = {}  # root -> [column count, pivots mod _P, kept rows, held rows]
+
+    def find(u):
+        while (p := parent.setdefault(u, u)) != u:
+            parent[u] = u = parent[p]
+        return u
+
     for row in rows:
         us = row[: len(row) // 2]
         for u in us:
-            if u not in uf:
-                roots[u] = [1, {}, []]
-        root, *others = sorted({uf.find(u) for u in us})
+            if u not in parent:
+                roots[u] = [1, {}, [], []]
+        root, *others = sorted({find(u) for u in us})
         state = roots[root]
         for r in others:
-            uf[r] = root
-            cols, pivots, held = roots.pop(r)
+            parent[r] = root
+            cols, pivots, kept, held = roots.pop(r)
             state[0] += cols
             state[1].update(pivots)
-            state[2] += held
-        cols, pivots, held = state
+            state[2] += kept
+            state[3] += held
+        cols, pivots, kept, held = state
         if len(pivots) == cols:
             continue
-        if not _raises_rank(row, pivots):
-            held.append(row)
-        else:
+        if _raises_rank(row, pivots):
             kept.append(row)
             if len(pivots) == cols:
                 held.clear()
-    return kept + [row for _, _, held in roots.values() for row in held]
+        else:
+            held.append(row)
+    comps: dict = {}
+    for u in range(ncols):
+        comps.setdefault(find(u), []).append(u)
+    out = []
+    for r, cols in comps.items():
+        _, pivots, kept, held = roots.get(r, (1, {}, [], []))
+        if len(pivots) < len(cols):
+            out.append((cols, kept, list(dict.fromkeys(held))))
+    return out

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations_with_replacement, takewhile
+from itertools import combinations_with_replacement
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -44,7 +44,7 @@ class WindowEscapeError(ValueError):
 class LinMapWindow:
     """A linear map given by explicit images on a finite set of sources."""
 
-    __slots__ = ("alg", "window", "shift_bound", "sources", "source_set", "images", "parity")
+    __slots__ = ("alg", "window", "shift_bound", "sources", "source_set", "images")
 
     def __init__(self, alg, window, images: dict, sources: Sequence | None = None, shift_bound=None):
         self.alg = alg
@@ -56,7 +56,6 @@ class LinMapWindow:
         src = self.source_set
         self.images = {}
         max_shift2 = 0
-        parities = set()
         for s, img in images.items():
             if s not in src:
                 raise ValueError(f"image given for {s.token}, which is not a source")
@@ -69,15 +68,8 @@ class LinMapWindow:
                 d = abs(t.degree2 - s.degree2)
                 if d > max_shift2:
                     max_shift2 = d
-                parities.add(t.parity ^ s.parity)
         computed = (max_shift2 + 1) // 2
         self.shift_bound = computed if shift_bound is None else shift_bound
-        if parities == {0} or not parities:
-            self.parity = "even"
-        elif parities == {1}:
-            self.parity = "odd"
-        else:
-            self.parity = "mixed"
 
     def __call__(self, idx) -> Element:
         img = self.images.get(idx)
@@ -291,11 +283,12 @@ def bounded_tuples(alg, sources: Sequence, outputs=None):
 
 
 def _system_rows(win: _Window, delta: Fraction) -> list[tuple]:
-    """rows.select_rows over rows.residual_rows; imported on the first solve,
-    so processes that never solve (the scans) never compile that module."""
+    """rows.select_rows over rows.residual_rows: (cols, kept, held) for each
+    component below full rank.  The import runs on the first solve, so
+    processes that never solve (the scans) never compile that module."""
     from .rows import residual_rows, select_rows
 
-    return select_rows(residual_rows(win, delta))
+    return select_rows(residual_rows(win, delta), len(win.unknowns))
 
 
 def _row_dict(row: tuple) -> dict:
@@ -304,74 +297,22 @@ def _row_dict(row: tuple) -> dict:
     return dict(zip(row[:k], row[k:]))
 
 
-# rows independent mod this prime are independent over Q
-_P = (1 << 61) - 1
-
-
-def _raises_rank(row: tuple, pivots: dict) -> bool:
-    """Reduce a flat integer row mod _P against pivots, each solved for its
-    lead as in _rref; a nonzero remainder joins them and returns True."""
-    r = {u: x for u, c in _row_dict(row).items() if (x := c % _P)}
-    while r and (lead := min(r)) in pivots:
-        f = r.pop(lead)
-        for c, v in pivots[lead].items():
-            if x := (r.get(c, 0) + f * v) % _P:
-                r[c] = x
-            else:
-                r.pop(c, None)
-    if not r:
-        return False
-    inv = _P - pow(r.pop(lead), -1, _P)
-    pivots[lead] = {c: v * inv % _P for c, v in r.items()}
-    return True
-
-
-def _component_nullspace(rows: Sequence[tuple], cols: Sequence) -> list[dict]:
+def _component_nullspace(cols: Sequence, kept: Sequence[tuple], held: Sequence[tuple]) -> list[dict]:
     """Canonical nullspace basis of one component's integer rows.
 
-    Exact elimination runs only on the leading rows that raise the rank
-    mod _P, up to full column rank; rows.select_rows puts the rows it kept,
-    which do, before those it held.  Their nullspace contains the
-    component's, and equals it when every candidate vector annihilates
-    every row; the canonical basis is then the full elimination's.
-    Otherwise (an unlucky prime, or rows in another order) the full exact
-    elimination runs.
+    Exact elimination runs on the kept rows only.  Their nullspace contains
+    the component's, and equals it when every candidate vector annihilates
+    every held row (the kept ones it annihilates by construction); the
+    canonical basis is then the full elimination's.  Otherwise (an unlucky
+    prime) the full exact elimination runs.
     """
-    pivots: dict = {}  # mod _P
-    kept = list(takewhile(lambda row: len(pivots) < len(cols) and _raises_rank(row, pivots), rows))
     vecs = _nullspace_vectors(_rref(map(_row_dict, kept)), cols)
     for vec in vecs:
         den = lcm(*(c.denominator for c in vec.values()))
         ivec = {u: c.numerator * (den // c.denominator) for u, c in vec.items()}
-        if any(sum(c * ivec.get(u, 0) for u, c in _row_dict(row).items()) for row in rows):
-            return _nullspace_vectors(_rref(map(_row_dict, rows)), cols)
+        if any(sum(c * ivec.get(u, 0) for u, c in _row_dict(row).items()) for row in held):
+            return _nullspace_vectors(_rref(map(_row_dict, kept + held)), cols)
     return vecs
-
-
-class _UnionFind(dict):
-    """Union-find over hashable items; an unseen item is its own root."""
-
-    def find(self, a):
-        self.setdefault(a, a)
-        while self[a] != a:
-            self[a] = self[self[a]]
-            a = self[a]
-        return a
-
-
-def _rows_nullspace(rows: Sequence[tuple], ncols: int) -> list[dict]:
-    """Canonical nullspace basis of integer rows over unknowns 0..ncols-1,
-    solved per connected component; vectors in order of their least key."""
-    uf = _UnionFind()
-    for row in rows:
-        for u in row[1 : len(row) // 2]:
-            uf[uf.find(u)] = uf.find(row[0])
-    comps: dict = {}
-    for u in range(ncols):
-        comps.setdefault(uf.find(u), ([], []))[1].append(u)
-    for row in rows:
-        comps[uf.find(row[0])][0].append(row)
-    return sorted((v for rws, cols in comps.values() for v in _component_nullspace(rws, cols)), key=min)
 
 
 @dataclass(eq=False)
@@ -399,6 +340,8 @@ class SolutionSpace:
 
     def contains(self, phi: LinMapWindow) -> bool:
         """Exact span membership of a map over the same window/shift set-up."""
+        if not same_algebra(self.alg, phi.alg):
+            raise ValueError("membership needs a map over the same algebra")
         win = self._window()
         if phi.source_set != set(win.sources):
             raise ValueError("membership needs a map over the same source window")
@@ -418,7 +361,7 @@ def solve_delta_derivations(alg, delta, window=None, shift=None) -> SolutionSpac
     """
     d = as_scalar(delta)
     win = _Window(alg, window, shift)
-    vectors = _rows_nullspace(_system_rows(win, d), len(win.unknowns))
+    vectors = sorted((v for comp in _system_rows(win, d) for v in _component_nullspace(*comp)), key=min)
     basis = tuple(win.map_of(v) for v in vectors)
     return SolutionSpace(
         alg=alg,

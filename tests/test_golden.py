@@ -43,6 +43,12 @@ CLI_CASES = {
     "derive-solve:n2sca-ramond": [
         "derive-solve", "--algebra", "n2sca", "--param", "sector=ramond", "--window", "3", "--shift", "1",
     ],
+    "derive-solve:n2sca-neveu-schwarz": [
+        "derive-solve", "--algebra", "n2sca", "--param", "sector=neveu_schwarz", "--window", "3", "--shift", "1",
+    ],
+    "derive-solve:svir-ramond": [
+        "derive-solve", "--algebra", "svir", "--param", "sector=ramond", "--window", "4", "--shift", "1",
+    ],
     "derive-solve:sl2-delta-1": ["derive-solve", "--algebra", "sl2", "--delta", "1"],
     "derive-solve:nary3-delta-1/3": ["derive-solve", "--algebra", "nary_simple", "--param", "n=3", "--delta", "1/3"],
     # products

@@ -7,20 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfder import rows as rows_module
 from halfder import solver
 from halfder.algebras import algebra_from_structure_json, direct_sum, make_algebra
 from halfder.core import Element, Family, bidx
-from halfder.rows import residual_rows, select_rows
+from halfder.rows import _P, _raises_rank, residual_rows, select_rows
 from halfder.solver import (
-    _P,
     LinMapWindow,
     SolutionSpace,
     WindowEscapeError,
     _component_nullspace,
     _nullspace_vectors,
     _row_dict,
-    _raises_rank,
-    _rows_nullspace,
     _rref,
     _system_rows,
     _Window,
@@ -376,6 +374,9 @@ def test_contains_requires_matching_window():
     other = closed_form_map("witt_shift_family", {0: 1}, witt, 5)
     with pytest.raises(ValueError):
         space.contains(other)
+    # laurent has witt's sources but a zero bracket
+    with pytest.raises(ValueError, match="same algebra"):
+        space.contains(identity_map(make_algebra("laurent"), 6))
     wide = closed_form_map("witt_shift_family", {3: 1}, witt, 6)  # shift 3 > S=2
     assert not space.contains(wide)
 
@@ -410,18 +411,66 @@ def _reference_nullspace(rows, cols):
     return _nullspace_vectors(_rref(map(_row_dict, rows)), cols)
 
 
+def _selected_nullspace(comps, ncols):
+    """Nullspace basis over the components select_rows returns, checking
+    that each is below full mod-p rank and that their ascending columns
+    are disjoint and within 0..ncols-1; vectors in order of their least
+    key, as a solve has them."""
+    seen = [u for cols, _, _ in comps for u in cols]
+    assert len(seen) == len(set(seen)) and set(seen) <= set(range(ncols))
+    for cols, kept, held in comps:
+        assert cols == sorted(cols) and len(kept) < len(cols)
+        assert len(held) == len(set(held))
+    return sorted((v for comp in comps for v in _component_nullspace(*comp)), key=min)
+
+
 @pytest.mark.parametrize(
-    "name, params, window, shift, count",
-    [("n2sca", {"sector": "ramond"}, 3, 1, 705), ("virasoro", {}, 6, 2, 138)],
+    "name, params, window, shift, count, ncomps",
+    [("n2sca", {"sector": "ramond"}, 3, 1, 351, 1), ("virasoro", {}, 6, 2, 68, 1)],
 )
-def test_system_rows_keep_a_spanning_selection(name, params, window, shift, count):
+def test_system_rows_keep_a_spanning_selection(name, params, window, shift, count, ncomps):
     win = _Window(make_algebra(name, params), window, shift)
     full = list(residual_rows(win, HALF))
-    rows = _system_rows(win, HALF)
-    assert isinstance(rows, list) and len(rows) == count < len(set(full))
+    comps = _system_rows(win, HALF)
+    rows = [row for _, kept, held in comps for row in kept + held]
+    assert isinstance(comps, list) and len(comps) == ncomps
+    assert len(rows) == count < len(set(full))
     assert set(rows) <= set(full)
     expected = _reference_nullspace(full, range(len(win.unknowns)))
-    assert _rows_nullspace(rows, len(win.unknowns)) == sorted(expected, key=min)
+    assert _selected_nullspace(comps, len(win.unknowns)) == sorted(expected, key=min)
+
+
+def test_system_rows_hold_each_distinct_row_once():
+    # no component of witt (8, 2) reaches full rank, so every distinct row
+    # is kept or held, and exact repeats in the stream are held only once
+    win = _Window(make_algebra("witt"), 8, 2)
+    comps = _system_rows(win, HALF)
+    rows = [row for _, kept, held in comps for row in kept + held]
+    assert len(rows) == len(set(rows)) == 514
+    assert len(list(residual_rows(win, HALF))) > 514
+
+
+def test_solve_eliminates_once_per_component(monkeypatch):
+    alg = make_algebra("n2sca", {"sector": "ramond"})
+    comps = _system_rows(_Window(alg, 3, 1), HALF)
+    streamed = len(list(residual_rows(_Window(alg, 3, 1), HALF)))
+    calls = {"_rref": 0, "_raises_rank": 0}
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(solver, "_rref")
+    spy(rows_module, "_raises_rank")
+    space = solve_delta_derivations(alg, HALF, 3, 1)
+    assert calls["_rref"] == len(comps) == 1
+    assert 0 < calls["_raises_rank"] <= streamed
+    assert space.dimension == 1
 
 
 @st.composite
@@ -447,10 +496,12 @@ def integer_row_sets(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(integer_row_sets())
-def test_component_nullspace_matches_full_elimination(case):
+@given(integer_row_sets(), st.data())
+def test_component_nullspace_matches_full_elimination(case, data):
+    # any split into kept and held rows gives the full elimination's basis
     rows, cols = case
-    assert _component_nullspace(rows, cols) == _reference_nullspace(rows, cols)
+    split = data.draw(st.integers(0, len(rows)))
+    assert _component_nullspace(cols, rows[:split], rows[split:]) == _reference_nullspace(rows, cols)
 
 
 @st.composite
@@ -486,16 +537,18 @@ def test_unlucky_prime_falls_back_to_full_elimination(monkeypatch):
         calls.append(len(rws))
         return _rref(rws)
 
-    monkeypatch.setattr(solver, "_P", 2)
+    monkeypatch.setattr(rows_module, "_P", 2)
     monkeypatch.setattr(solver, "_rref", spy)
-    assert _component_nullspace(rows, [0, 1]) == _reference_nullspace(rows, [0, 1]) == []
+    comps = select_rows(rows, 2)
+    assert comps == [([0, 1], rows[:1], rows[1:])]
+    assert _component_nullspace(*comps[0]) == _reference_nullspace(rows, [0, 1]) == []
     assert calls == [1, 2]
     # a whole solve through the fallback gives the reference basis too
     vir = make_algebra("virasoro")
     calls.clear()
     forced = solve_delta_derivations(vir, HALF, 4, 2)
     forced_calls = len(calls)
-    monkeypatch.setattr(solver, "_P", _P)
+    monkeypatch.setattr(rows_module, "_P", _P)
     calls.clear()
     real = solve_delta_derivations(vir, HALF, 4, 2)
     assert forced_calls > len(calls)  # p = 2 sent some components to the fallback
@@ -510,11 +563,11 @@ def test_row_selection_is_order_independent(p, case, data):
     rows, cols = case
     stream = data.draw(st.permutations(rows + rows[::2]))  # with exact repeats
     monkeypatch = pytest.MonkeyPatch()
-    monkeypatch.setattr(solver, "_P", p)
+    monkeypatch.setattr(rows_module, "_P", p)
     try:
-        selected = select_rows(stream)
-        assert set(selected) <= set(rows)
-        got = _rows_nullspace(selected, len(cols))
+        comps = select_rows(stream, len(cols))
+        assert {row for _, kept, held in comps for row in kept + held} <= set(rows)
+        got = _selected_nullspace(comps, len(cols))
     finally:
         monkeypatch.undo()
     assert got == sorted(_reference_nullspace(rows, cols), key=min)
