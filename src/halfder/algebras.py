@@ -598,10 +598,6 @@ def same_algebra(a: AlgebraSpec, b: AlgebraSpec) -> bool:
 # operations
 
 
-def bracket(alg: AlgebraSpec, *args: Element) -> Element:
-    return alg.bracket(*args)
-
-
 def identity_residual(alg: AlgebraSpec, args: tuple) -> Element:
     """Defining-identity residual on a basis tuple; zero iff it holds there.
 

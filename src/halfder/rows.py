@@ -1,9 +1,9 @@
-"""Streamed residual rows of the windowed delta-derivation system.
+"""The windowed delta-derivation system, streamed one grade class at a time.
 
-residual_rows yields the equations one at a time as primitive integer
-rows; select_rows splits them into components and keeps the few rows that
-still carry information, so a solve never holds its whole system.
-solver._system_rows imports this module.
+The unknown (s, t), the coefficient of t in phi(s), has the class
+(grade2(t) - grade2(s), parity of t xor parity of s), and every residual
+row of a graded algebra lies inside one class; a finite algebra has one
+class.  solver._system_rows imports this module on the first solve.
 """
 
 from __future__ import annotations
@@ -13,60 +13,86 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable
 
-from .solver import _row_dict, _Window, bounded_tuples
+from . import solver
+from .solver import _nullspace_vectors, _row_dict, _Window, bounded_tuples
 
 # rows independent mod this prime are independent over Q
 _P = (1 << 61) - 1
 
 
-def residual_rows(win: _Window, delta: Fraction):
-    """Yield the residual rows, one per (tuple, output index); rows repeat.
+def class_split(win: _Window) -> tuple[dict, dict]:
+    """(targets, cols): targets[x][k] lists the targets t of source x with
+    (x, t) in class k, and cols[k] the unknowns of class k, ascending."""
+    alg = win.alg
+    targets, cols = {}, {}
+    for u, (s, t) in enumerate(win.unknowns):
+        k = 0 if alg.is_finite else (alg.grade2(t) - alg.grade2(s), t.parity ^ s.parity)
+        targets.setdefault(s, {}).setdefault(k, []).append(t)
+        cols.setdefault(k, []).append(u)
+    return targets, cols
 
-    Each row is a primitive integer row, the flat tuple (u_1..u_k, c_1..c_k)
-    with ascending unknowns, coprime coefficients and c_1 > 0, so rows that
-    are rational multiples of each other coincide.  Rows for permuted
-    argument tuples are scalar multiples of each other, so only sorted
-    tuples are generated.  Structure constants are read from alg.bracket_fn
-    into a table local to the call, as ints over a common denominator.
+
+def residual_rows(win: _Window, delta: Fraction, full=frozenset(), targets=None):
+    """Yield the residual rows per (sorted tuple, class, output index),
+    skipping the classes in full, which the caller may grow meanwhile.
+
+    A row is the flat tuple (u_1..u_k, c_1..c_k) of a primitive integer row
+    (ascending unknowns, coprime coefficients, c_1 > 0), so rows that are
+    rational multiples of each other coincide; rows repeat.  Brackets are
+    read from alg.bracket_fn into a table local to the call, as ints over a
+    common denominator.  Raises ValueError when a row leaves its class,
+    that is when a bracket met is not homogeneous for grade2 and parity.
     """
+    alg = win.alg
+    graded = not alg.is_finite
+    targets = targets or class_split(win)[0]
+    classes = sorted({k for by_class in targets.values() for k in by_class})
     table: dict = {}
 
     def bracket(args):
         """(den, o_1, n_1, o_2, n_2, ...): the bracket is sum n_i/den o_i."""
         if (out := table.get(args)) is None:
-            terms = win.alg.bracket_fn(args).terms
+            terms = alg.bracket_fn(args).terms
             den = lcm(*(c.denominator for c in terms.values()))
             out = table[args] = (den, *chain(*((o, c.numerator * den // c.denominator) for o, c in terms.items())))
         return out
 
     dn, dd = delta.numerator, delta.denominator
-    for args in bounded_tuples(win.alg, win.sources, lambda args: bracket(args)[1::2]):
-        # phi of the bracket, minus delta times the bracket with phi in slot i
-        inner = []
-        prefix = 0
-        for i, xi in enumerate(args):
-            for t in win.targets[xi]:
-                n = dn if (t.parity ^ xi.parity) and prefix % 2 else -dn
-                inner.append((win.uid[(xi, t)], n, bracket(args[:i] + (t,) + args[i + 1 :])))
-            prefix += xi.parity
+    for args in bounded_tuples(alg, win.sources, lambda args: bracket(args)[1::2]):
         b = bracket(args)
-        scale = dd * lcm(b[0], *(bi[0] for _, _, bi in inner))
-        acc: dict = {}
-        for o, c in zip(b[1::2], b[2::2]):
-            f = c * (scale // b[0])
-            for t in win.targets[o]:
-                d = acc.setdefault(t, {})
-                u = win.uid[(o, t)]
-                d[u] = d.get(u, 0) + f
-        for u, n, bi in inner:
-            f = n * (scale // (dd * bi[0]))
-            for o, c in zip(bi[1::2], bi[2::2]):
-                d = acc.setdefault(o, {})
-                d[u] = d.get(u, 0) + f * c
-        for d in acc.values():
-            if row := sorted((u, c) for u, c in d.items() if c):
-                g = gcd(*(c for _, c in row)) * (1 if row[0][1] > 0 else -1)
-                yield tuple(u for u, _ in row) + tuple(c // g for _, c in row)
+        grade = sum(map(alg.grade2, args))
+        parity = sum(x.parity for x in args) % 2
+        for k in classes:
+            if k in full:
+                continue
+            # phi of the bracket, minus delta times the bracket with phi in slot i
+            inner = []
+            prefix = 0
+            for i, xi in enumerate(args):
+                for t in targets[xi].get(k, ()):
+                    n = dn if (t.parity ^ xi.parity) and prefix % 2 else -dn
+                    inner.append((win.uid[(xi, t)], n, bracket(args[:i] + (t,) + args[i + 1 :])))
+                prefix += xi.parity
+            scale = dd * lcm(b[0], *(bi[0] for _, _, bi in inner))
+            acc: dict = {}
+            for o, c in zip(b[1::2], b[2::2]):
+                f = c * (scale // b[0])
+                for t in targets[o].get(k, ()):
+                    d = acc.setdefault(t, {})
+                    u = win.uid[(o, t)]
+                    d[u] = d.get(u, 0) + f
+            for u, n, bi in inner:
+                f = n * (scale // (dd * bi[0]))
+                for o, c in zip(bi[1::2], bi[2::2]):
+                    d = acc.setdefault(o, {})
+                    d[u] = d.get(u, 0) + f * c
+            for y, d in acc.items():
+                if graded and k != (alg.grade2(y) - grade, y.parity ^ parity):
+                    tokens = ", ".join(x.token for x in args)
+                    raise ValueError(f"the row of {y.token} for ({tokens}) leaves its class: {alg.name} is not graded")
+                if row := sorted((u, c) for u, c in d.items() if c):
+                    g = gcd(*(c for _, c in row)) * (1 if row[0][1] > 0 else -1)
+                    yield tuple(u for u, _ in row) + tuple(c // g for _, c in row)
 
 
 def _raises_rank(row: tuple, pivots: dict) -> bool:
@@ -87,60 +113,88 @@ def _raises_rank(row: tuple, pivots: dict) -> bool:
     return True
 
 
-def select_rows(rows: Iterable[tuple], ncols: int) -> list[tuple]:
-    """The components of a stream over unknowns 0..ncols-1 that still have
-    a nullspace, as (cols, kept, held) with cols ascending.
+class _Class:
+    """Row selection for one class: its kept rows span every row fed to it.
 
-    A union-find over unknowns keeps, per root, its column count, its
-    pivots mod _P, its kept rows and its held rows.  A row whose root has
-    full mod-p rank is dropped: the root's kept rows are independent over
-    Q, so they span every row on its columns.  Otherwise a row that raises
-    the mod-p rank is kept, and one that does not is held, since over Q it
-    may still be independent; held rows go when their root reaches full
-    rank.  Components at full rank, whose nullspace is {0}, are left out;
-    an unknown in no row is a component of one column.  Exact repeats
-    reduce to zero, so they are held; each distinct held row is returned
-    once.  Deduplicating after the stream keeps a hash table of the held
-    rows out of the memory peak, which falls while residual_rows still
-    holds its bracket table.
+    A row that raises the rank mod _P is kept (rows independent mod p are
+    independent over Q); one that does not is held, as over Q it may still
+    be independent.  Before a row would make the class hold more rows than
+    it keeps, or store more rows than it has columns, the class is
+    certified: one exact elimination of the kept rows gives an integer
+    basis of their nullspace N.  From then on a row, the held ones first,
+    is dropped when N annihilates it (it is in the Q-span of the kept
+    rows, even if it vanished mod an unlucky prime) and kept otherwise,
+    with N cut to the vectors that annihilate it too.  N only shrinks, so
+    the final N annihilates every dropped row.
     """
-    parent: dict = {}
-    roots: dict = {}  # root -> [column count, pivots mod _P, kept rows, held rows]
 
-    def find(u):
-        while (p := parent.setdefault(u, u)) != u:
-            parent[u] = u = parent[p]
-        return u
+    __slots__ = ("cols", "kept", "held", "pivots", "null")
 
-    for row in rows:
-        us = row[: len(row) // 2]
+    def __init__(self, cols: list):
+        self.cols, self.kept, self.held = cols, [], []
+        self.pivots: dict = {}  # mod _P, until certified
+        self.null = None  # integer basis of N, once certified
+
+    def add(self, row: tuple) -> bool:
+        """Feed one row of the class; True once the class has full rank."""
+        if self.null is None:
+            room = len(self.kept) + len(self.held) < len(self.cols)
+            if room and _raises_rank(row, self.pivots):
+                self.kept.append(row)
+                return len(self.kept) == len(self.cols)
+            if room and len(self.held) < len(self.kept):
+                self.held.append(row)
+                return False
+            if self.certify():
+                return True
+        r = _row_dict(row)
+        dots = [sum(c * v.get(u, 0) for u, c in r.items()) for v in self.null]
+        if any(dots):
+            j = next(j for j, d in enumerate(dots) if d)
+            w, dw = self.null.pop(j), dots.pop(j)
+            self.null = [_primitive({u: dw * v.get(u, 0) - d * w.get(u, 0) for u in v.keys() | w.keys()}) if d else v
+                         for v, d in zip(self.null, dots)]
+            self.kept.append(row)
+        return not self.null
+
+    def certify(self) -> bool:
+        """Switch to the exact test against N; True if the class has full rank."""
+        pivots = solver._rref(map(_row_dict, self.kept))
+        self.null = [_primitive(v) for v in _nullspace_vectors(pivots, self.cols)]
+        held, self.held, self.pivots = self.held, [], None
+        return any(self.add(row) for row in held) or not self.null
+
+    def nullspace_pivots(self):
+        """The exact RREF of the kept rows, once the held ones are certified;
+        None if the class turns out to have full rank."""
+        return None if self.held and self.certify() else solver._rref(map(_row_dict, self.kept))
+
+
+def _primitive(vec: dict) -> dict:
+    """The nonzero entries of a rational vector, scaled to coprime integers."""
+    den = lcm(*(x.denominator for x in vec.values()))
+    vec = {u: x.numerator * (den // x.denominator) for u, x in vec.items() if x}
+    g = gcd(*vec.values())
+    return {u: x // g for u, x in vec.items()}
+
+
+def select_rows(rows: Iterable[tuple], cols: dict, full: set) -> list[tuple]:
+    """(cols, pivots) for each class of the stream below full rank: its
+    unknowns, ascending, and the exact RREF of its rows from solver._rref.
+
+    cols maps each class to its unknowns, and a row belongs to the class of
+    its first one.  A class at full rank has nullspace {0}: its state is
+    dropped at once and it goes into full, so residual_rows assembles none
+    of its rows again.
+    """
+    of: list = [None] * sum(map(len, cols.values()))
+    for k, us in cols.items():
         for u in us:
-            if u not in parent:
-                roots[u] = [1, {}, [], []]
-        root, *others = sorted({find(u) for u in us})
-        state = roots[root]
-        for r in others:
-            parent[r] = root
-            cols, pivots, kept, held = roots.pop(r)
-            state[0] += cols
-            state[1].update(pivots)
-            state[2] += kept
-            state[3] += held
-        cols, pivots, kept, held = state
-        if len(pivots) == cols:
-            continue
-        if _raises_rank(row, pivots):
-            kept.append(row)
-            if len(pivots) == cols:
-                held.clear()
-        else:
-            held.append(row)
-    comps: dict = {}
-    for u in range(ncols):
-        comps.setdefault(find(u), []).append(u)
-    out = []
-    for r, cols in comps.items():
-        _, pivots, kept, held = roots.get(r, (1, {}, [], []))
-        if len(pivots) < len(cols):
-            out.append((cols, kept, list(dict.fromkeys(held))))
-    return out
+            of[u] = k
+    live = {k: _Class(us) for k, us in cols.items()}
+    for row in rows:
+        k = of[row[0]]
+        if k in live and live[k].add(row):
+            del live[k]
+            full.add(k)
+    return [(c.cols, pivots) for c in live.values() if (pivots := c.nullspace_pivots()) is not None]

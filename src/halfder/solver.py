@@ -12,11 +12,10 @@ strictly larger window and keeping only restrictions of its solutions.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .algebras import AlgebraSpec, same_algebra
@@ -44,32 +43,25 @@ class WindowEscapeError(ValueError):
 class LinMapWindow:
     """A linear map given by explicit images on a finite set of sources."""
 
-    __slots__ = ("alg", "window", "shift_bound", "sources", "source_set", "images")
+    __slots__ = ("alg", "window", "sources", "source_set", "images")
 
-    def __init__(self, alg, window, images: dict, sources: Sequence | None = None, shift_bound=None):
+    def __init__(self, alg, window, images: dict, sources: Sequence | None = None):
         self.alg = alg
         self.window = window
         if sources is None:
             sources = alg.window_indices(window)
         self.sources = tuple(sorted(sources))
-        self.source_set = frozenset(self.sources)
-        src = self.source_set
+        self.source_set = src = frozenset(self.sources)
         self.images = {}
-        max_shift2 = 0
         for s, img in images.items():
             if s not in src:
                 raise ValueError(f"image given for {s.token}, which is not a source")
             if img.is_zero():
                 continue
             self.images[s] = img
-            for t, _ in img.terms.items():
+            for t in img.terms:
                 if not alg.valid_index(t):
                     raise ValueError(f"image index {t.token} is not valid in {alg.name}")
-                d = abs(t.degree2 - s.degree2)
-                if d > max_shift2:
-                    max_shift2 = d
-        computed = (max_shift2 + 1) // 2
-        self.shift_bound = computed if shift_bound is None else shift_bound
 
     def __call__(self, idx) -> Element:
         img = self.images.get(idx)
@@ -79,20 +71,13 @@ class LinMapWindow:
             return Element.zero()
         return img
 
-    def apply(self, el: Element) -> Element:
-        acc: dict = {}
-        for i, c in el.terms.items():
-            axpy(acc, c, self(i).terms)
-        return Element(acc)
-
     def __repr__(self):
         body = ", ".join(f"{s.token} -> {img!r}" for s, img in sorted(self.images.items()))
         return f"<map {body or '0'}>"
 
 
 def identity_map(alg, window) -> LinMapWindow:
-    srcs = alg.window_indices(window) if not alg.is_finite else list(alg.basis_list)
-    return LinMapWindow(alg, window, {s: Element.basis(s) for s in srcs}, sources=srcs)
+    return LinMapWindow(alg, window, {s: Element.basis(s) for s in alg.window_indices(window)})
 
 
 def delta_residual(alg, phi: LinMapWindow, delta, args: tuple) -> Element:
@@ -220,7 +205,7 @@ class _Window:
             self.window = None
             self.shift = None
             self.sources = sorted(alg.basis_list)
-            self.targets = {s: list(self.sources) for s in self.sources}
+            targets = {s: list(self.sources) for s in self.sources}
         else:
             if window is None or shift is None:
                 raise ValueError("infinite algebras need window and shift bounds")
@@ -231,14 +216,14 @@ class _Window:
             self.window = window
             self.shift = shift
             self.sources = alg.window_indices(window)
-            self.targets = {
+            targets = {
                 s: alg.indices_in_degree2_range(s.degree2 - 2 * shift, s.degree2 + 2 * shift)
                 for s in self.sources
             }
         self.unknowns = []
         self.uid = {}
         for s in self.sources:
-            for t in self.targets[s]:
+            for t in targets[s]:
                 self.uid[(s, t)] = len(self.unknowns)
                 self.unknowns.append((s, t))
 
@@ -251,9 +236,7 @@ class _Window:
                 u = self.uid.get((s, t))
                 if u is None:
                     if strict:
-                        raise ValueError(
-                            f"map sends {s.token} to {t.token}, outside shift bound {self.shift}"
-                        )
+                        raise ValueError(f"map sends {s.token} to {t.token}, outside shift bound {self.shift}")
                     return None
                 vec[u] = c
         return vec
@@ -263,12 +246,7 @@ class _Window:
         for u, c in vec.items():
             s, t = self.unknowns[u]
             images.setdefault(s, {})[t] = c
-        return LinMapWindow(
-            self.alg,
-            self.window,
-            {s: Element(d) for s, d in images.items()},
-            sources=self.sources,
-        )
+        return LinMapWindow(self.alg, self.window, {s: Element(d) for s, d in images.items()}, sources=self.sources)
 
 
 def bounded_tuples(alg, sources: Sequence, outputs=None):
@@ -283,36 +261,21 @@ def bounded_tuples(alg, sources: Sequence, outputs=None):
 
 
 def _system_rows(win: _Window, delta: Fraction) -> list[tuple]:
-    """rows.select_rows over rows.residual_rows: (cols, kept, held) for each
-    component below full rank.  The import runs on the first solve, so
-    processes that never solve (the scans) never compile that module."""
-    from .rows import residual_rows, select_rows
+    """(cols, pivots) for each grade class below full rank: its unknowns
+    and the exact RREF of its residual rows, from rows.select_rows over
+    rows.residual_rows.  The import runs on the first solve, so processes
+    that never solve (the scans) never compile that module."""
+    from .rows import class_split, residual_rows, select_rows
 
-    return select_rows(residual_rows(win, delta), len(win.unknowns))
+    targets, cols = class_split(win)
+    full: set = set()
+    return select_rows(residual_rows(win, delta, full, targets), cols, full)
 
 
 def _row_dict(row: tuple) -> dict:
     """{unknown: coefficient} of a flat integer row."""
     k = len(row) // 2
     return dict(zip(row[:k], row[k:]))
-
-
-def _component_nullspace(cols: Sequence, kept: Sequence[tuple], held: Sequence[tuple]) -> list[dict]:
-    """Canonical nullspace basis of one component's integer rows.
-
-    Exact elimination runs on the kept rows only.  Their nullspace contains
-    the component's, and equals it when every candidate vector annihilates
-    every held row (the kept ones it annihilates by construction); the
-    canonical basis is then the full elimination's.  Otherwise (an unlucky
-    prime) the full exact elimination runs.
-    """
-    vecs = _nullspace_vectors(_rref(map(_row_dict, kept)), cols)
-    for vec in vecs:
-        den = lcm(*(c.denominator for c in vec.values()))
-        ivec = {u: c.numerator * (den // c.denominator) for u, c in vec.items()}
-        if any(sum(c * ivec.get(u, 0) for u, c in _row_dict(row).items()) for row in held):
-            return _nullspace_vectors(_rref(map(_row_dict, kept + held)), cols)
-    return vecs
 
 
 @dataclass(eq=False)
@@ -361,16 +324,9 @@ def solve_delta_derivations(alg, delta, window=None, shift=None) -> SolutionSpac
     """
     d = as_scalar(delta)
     win = _Window(alg, window, shift)
-    vectors = sorted((v for comp in _system_rows(win, d) for v in _component_nullspace(*comp)), key=min)
+    vectors = sorted((v for cols, pivots in _system_rows(win, d) for v in _nullspace_vectors(pivots, cols)), key=min)
     basis = tuple(win.map_of(v) for v in vectors)
-    return SolutionSpace(
-        alg=alg,
-        delta=d,
-        window=win.window,
-        shift=win.shift,
-        basis=basis,
-        stable=alg.is_finite,
-    )
+    return SolutionSpace(alg=alg, delta=d, window=win.window, shift=win.shift, basis=basis, stable=alg.is_finite)
 
 
 def stabilize(space_small: SolutionSpace, space_large: SolutionSpace) -> SolutionSpace:
@@ -407,14 +363,7 @@ def stabilize(space_small: SolutionSpace, space_large: SolutionSpace) -> Solutio
     pivots = _rref(rows)
     vectors = [{lead: ONE, **{c: -v for c, v in pivots[lead].items()}} for lead in sorted(pivots)]
     basis = tuple(win.map_of(v) for v in vectors)
-    return SolutionSpace(
-        alg=space_small.alg,
-        delta=space_small.delta,
-        window=space_small.window,
-        shift=space_small.shift,
-        basis=basis,
-        stable=True,
-    )
+    return replace(space_small, basis=basis, stable=True)
 
 
 def solve_stabilized(alg, delta, window=None, shift=None, bump=None) -> SolutionSpace:

@@ -6,7 +6,6 @@ import pytest
 from halfder.algebras import (
     ALGEBRA_NAMES,
     algebra_from_structure_json,
-    bracket,
     direct_sum,
     finite_structure_json,
     identity_residual,
@@ -199,15 +198,21 @@ def test_nary_skew_symmetry():
 
 
 def test_gradedness():
-    for alg, W in _window_instances():
+    # every bracket is homogeneous for grade2 and parity: the solver splits
+    # the residual system into classes by both
+    insts = _window_instances() + [
+        (make_algebra("n2sca", sector="ramond"), 3),
+        (make_algebra("nary_simple", n=3), None),
+        (make_algebra("nary_simple", n=4), None),
+        (direct_sum(make_algebra("sl2"), make_algebra("sl2")), None),
+    ]
+    for alg, W in insts:
         idxs = alg.window_indices(W or 8)
-        for x, y in combinations_with_replacement(idxs, 2):
-            total = alg.grade2(x) + alg.grade2(y)
-            for oi in alg.bracket_basis((x, y)).support():
-                if oi.family is Family.C:
-                    assert total == 0, (alg.name, x, y)
-                else:
-                    assert alg.grade2(oi) == total, (alg.name, x, y, oi)
+        for args in combinations_with_replacement(idxs, alg.arity):
+            total = sum(map(alg.grade2, args))
+            parity = sum(i.parity for i in args) % 2
+            for oi in alg.bracket_basis(args).support():
+                assert (alg.grade2(oi), oi.parity) == (total, parity), (alg.name, args, oi)
 
 
 def test_jacobi_residual_witt_against_hand_expansion():

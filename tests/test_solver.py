@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from halfder import rows as rows_module
 from halfder import solver
-from halfder.algebras import algebra_from_structure_json, direct_sum, make_algebra
+from halfder.algebras import AlgebraSpec, algebra_from_structure_json, direct_sum, make_algebra
 from halfder.core import Element, Family, bidx
 from halfder.rows import _P, _raises_rank, residual_rows, select_rows
 from halfder.solver import (
     LinMapWindow,
     SolutionSpace,
     WindowEscapeError,
-    _component_nullspace,
     _nullspace_vectors,
     _row_dict,
     _rref,
@@ -412,47 +411,103 @@ def _reference_nullspace(rows, cols):
 
 
 def _selected_nullspace(comps, ncols):
-    """Nullspace basis over the components select_rows returns, checking
-    that each is below full mod-p rank and that their ascending columns
-    are disjoint and within 0..ncols-1; vectors in order of their least
-    key, as a solve has them."""
-    seen = [u for cols, _, _ in comps for u in cols]
+    """Nullspace basis over the classes select_rows returns, checking that
+    each is below full rank and that their ascending columns are disjoint
+    and within 0..ncols-1; vectors in order of their least key, as a solve
+    has them."""
+    seen = [u for cols, _ in comps for u in cols]
     assert len(seen) == len(set(seen)) and set(seen) <= set(range(ncols))
-    for cols, kept, held in comps:
-        assert cols == sorted(cols) and len(kept) < len(cols)
-        assert len(held) == len(set(held))
-    return sorted((v for comp in comps for v in _component_nullspace(*comp)), key=min)
+    for cols, pivots in comps:
+        assert cols == sorted(cols) and len(pivots) < len(cols)
+    return sorted((v for cols, pivots in comps for v in _nullspace_vectors(pivots, cols)), key=min)
+
+
+def _one_class(rows, ncols):
+    """select_rows over a stream whose unknowns all form one class."""
+    return select_rows(rows, {0: list(range(ncols))}, set())
+
+
+class _ClassSpy:
+    """Replace rows._Class by a subclass that records every class made,
+    the most rows each stored at once and every row it kept."""
+
+    def __init__(self, monkeypatch):
+        made = self.made = []
+
+        class Spy(rows_module._Class):
+            __slots__ = ("most", "ever_kept")
+
+            def __init__(self, cols):
+                super().__init__(cols)
+                self.most, self.ever_kept = 0, set()
+                made.append(self)
+
+            def _stored(self):
+                self.most = max(self.most, len(self.kept) + len(self.held))
+                self.ever_kept.update(self.kept)
+
+            def add(self, row):
+                full = super().add(row)
+                self._stored()
+                return full
+
+            def certify(self):
+                self._stored()
+                return super().certify()
+
+        monkeypatch.setattr(rows_module, "_Class", Spy)
 
 
 @pytest.mark.parametrize(
-    "name, params, window, shift, count, ncomps",
-    [("n2sca", {"sector": "ramond"}, 3, 1, 351, 1), ("virasoro", {}, 6, 2, 68, 1)],
+    "name, params, window, shift, classes, below, rank",
+    [("n2sca", {"sector": "ramond"}, 3, 1, 6, 1, 60), ("virasoro", {}, 6, 2, 5, 1, 15)],
 )
-def test_system_rows_keep_a_spanning_selection(name, params, window, shift, count, ncomps):
+def test_system_rows_keep_a_spanning_selection(monkeypatch, name, params, window, shift, classes, below, rank):
     win = _Window(make_algebra(name, params), window, shift)
     full = list(residual_rows(win, HALF))
+    spy = _ClassSpy(monkeypatch)
     comps = _system_rows(win, HALF)
-    rows = [row for _, kept, held in comps for row in kept + held]
-    assert isinstance(comps, list) and len(comps) == ncomps
-    assert len(rows) == count < len(set(full))
-    assert set(rows) <= set(full)
+    assert isinstance(comps, list) and len(spy.made) == classes
+    assert len(comps) == below and sum(len(pivots) for _, pivots in comps) == rank
+    kept = set().union(*(c.ever_kept for c in spy.made))
+    assert kept <= set(full) and len(kept) < len(set(full))
     expected = _reference_nullspace(full, range(len(win.unknowns)))
     assert _selected_nullspace(comps, len(win.unknowns)) == sorted(expected, key=min)
 
 
-def test_system_rows_hold_each_distinct_row_once():
-    # no component of witt (8, 2) reaches full rank, so every distinct row
-    # is kept or held, and exact repeats in the stream are held only once
+def test_witt_classes_are_certified_online(monkeypatch):
+    # no class of witt (8, 2) reaches full rank, so each is certified before
+    # it would store more rows than its 17 columns, out of 514 distinct rows
     win = _Window(make_algebra("witt"), 8, 2)
+    spy = _ClassSpy(monkeypatch)
     comps = _system_rows(win, HALF)
-    rows = [row for _, kept, held in comps for row in kept + held]
-    assert len(rows) == len(set(rows)) == 514
+    assert [(len(cols), len(pivots)) for cols, pivots in comps] == [(17, 16)] * 5
+    assert all(c.null is not None and c.most <= len(c.cols) == 17 for c in spy.made)
     assert len(list(residual_rows(win, HALF))) > 514
+
+
+def test_solve_stores_no_held_rows(monkeypatch):
+    alg = make_algebra("n2sca", {"sector": "ramond"})
+    streamed = sum(1 for _ in residual_rows(_Window(alg, 6, 1), HALF))
+    spy = _ClassSpy(monkeypatch)
+    assembled = 0
+    original = rows_module.residual_rows
+
+    def counted(*args):
+        nonlocal assembled
+        for row in original(*args):
+            assembled += 1
+            yield row
+
+    monkeypatch.setattr(rows_module, "residual_rows", counted)
+    space = solve_delta_derivations(alg, HALF, 6, 1)
+    assert space.dimension == 1
+    assert all(c.most <= len(c.cols) for c in spy.made)
+    assert (assembled, streamed) == (2775, 12973)
 
 
 def test_solve_eliminates_once_per_component(monkeypatch):
     alg = make_algebra("n2sca", {"sector": "ramond"})
-    comps = _system_rows(_Window(alg, 3, 1), HALF)
     streamed = len(list(residual_rows(_Window(alg, 3, 1), HALF)))
     calls = {"_rref": 0, "_raises_rank": 0}
 
@@ -467,10 +522,24 @@ def test_solve_eliminates_once_per_component(monkeypatch):
 
     spy(solver, "_rref")
     spy(rows_module, "_raises_rank")
+    classes = _ClassSpy(monkeypatch)
     space = solve_delta_derivations(alg, HALF, 3, 1)
-    assert calls["_rref"] == len(comps) == 1
+    # one certification per class, and one final elimination of the class
+    # below full rank, whose rank rose after it was certified
+    assert (calls["_rref"], len(classes.made)) == (7, 6)
     assert 0 < calls["_raises_rank"] <= streamed
     assert space.dimension == 1
+
+
+def test_solve_raises_when_a_row_leaves_its_class():
+    # witt's bracket is not graded by |degree2|, so the residual system does
+    # not split into these classes, and the solve must say so
+    witt = make_algebra("witt")
+    bad = AlgebraSpec(
+        name="witt", patterns=witt.patterns, bracket_fn=witt.bracket_fn, grade2_fn=lambda idx: abs(idx.degree2)
+    )
+    with pytest.raises(ValueError, match="leaves its class"):
+        solve_delta_derivations(bad, HALF, 3, 1)
 
 
 @st.composite
@@ -498,10 +567,15 @@ def integer_row_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(integer_row_sets(), st.data())
 def test_component_nullspace_matches_full_elimination(case, data):
-    # any split into kept and held rows gives the full elimination's basis
+    # certifying a class after any prefix of its rows gives the full
+    # elimination's basis
     rows, cols = case
     split = data.draw(st.integers(0, len(rows)))
-    assert _component_nullspace(cols, rows[:split], rows[split:]) == _reference_nullspace(rows, cols)
+    c = rows_module._Class(cols)
+    full = any(c.add(row) for row in rows[:split]) or c.certify() or any(c.add(row) for row in rows[split:])
+    pivots = None if full else c.nullspace_pivots()
+    got = [] if pivots is None else _nullspace_vectors(pivots, cols)
+    assert got == _reference_nullspace(rows, cols)
 
 
 @st.composite
@@ -528,7 +602,7 @@ def test_finite_solve_matches_full_elimination(data, delta):
     assert [win.vector_of(b) for b in space.basis] == expected
 
 
-def test_unlucky_prime_falls_back_to_full_elimination(monkeypatch):
+def test_unlucky_prime_is_caught_by_the_certificate(monkeypatch):
     rows = [(0, 1, 1, 1), (0, 1, 1, -1)]  # x0 + x1 and x0 - x1 are equal mod 2
     calls = []
 
@@ -539,11 +613,10 @@ def test_unlucky_prime_falls_back_to_full_elimination(monkeypatch):
 
     monkeypatch.setattr(rows_module, "_P", 2)
     monkeypatch.setattr(solver, "_rref", spy)
-    comps = select_rows(rows, 2)
-    assert comps == [([0, 1], rows[:1], rows[1:])]
-    assert _component_nullspace(*comps[0]) == _reference_nullspace(rows, [0, 1]) == []
-    assert calls == [1, 2]
-    # a whole solve through the fallback gives the reference basis too
+    # the second row is held, then found independent over Q: full rank
+    assert _one_class(rows, 2) == [] == _reference_nullspace(rows, [0, 1])
+    assert calls == [1]
+    # a whole solve under p = 2 gives the reference basis too
     vir = make_algebra("virasoro")
     calls.clear()
     forced = solve_delta_derivations(vir, HALF, 4, 2)
@@ -551,7 +624,7 @@ def test_unlucky_prime_falls_back_to_full_elimination(monkeypatch):
     monkeypatch.setattr(rows_module, "_P", _P)
     calls.clear()
     real = solve_delta_derivations(vir, HALF, 4, 2)
-    assert forced_calls > len(calls)  # p = 2 sent some components to the fallback
+    assert forced_calls > len(calls)  # p = 2 sent more classes to certification
     assert real.dimension == 1
     assert [b.images for b in forced.basis] == [b.images for b in real.basis]
 
@@ -564,9 +637,10 @@ def test_row_selection_is_order_independent(p, case, data):
     stream = data.draw(st.permutations(rows + rows[::2]))  # with exact repeats
     monkeypatch = pytest.MonkeyPatch()
     monkeypatch.setattr(rows_module, "_P", p)
+    spy = _ClassSpy(monkeypatch)
     try:
-        comps = select_rows(stream, len(cols))
-        assert {row for _, kept, held in comps for row in kept + held} <= set(rows)
+        comps = _one_class(stream, len(cols))
+        assert spy.made[0].ever_kept <= set(rows) and spy.made[0].most <= len(cols)
         got = _selected_nullspace(comps, len(cols))
     finally:
         monkeypatch.undo()
