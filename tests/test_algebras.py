@@ -6,11 +6,13 @@ import pytest
 from halfder.algebras import (
     ALGEBRA_NAMES,
     algebra_from_structure_json,
+    algebra_params,
     direct_sum,
     finite_structure_json,
     identity_residual,
     make_algebra,
 )
+from halfder.catalogue import BUILDERS
 from halfder.core import Element, Family, bidx, parse_element, render
 
 
@@ -362,9 +364,12 @@ def test_make_algebra_validation():
         make_algebra("nary_simple", n=2)
     with pytest.raises(ValueError):
         make_algebra("witt", a=1)
-    assert set(ALGEBRA_NAMES) == set(
-        n for n in ALGEBRA_NAMES
-    ) and len(ALGEBRA_NAMES) == 13
+    # the names and the registry live in two modules; every name builds
+    assert tuple(BUILDERS) == ALGEBRA_NAMES and len(ALGEBRA_NAMES) == 13
+    values = {"a": 1, "b": 2, "sector": "ramond", "n": 3}
+    for name in ALGEBRA_NAMES:
+        alg = make_algebra(name, {k: values[k] for k in algebra_params(name)})
+        assert alg.name == name
 
 
 def test_bracket_rejects_foreign_indices():
