@@ -31,8 +31,6 @@ ALGEBRA_NAMES = (
     "nary_simple",
 )
 
-SECTORS = ("none", "ramond", "neveu_schwarz")
-
 _E, _L, _I, _J, _C = Family.E, Family.L, Family.I, Family.J, Family.C
 
 
@@ -159,6 +157,11 @@ class AlgebraSpec:
 
 def _el(pairs) -> Element:
     return Element({i: as_scalar(c) for i, c in pairs})
+
+
+def _ungraded(idx) -> int:
+    """grade2 of a table with no grading: every index has grade 0."""
+    return 0
 
 
 def _skew_rule(basis, table: dict) -> Callable:
@@ -377,6 +380,8 @@ def algebra_from_structure_json(data: dict, name: str = "custom") -> AlgebraSpec
     """
     dim = int(data["dim"])
     arity = int(data.get("arity", 2))
+    if dim < 1 or arity < 2:
+        raise ValueError(f"a structure table needs dim >= 1 and arity >= 2, not dim {dim}, arity {arity}")
     basis = tuple(bidx(_E, 2 * k) for k in range(dim))
     table: dict = {}
     for entry in data["brackets"]:
@@ -399,6 +404,6 @@ def algebra_from_structure_json(data: dict, name: str = "custom") -> AlgebraSpec
         arity=arity,
         basis_list=basis,
         bracket_fn=_skew_rule(basis, table),
-        grade2_fn=lambda idx: 0,
+        grade2_fn=_ungraded,
         display=f"{name} (imported, dim {dim})",
     )

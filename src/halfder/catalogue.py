@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebras import AlgebraSpec, _el, _skew_rule
+from .algebras import AlgebraSpec, _el, _skew_rule, _ungraded
 from .core import C_INDEX, Element, Family, ONE, bidx
 
 _E, _L, _I, _J, _C = Family.E, Family.L, Family.I, Family.J, Family.C
@@ -329,7 +329,7 @@ def _make_nary_simple(params) -> AlgebraSpec:
         params={"n": n},
         basis_list=basis,
         bracket_fn=_skew_rule(basis, table),
-        grade2_fn=lambda idx: 0,
+        grade2_fn=_ungraded,
         display=f"nary_simple (n={n}, dim {n + 1})",
     )
 

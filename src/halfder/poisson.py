@@ -63,7 +63,6 @@ class ProductSpec:
     rule: Callable[[BasisIndex, BasisIndex], Element]
     ambient: Optional[AlgebraSpec] = None
     w: Optional[Element] = None
-    bracket_arity: int = 2
     _cache: dict = field(default_factory=dict, repr=False)
 
     def basis_product(self, x: BasisIndex, y: BasisIndex) -> Element:

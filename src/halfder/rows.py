@@ -3,7 +3,9 @@
 The unknown (s, t), the coefficient of t in phi(s), has the class
 (grade2(t) - grade2(s), parity of t xor parity of s), and every residual
 row of a graded algebra lies inside one class; a finite algebra has one
-class.  solver._system_rows imports this module on the first solve.
+class.  Each class keeps an exact integer basis of the nullspace of its
+rows so far, so it stores no row.  solver._system_rows imports this module
+on the first solve.
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ from math import gcd, lcm
 from typing import Iterable
 
 from . import solver
-from .solver import _nullspace_vectors, _row_dict, _Window, bounded_tuples
-
-# rows independent mod this prime are independent over Q
-_P = (1 << 61) - 1
+from .core import ONE
+from .solver import _row_dict, _Window, bounded_tuples
 
 
 def class_split(win: _Window) -> tuple[dict, dict]:
@@ -95,97 +95,56 @@ def residual_rows(win: _Window, delta: Fraction, full=frozenset(), targets=None)
                     yield tuple(u for u, _ in row) + tuple(c // g for _, c in row)
 
 
-def _raises_rank(row: tuple, pivots: dict) -> bool:
-    """Reduce a flat integer row mod _P against pivots, each solved for its
-    lead as in solver._rref; a nonzero remainder joins them and returns True."""
-    r = {u: x for u, c in _row_dict(row).items() if (x := c % _P)}
-    while r and (lead := min(r)) in pivots:
-        f = r.pop(lead)
-        for c, v in pivots[lead].items():
-            if x := (r.get(c, 0) + f * v) % _P:
-                r[c] = x
-            else:
-                r.pop(c, None)
-    if not r:
-        return False
-    inv = _P - pow(r.pop(lead), -1, _P)
-    pivots[lead] = {c: v * inv % _P for c, v in r.items()}
-    return True
-
-
 class _Class:
-    """Row selection for one class: its kept rows span every row fed to it.
+    """An integer basis N of the nullspace of the rows fed to one class.
 
-    A row that raises the rank mod _P is kept (rows independent mod p are
-    independent over Q); one that does not is held, as over Q it may still
-    be independent.  Before a row would make the class hold more rows than
-    it keeps, or store more rows than it has columns, the class is
-    certified: one exact elimination of the kept rows gives an integer
-    basis of their nullspace N.  From then on a row, the held ones first,
-    is dropped when N annihilates it (it is in the Q-span of the kept
-    rows, even if it vanished mod an unlucky prime) and kept otherwise,
-    with N cut to the vectors that annihilate it too.  N only shrinks, so
-    the final N annihilates every dropped row.
+    N starts as the unit vectors of the class's columns.  A row that N
+    annihilates is in the Q-span of the rows before it and is dropped.
+    Otherwise the sparsest w in N with a nonzero dot product dw leaves N,
+    and every other v with dot d is cut in place to dw*v - d*w and divided
+    by its gcd, so N spans the nullspace of every row so far; the class is
+    at full rank when N is empty.
     """
 
-    __slots__ = ("cols", "kept", "held", "pivots", "null")
+    __slots__ = ("null",)
 
     def __init__(self, cols: list):
-        self.cols, self.kept, self.held = cols, [], []
-        self.pivots: dict = {}  # mod _P, until certified
-        self.null = None  # integer basis of N, once certified
+        self.null = [{u: 1} for u in cols]
 
     def add(self, row: tuple) -> bool:
         """Feed one row of the class; True once the class has full rank."""
-        if self.null is None:
-            room = len(self.kept) + len(self.held) < len(self.cols)
-            if room and _raises_rank(row, self.pivots):
-                self.kept.append(row)
-                return len(self.kept) == len(self.cols)
-            if room and len(self.held) < len(self.kept):
-                self.held.append(row)
-                return False
-            if self.certify():
-                return True
-        r = _row_dict(row)
-        dots = [sum(c * v.get(u, 0) for u, c in r.items()) for v in self.null]
+        null, r = self.null, _row_dict(row).items()
+        dots = [sum(c * v.get(u, 0) for u, c in r) for v in null]
         if any(dots):
-            j = next(j for j, d in enumerate(dots) if d)
-            w, dw = self.null.pop(j), dots.pop(j)
-            self.null = [_primitive({u: dw * v.get(u, 0) - d * w.get(u, 0) for u in v.keys() | w.keys()}) if d else v
-                         for v, d in zip(self.null, dots)]
-            self.kept.append(row)
-        return not self.null
-
-    def certify(self) -> bool:
-        """Switch to the exact test against N; True if the class has full rank."""
-        pivots = solver._rref(map(_row_dict, self.kept))
-        self.null = [_primitive(v) for v in _nullspace_vectors(pivots, self.cols)]
-        held, self.held, self.pivots = self.held, [], None
-        return any(self.add(row) for row in held) or not self.null
-
-    def nullspace_pivots(self):
-        """The exact RREF of the kept rows, once the held ones are certified;
-        None if the class turns out to have full rank."""
-        return None if self.held and self.certify() else solver._rref(map(_row_dict, self.kept))
+            j = min((j for j, d in enumerate(dots) if d), key=lambda j: len(null[j]))
+            w, dw = null.pop(j), dots.pop(j)
+            for v, d in zip(null, dots):
+                if d:
+                    for u in v:
+                        v[u] *= dw
+                    for u, x in w.items():
+                        if y := v.get(u, 0) - d * x:
+                            v[u] = y
+                        else:
+                            del v[u]
+                    if (g := gcd(*v.values())) > 1:
+                        for u in v:
+                            v[u] //= g
+        return not null
 
 
-def _primitive(vec: dict) -> dict:
-    """The nonzero entries of a rational vector, scaled to coprime integers."""
-    den = lcm(*(x.denominator for x in vec.values()))
-    vec = {u: x.numerator * (den // x.denominator) for u, x in vec.items() if x}
-    g = gcd(*vec.values())
-    return {u: x // g for u, x in vec.items()}
-
-
-def select_rows(rows: Iterable[tuple], cols: dict, full: set) -> list[tuple]:
-    """(cols, pivots) for each class of the stream below full rank: its
-    unknowns, ascending, and the exact RREF of its rows from solver._rref.
+def select_rows(rows: Iterable[tuple], cols: dict, full: set) -> list[dict]:
+    """The canonical nullspace basis of the stream, one vector per free
+    column f, ascending: 1 at f and 0 at the other free columns, as
+    solver._nullspace_vectors reads it off a full elimination.
 
     cols maps each class to its unknowns, and a row belongs to the class of
     its first one.  A class at full rank has nullspace {0}: its state is
     dropped at once and it goes into full, so residual_rows assembles none
-    of its rows again.
+    of its rows again.  At the end one solver._rref of every N left, keyed
+    by ~u, leads each vector with its largest unknown; those leads are the
+    free columns, since a column is free when it is the largest unknown of
+    some nullspace vector.
     """
     of: list = [None] * sum(map(len, cols.values()))
     for k, us in cols.items():
@@ -197,4 +156,5 @@ def select_rows(rows: Iterable[tuple], cols: dict, full: set) -> list[tuple]:
         if k in live and live[k].add(row):
             del live[k]
             full.add(k)
-    return [(c.cols, pivots) for c in live.values() if (pivots := c.nullspace_pivots()) is not None]
+    pivots = solver._rref({~u: x for u, x in v.items()} for c in live.values() for v in c.null)
+    return [{~lead: ONE, **{~u: -x for u, x in pivots[lead].items()}} for lead in sorted(pivots, reverse=True)]

@@ -43,11 +43,10 @@ class WindowEscapeError(ValueError):
 class LinMapWindow:
     """A linear map given by explicit images on a finite set of sources."""
 
-    __slots__ = ("alg", "window", "sources", "source_set", "images")
+    __slots__ = ("alg", "sources", "source_set", "images")
 
     def __init__(self, alg, window, images: dict, sources: Sequence | None = None):
         self.alg = alg
-        self.window = window
         if sources is None:
             sources = alg.window_indices(window)
         self.sources = tuple(sorted(sources))
@@ -260,11 +259,11 @@ def bounded_tuples(alg, sources: Sequence, outputs=None):
             yield args
 
 
-def _system_rows(win: _Window, delta: Fraction) -> list[tuple]:
-    """(cols, pivots) for each grade class below full rank: its unknowns
-    and the exact RREF of its residual rows, from rows.select_rows over
-    rows.residual_rows.  The import runs on the first solve, so processes
-    that never solve (the scans) never compile that module."""
+def _system_rows(win: _Window, delta: Fraction) -> list[dict]:
+    """The canonical nullspace basis of the residual rows, ascending by
+    free column, from rows.select_rows over rows.residual_rows.  The import
+    runs on the first solve, so processes that never solve (the scans)
+    never compile that module."""
     from .rows import class_split, residual_rows, select_rows
 
     targets, cols = class_split(win)
@@ -324,8 +323,7 @@ def solve_delta_derivations(alg, delta, window=None, shift=None) -> SolutionSpac
     """
     d = as_scalar(delta)
     win = _Window(alg, window, shift)
-    vectors = sorted((v for cols, pivots in _system_rows(win, d) for v in _nullspace_vectors(pivots, cols)), key=min)
-    basis = tuple(win.map_of(v) for v in vectors)
+    basis = tuple(win.map_of(v) for v in sorted(_system_rows(win, d), key=min))
     return SolutionSpace(alg=alg, delta=d, window=win.window, shift=win.shift, basis=basis, stable=alg.is_finite)
 
 

@@ -347,6 +347,10 @@ def test_structure_json_rejects_bad_entries():
         algebra_from_structure_json({"dim": 3, "brackets": [[0, 1, [[2, "1"]]], [0, 1, [[2, "2"]]]]})
     with pytest.raises(ValueError):
         algebra_from_structure_json({"dim": 3, "brackets": [[0, 1, [[2, "1"], [2, "1"]]]]})
+    # a table needs a basis and a bracket of two or more arguments
+    for bad in ({"dim": 2, "arity": 0}, {"dim": 2, "arity": 1}, {"dim": 0}, {"dim": -1, "arity": 3}):
+        with pytest.raises(ValueError, match="dim >= 1 and arity >= 2"):
+            algebra_from_structure_json({**bad, "brackets": []})
     with pytest.raises(ValueError):
         finite_structure_json(make_algebra("witt"))
 

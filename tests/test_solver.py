@@ -11,7 +11,7 @@ from halfder import rows as rows_module
 from halfder import solver
 from halfder.algebras import AlgebraSpec, algebra_from_structure_json, direct_sum, make_algebra
 from halfder.core import Element, Family, bidx
-from halfder.rows import _P, _raises_rank, residual_rows, select_rows
+from halfder.rows import residual_rows, select_rows
 from halfder.solver import (
     LinMapWindow,
     SolutionSpace,
@@ -381,7 +381,7 @@ def test_contains_requires_matching_window():
 
 
 # ---------------------------------------------------------------------------
-# integer rows and the certified modular elimination
+# integer rows and the per-class integer nullspace
 
 
 @pytest.mark.parametrize(
@@ -406,20 +406,12 @@ def _flat(row: dict) -> tuple:
     return tuple(sorted(row)) + tuple(row[u] for u in sorted(row))
 
 
+def _dot(row: tuple, vec: dict) -> int:
+    return sum(c * vec.get(u, 0) for u, c in _row_dict(row).items())
+
+
 def _reference_nullspace(rows, cols):
     return _nullspace_vectors(_rref(map(_row_dict, rows)), cols)
-
-
-def _selected_nullspace(comps, ncols):
-    """Nullspace basis over the classes select_rows returns, checking that
-    each is below full rank and that their ascending columns are disjoint
-    and within 0..ncols-1; vectors in order of their least key, as a solve
-    has them."""
-    seen = [u for cols, _ in comps for u in cols]
-    assert len(seen) == len(set(seen)) and set(seen) <= set(range(ncols))
-    for cols, pivots in comps:
-        assert cols == sorted(cols) and len(pivots) < len(cols)
-    return sorted((v for cols, pivots in comps for v in _nullspace_vectors(pivots, cols)), key=min)
 
 
 def _one_class(rows, ncols):
@@ -429,33 +421,35 @@ def _one_class(rows, ncols):
 
 class _ClassSpy:
     """Replace rows._Class by a subclass that records every class made,
-    the most rows each stored at once and every row it kept."""
+    its columns, the rows fed to it and the size of its N after each one."""
 
     def __init__(self, monkeypatch):
         made = self.made = []
 
         class Spy(rows_module._Class):
-            __slots__ = ("most", "ever_kept")
+            __slots__ = ("cols", "fed", "sizes")
 
             def __init__(self, cols):
                 super().__init__(cols)
-                self.most, self.ever_kept = 0, set()
+                self.cols, self.fed, self.sizes = cols, [], [len(self.null)]
                 made.append(self)
-
-            def _stored(self):
-                self.most = max(self.most, len(self.kept) + len(self.held))
-                self.ever_kept.update(self.kept)
 
             def add(self, row):
                 full = super().add(row)
-                self._stored()
+                self.fed.append(row)
+                self.sizes.append(len(self.null))
                 return full
 
-            def certify(self):
-                self._stored()
-                return super().certify()
-
         monkeypatch.setattr(rows_module, "_Class", Spy)
+
+
+def _check_null(c, rows):
+    """N is a primitive integer basis that annihilates rows, starts as the
+    unit vectors of the class and loses at most one vector per row fed."""
+    assert c.sizes[0] == len(c.cols) and all(0 <= a - b <= 1 for a, b in zip(c.sizes, c.sizes[1:]))
+    assert all(type(x) is int for v in c.null for x in v.values())
+    assert all(v and gcd(*v.values()) == 1 and set(v) <= set(c.cols) for v in c.null)
+    assert all(_dot(row, v) == 0 for row in rows for v in c.null)
 
 
 @pytest.mark.parametrize(
@@ -466,24 +460,26 @@ def test_system_rows_keep_a_spanning_selection(monkeypatch, name, params, window
     win = _Window(make_algebra(name, params), window, shift)
     full = list(residual_rows(win, HALF))
     spy = _ClassSpy(monkeypatch)
-    comps = _system_rows(win, HALF)
-    assert isinstance(comps, list) and len(spy.made) == classes
-    assert len(comps) == below and sum(len(pivots) for _, pivots in comps) == rank
-    kept = set().union(*(c.ever_kept for c in spy.made))
-    assert kept <= set(full) and len(kept) < len(set(full))
-    expected = _reference_nullspace(full, range(len(win.unknowns)))
-    assert _selected_nullspace(comps, len(win.unknowns)) == sorted(expected, key=min)
+    vectors = _system_rows(win, HALF)
+    live = [c for c in spy.made if c.null]
+    assert len(spy.made) == classes and len(live) == below
+    assert sum(len(c.cols) - len(c.null) for c in live) == rank
+    for c in spy.made:
+        assert set(c.fed) <= set(full)
+        _check_null(c, [row for row in full if row[0] in c.cols])
+    assert vectors == _reference_nullspace(full, range(len(win.unknowns)))
 
 
-def test_witt_classes_are_certified_online(monkeypatch):
-    # no class of witt (8, 2) reaches full rank, so each is certified before
-    # it would store more rows than its 17 columns, out of 514 distinct rows
+def test_witt_classes_stay_below_full_rank(monkeypatch):
+    # no class of witt (8, 2) reaches full rank: each of the five classes
+    # of 17 columns is fed its whole stream and comes back at nullity 1
     win = _Window(make_algebra("witt"), 8, 2)
+    stream = list(residual_rows(win, HALF))
     spy = _ClassSpy(monkeypatch)
-    comps = _system_rows(win, HALF)
-    assert [(len(cols), len(pivots)) for cols, pivots in comps] == [(17, 16)] * 5
-    assert all(c.null is not None and c.most <= len(c.cols) == 17 for c in spy.made)
-    assert len(list(residual_rows(win, HALF))) > 514
+    vectors = _system_rows(win, HALF)
+    assert [(len(c.cols), len(c.null)) for c in spy.made] == [(17, 1)] * 5
+    assert sum(len(c.fed) for c in spy.made) == len(stream) > 514
+    assert len(vectors) == 5
 
 
 def test_solve_stores_no_held_rows(monkeypatch):
@@ -502,33 +498,33 @@ def test_solve_stores_no_held_rows(monkeypatch):
     monkeypatch.setattr(rows_module, "residual_rows", counted)
     space = solve_delta_derivations(alg, HALF, 6, 1)
     assert space.dimension == 1
-    assert all(c.most <= len(c.cols) for c in spy.made)
+    # a class stores its N alone, never a row; five reach full rank
+    assert sorted(len(c.null) for c in spy.made) == [0] * 5 + [1]
+    for c in spy.made:
+        _check_null(c, [])
     assert (assembled, streamed) == (2775, 12973)
 
 
 def test_solve_eliminates_once_per_component(monkeypatch):
     alg = make_algebra("n2sca", {"sector": "ramond"})
-    streamed = len(list(residual_rows(_Window(alg, 3, 1), HALF)))
-    calls = {"_rref": 0, "_raises_rank": 0}
+    calls = []
+    original = solver._rref
 
-    def spy(module, name):
-        original = getattr(module, name)
+    def counted(rows):
+        rows = list(rows)
+        calls.append(len(rows))
+        return original(rows)
 
-        def counted(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(module, name, counted)
-
-    spy(solver, "_rref")
-    spy(rows_module, "_raises_rank")
+    monkeypatch.setattr(solver, "_rref", counted)
     classes = _ClassSpy(monkeypatch)
     space = solve_delta_derivations(alg, HALF, 3, 1)
-    # one certification per class, and one final elimination of the class
-    # below full rank, whose rank rose after it was certified
-    assert (calls["_rref"], len(classes.made)) == (7, 6)
-    assert 0 < calls["_raises_rank"] <= streamed
+    # one elimination per solve, of the final N of the one class below full rank
+    assert (calls, len(classes.made)) == ([1], 6)
     assert space.dimension == 1
+    # a stabilized solve: one per window, and one in stabilize
+    calls.clear()
+    assert solve_stabilized(make_algebra("witt"), HALF, 4, 1).dimension == 3  # shifts -1, 0, 1
+    assert len(calls) == 3
 
 
 def test_solve_raises_when_a_row_leaves_its_class():
@@ -542,10 +538,14 @@ def test_solve_raises_when_a_row_leaves_its_class():
         solve_delta_derivations(bad, HALF, 3, 1)
 
 
+_M61 = (1 << 61) - 1  # a Mersenne prime
+
+
 @st.composite
 def integer_row_sets(draw):
     ncols = draw(st.integers(1, 6))
-    coeff = st.integers(-3, 3) | st.sampled_from([_P, -2 * _P, _P + 1])
+    big = st.sampled_from([_M61, -2 * _M61, _M61 + 1, 10**30 + 1, -(10**30) + 7, 3 * 10**30])
+    coeff = st.integers(-3, 3) | big
     rows = []
     for _ in range(draw(st.integers(0, 10))):
         how = draw(st.sampled_from(["new", "scaled", "sum"])) if rows else "new"
@@ -565,17 +565,19 @@ def integer_row_sets(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(integer_row_sets(), st.data())
-def test_component_nullspace_matches_full_elimination(case, data):
-    # certifying a class after any prefix of its rows gives the full
-    # elimination's basis
+@given(integer_row_sets())
+def test_component_nullspace_matches_full_elimination(case):
+    # the canonical basis read off the integer N is the full Fraction
+    # elimination's, vector for vector and in the same order
     rows, cols = case
-    split = data.draw(st.integers(0, len(rows)))
-    c = rows_module._Class(cols)
-    full = any(c.add(row) for row in rows[:split]) or c.certify() or any(c.add(row) for row in rows[split:])
-    pivots = None if full else c.nullspace_pivots()
-    got = [] if pivots is None else _nullspace_vectors(pivots, cols)
-    assert got == _reference_nullspace(rows, cols)
+    assert _one_class(rows, len(cols)) == _reference_nullspace(rows, cols)
+
+
+def test_one_row_gives_vectors_in_free_column_order():
+    # x0 + x1 + x2: both vectors have the least key 0, so a solve keeps the
+    # order they come in, which must be the full elimination's
+    expected = [{0: -1, 1: 1}, {0: -1, 2: 1}]
+    assert _one_class([(0, 1, 2, 1, 1, 1)], 3) == expected == _reference_nullspace([(0, 1, 2, 1, 1, 1)], [0, 1, 2])
 
 
 @st.composite
@@ -602,58 +604,21 @@ def test_finite_solve_matches_full_elimination(data, delta):
     assert [win.vector_of(b) for b in space.basis] == expected
 
 
-def test_unlucky_prime_is_caught_by_the_certificate(monkeypatch):
-    rows = [(0, 1, 1, 1), (0, 1, 1, -1)]  # x0 + x1 and x0 - x1 are equal mod 2
-    calls = []
-
-    def spy(rws):
-        rws = list(rws)
-        calls.append(len(rws))
-        return _rref(rws)
-
-    monkeypatch.setattr(rows_module, "_P", 2)
-    monkeypatch.setattr(solver, "_rref", spy)
-    # the second row is held, then found independent over Q: full rank
-    assert _one_class(rows, 2) == [] == _reference_nullspace(rows, [0, 1])
-    assert calls == [1]
-    # a whole solve under p = 2 gives the reference basis too
-    vir = make_algebra("virasoro")
-    calls.clear()
-    forced = solve_delta_derivations(vir, HALF, 4, 2)
-    forced_calls = len(calls)
-    monkeypatch.setattr(rows_module, "_P", _P)
-    calls.clear()
-    real = solve_delta_derivations(vir, HALF, 4, 2)
-    assert forced_calls > len(calls)  # p = 2 sent more classes to certification
-    assert real.dimension == 1
-    assert [b.images for b in forced.basis] == [b.images for b in real.basis]
-
-
 @settings(max_examples=150, deadline=None)
-@pytest.mark.parametrize("p", [_P, 2])
 @given(integer_row_sets(), st.data())
-def test_row_selection_is_order_independent(p, case, data):
+def test_row_selection_is_order_independent(case, data):
     rows, cols = case
     stream = data.draw(st.permutations(rows + rows[::2]))  # with exact repeats
     monkeypatch = pytest.MonkeyPatch()
-    monkeypatch.setattr(rows_module, "_P", p)
     spy = _ClassSpy(monkeypatch)
     try:
-        comps = _one_class(stream, len(cols))
-        assert spy.made[0].ever_kept <= set(rows) and spy.made[0].most <= len(cols)
-        got = _selected_nullspace(comps, len(cols))
+        got = _one_class(stream, len(cols))
     finally:
         monkeypatch.undo()
-    assert got == sorted(_reference_nullspace(rows, cols), key=min)
-
-
-def test_raises_rank_reduces_mod_p():
-    pivots: dict = {}
-    assert _raises_rank((0, 1, 2, 4), pivots)  # 2 x0 + 4 x1, solved: x0 = -2 x1
-    assert pivots == {0: {1: _P - 2}}
-    assert not _raises_rank((0, 1, 1, 2), pivots)
-    assert not _raises_rank((1, _P), pivots)  # vanishes mod p
-    assert _raises_rank((1, 3), pivots) and set(pivots) == {0, 1}
+    (c,) = spy.made
+    assert c.fed == stream[: len(c.fed)]
+    _check_null(c, stream)
+    assert got == _reference_nullspace(rows, cols)
 
 
 # ---------------------------------------------------------------------------
