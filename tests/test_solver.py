@@ -604,11 +604,19 @@ def test_finite_solve_matches_full_elimination(data, delta):
     assert [win.vector_of(b) for b in space.basis] == expected
 
 
+def _scaled(row: tuple, k: int) -> tuple:
+    n = len(row) // 2
+    return row[:n] + tuple(k * c for c in row[n:])
+
+
 @settings(max_examples=150, deadline=None)
+@pytest.mark.parametrize("scale", [_M61, 2])
 @given(integer_row_sets(), st.data())
-def test_row_selection_is_order_independent(case, data):
+def test_row_selection_is_order_independent(scale, case, data):
+    # every row fed times a common factor: N must stay primitive, and the
+    # basis must be that of the unscaled rows
     rows, cols = case
-    stream = data.draw(st.permutations(rows + rows[::2]))  # with exact repeats
+    stream = data.draw(st.permutations([_scaled(r, scale) for r in rows + rows[::2]]))  # with exact repeats
     monkeypatch = pytest.MonkeyPatch()
     spy = _ClassSpy(monkeypatch)
     try:
