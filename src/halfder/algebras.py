@@ -121,7 +121,7 @@ class AlgebraSpec:
         """Multilinear extension of the bracket to Elements."""
         if len(args) != self.arity:
             raise ValueError(f"{self.name} bracket takes {self.arity} arguments, got {len(args)}")
-        return self._multilinear(args, self.bracket_basis)
+        return multilinear(args, self.bracket_basis)
 
     def assoc_basis(self, x, y) -> Element:
         if self.assoc_fn is None:
@@ -137,22 +137,18 @@ class AlgebraSpec:
 
     def assoc(self, x: Element, y: Element) -> Element:
         """Bilinear extension of the associative product."""
-        return self._multilinear((x, y), lambda p: self.assoc_basis(p[0], p[1]))
+        return multilinear((x, y), lambda p: self.assoc_basis(p[0], p[1]))
 
-    def _multilinear(self, args, rule):
-        acc: dict = {}
-        stack = [((), ONE)]
-        for a in args:
-            nxt = []
-            for prefix, coeff in stack:
-                for i, c in a.terms.items():
-                    nxt.append((prefix + (i,), coeff * c))
-            stack = nxt
-        for idxs, coeff in stack:
-            if not coeff:
-                continue
-            axpy(acc, coeff, rule(idxs).terms)
-        return Element(acc)
+
+def multilinear(args, rule) -> Element:
+    """Multilinear extension of rule, from basis tuples to Elements, to Element args."""
+    stack = [((), ONE)]
+    for a in args:
+        stack = [(idxs + (i,), coeff * c) for idxs, coeff in stack for i, c in a.terms.items()]
+    acc: dict = {}
+    for idxs, coeff in stack:
+        axpy(acc, coeff, rule(idxs).terms)
+    return Element(acc)
 
 
 def _el(pairs) -> Element:
@@ -261,43 +257,39 @@ def same_algebra(a: AlgebraSpec, b: AlgebraSpec) -> bool:
 # operations
 
 
+def leibniz_defect(alg: AlgebraSpec, args: tuple, image: Callable, a=ONE, b=ONE) -> Element:
+    """a.f([x_1..x_n]) - b.sum_i (sign) [x_1,..,f(x_i),..,x_n] on basis args.
+
+    image(x) gives the terms {t: c} of f on a basis index x; a term t of
+    f(x_i) takes the sign (-1)^{(|t|+|x_i|)(|x_1|+..+|x_{i-1}|)}.  f = ad_x
+    gives the defining identity, f = phi with b = delta the delta-derivation
+    equation, and f = z*- with a = n the transposed Poisson law.
+    """
+    acc: dict = {}
+    for o, c in alg.bracket_basis(args).terms.items():
+        axpy(acc, c if a is ONE else a * c, image(o))
+    prefix = 0
+    for i, xi in enumerate(args):
+        for t, tc in image(xi).items():
+            coeff = b * tc if (t.parity ^ xi.parity) and prefix % 2 else -b * tc
+            axpy(acc, coeff, alg.bracket_basis(args[:i] + (t,) + args[i + 1 :]).terms)
+        prefix += xi.parity
+    return Element(acc)
+
+
 def identity_residual(alg: AlgebraSpec, args: tuple) -> Element:
     """Defining-identity residual on a basis tuple; zero iff it holds there.
 
     Takes 2n-1 indices (x_1..x_{n-1}, y_1..y_n) and evaluates the adjoint
-    derivation form [x,[y]] - sum_i [y_1,..,[x,y_i],..,y_n], with the
-    Koszul sign (-1)^{P(|y_1|+..+|y_{i-1}|)} where P is the parity of the
-    x block.  For n = 2 this is the (super-)Jacobi identity.
+    derivation form [x,[y]] - sum_i [y_1,..,[x,y_i],..,y_n], the Leibniz
+    defect of f = [x_1..x_{n-1}, -].  For n = 2 this is the (super-)Jacobi
+    identity.
     """
     n = alg.arity
     if len(args) != 2 * n - 1:
         raise ValueError(f"identity residual needs {2 * n - 1} indices, got {len(args)}")
     xs, ys = args[: n - 1], args[n - 1 :]
-    inner = alg.bracket_basis(ys)
-    lhs = _apply_in_last_slot(alg, xs, inner)
-    p = sum(i.parity for i in xs) % 2
-    rhs = Element.zero()
-    prefix = 0
-    for i, yi in enumerate(ys):
-        moved = _apply_in_last_slot(alg, xs, Element.basis(yi))
-        acc: dict = {}
-        for mi, mc in moved.terms.items():
-            axpy(acc, mc, alg.bracket_basis(ys[:i] + (mi,) + ys[i + 1 :]).terms)
-        term = Element(acc)
-        if p and prefix % 2:
-            rhs = rhs - term
-        else:
-            rhs = rhs + term
-        prefix += yi.parity
-    return lhs - rhs
-
-
-def _apply_in_last_slot(alg, xs: tuple, el: Element) -> Element:
-    """bracket(x_1,..,x_{n-1}, el) extended linearly in the last slot."""
-    acc: dict = {}
-    for i, c in el.terms.items():
-        axpy(acc, c, alg.bracket_basis(xs + (i,)).terms)
-    return Element(acc)
+    return leibniz_defect(alg, ys, lambda y: alg.bracket_basis(xs + (y,)).terms)
 
 
 _SUM_FAMILY_POOL = (_E, _L, _I, _J)
@@ -378,18 +370,24 @@ def algebra_from_structure_json(data: dict, name: str = "custom") -> AlgebraSpec
     other orderings are generated by full skew-symmetry.  No grading is
     assumed for imported tables.
     """
-    dim = int(data["dim"])
-    arity = int(data.get("arity", 2))
+    try:
+        dim, arity, entries = int(data["dim"]), int(data.get("arity", 2)), list(data["brackets"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"structure table {name!r} needs int 'dim', 'arity', list 'brackets': {exc!r}") from None
     if dim < 1 or arity < 2:
         raise ValueError(f"a structure table needs dim >= 1 and arity >= 2, not dim {dim}, arity {arity}")
     basis = tuple(bidx(_E, 2 * k) for k in range(dim))
     table: dict = {}
-    for entry in data["brackets"]:
-        *combo, terms = entry
-        combo = tuple(int(k) for k in combo)
+    for entry in entries:
+        try:
+            *combo, terms = entry
+            combo = tuple(int(k) for k in combo)
+            terms = [(int(k), as_scalar(c)) for k, c in terms]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"entry {entry!r} of structure table {name!r} is malformed: {exc}") from None
         if len(combo) != arity:
             raise ValueError(f"entry {entry!r} does not match arity {arity}")
-        outs = tuple(int(k) for k, _ in terms)
+        outs = tuple(k for k, _ in terms)
         if any(not 0 <= k < dim for k in combo + outs):
             raise ValueError(f"entry {entry!r} indexes outside dim {dim}")
         if len(set(outs)) != len(outs):
@@ -398,7 +396,7 @@ def algebra_from_structure_json(data: dict, name: str = "custom") -> AlgebraSpec
             raise ValueError(f"entry {entry!r} must use a strictly increasing tuple")
         if combo in table:
             raise ValueError(f"entry {entry!r} repeats the tuple {list(combo)}")
-        table[combo] = _el((basis[int(k)], c) for k, c in terms)
+        table[combo] = _el((basis[k], c) for k, c in terms)
     return AlgebraSpec(
         name=name,
         arity=arity,

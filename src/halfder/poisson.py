@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product as iproduct
 from typing import Callable, Optional
 
-from .algebras import AlgebraSpec, make_algebra
+from .algebras import AlgebraSpec, leibniz_defect, make_algebra, multilinear
 from .core import BasisIndex, Element, Family, ONE, axpy, bidx, parse_element, render
 from .solver import LinMapWindow
 
@@ -150,12 +150,7 @@ def _as_element(x) -> Element:
 
 def product_eval(p: ProductSpec, x, y) -> Element:
     """Bilinear extension of the basis rule."""
-    xe, ye = _as_element(x), _as_element(y)
-    acc: dict = {}
-    for xi, xc in xe.terms.items():
-        for yi, yc in ye.terms.items():
-            axpy(acc, xc * yc, p.basis_product(xi, yi).terms)
-    return Element(acc)
+    return multilinear((_as_element(x), _as_element(y)), lambda xy: p.basis_product(*xy))
 
 
 def assoc_comm_residuals(p: ProductSpec, x, y, z) -> tuple[Element, Element]:
@@ -171,33 +166,24 @@ def assoc_comm_residuals(p: ProductSpec, x, y, z) -> tuple[Element, Element]:
 def tpa_residual(alg: AlgebraSpec, p: ProductSpec, z, args: tuple) -> Element:
     """n.z*[x1..xn] - sum_i (sign) [x1,..,z*xi,..,xn] on the given inputs.
 
-    The sign for slot i is (-1)^{|z|(|x1|+..+|x_{i-1}|)}, taken per basis
-    term of z and of the prefix arguments; products are treated as parity
-    preserving.  Zero iff the compatibility law holds there.
+    The Leibniz defect of f = z*- with a = n, extended multilinearly to
+    Element arguments.  A term t of z*xi moved into slot i takes the sign
+    (-1)^{(|t|+|xi|)(|x1|+..+|x_{i-1}|)}.  The law is stated for parity
+    preserving products, for which this is (-1)^{|zt|(|x1|+..+|x_{i-1}|)}
+    per basis term zt of z.  Zero iff the compatibility law holds there.
     """
     n = alg.arity
     if len(args) != n:
         raise ValueError(f"expected {n} bracket arguments, got {len(args)}")
     ze = _as_element(z)
-    arg_els = tuple(_as_element(a) for a in args)
-    acc = dict((n * product_eval(p, ze, alg.bracket(*arg_els))).terms)
-    for combo in iproduct(*(a.items() for a in arg_els)):
-        idxs = tuple(i for i, _ in combo)
-        cf = ONE
-        for _, c in combo:
-            cf = cf * c
-        for zt, zc in ze.items():
-            coeff = cf * zc
-            prefix = 0
-            for slot, xi in enumerate(idxs):
-                moved = p.basis_product(zt, xi)
-                if not moved.is_zero():
-                    sgn = coeff if (zt.parity and prefix % 2) else -coeff
-                    for t, tc in moved.terms.items():
-                        inner = alg.bracket_basis(idxs[:slot] + (t,) + idxs[slot + 1 :])
-                        axpy(acc, sgn * tc, inner.terms)
-                prefix += xi.parity
-    return Element(acc)
+
+    def image(x):
+        acc: dict = {}
+        for zt, zc in ze.terms.items():
+            axpy(acc, zc, p.basis_product(zt, x).terms)
+        return acc
+
+    return multilinear(tuple(map(_as_element, args)), lambda idxs: leibniz_defect(alg, idxs, image, n))
 
 
 def poisson_residual(alg: AlgebraSpec, p: ProductSpec, x, y, z) -> Element:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
-from .algebras import AlgebraSpec, same_algebra
+from .algebras import AlgebraSpec, leibniz_defect, same_algebra
 from .core import Element, Family, ONE, ZERO, as_scalar, axpy, bidx
 
 __all__ = [
@@ -82,35 +82,24 @@ def identity_map(alg, window) -> LinMapWindow:
 def delta_residual(alg, phi: LinMapWindow, delta, args: tuple) -> Element:
     """phi[x1..xn] - delta * sum_i (sign) [x1,..,phi(xi),..,xn] on basis args.
 
-    The Koszul sign for an image term of parity shift p in slot i is
-    (-1)^{p(|x1|+..+|x_{i-1}|)}.  Raises WindowEscapeError when an argument
-    or a bracket output falls outside phi's sources.
+    The Leibniz defect of phi with b = delta: an image term t in slot i
+    takes the Koszul sign (-1)^{(|t|+|x_i|)(|x1|+..+|x_{i-1}|)}.  Raises
+    WindowEscapeError when an argument or a bracket output falls outside
+    phi's sources.
     """
     if len(args) != alg.arity:
         raise ValueError(f"expected {alg.arity} arguments, got {len(args)}")
-    d = as_scalar(delta)
     src = phi.source_set
     for a in args:
         if a not in src:
             raise WindowEscapeError(f"argument {a.token} is outside the map's source window")
-    bout = alg.bracket_basis(args)
-    for t in bout.terms:
+    for t in alg.bracket_basis(args).terms:
         if t not in src:
             raise WindowEscapeError(
                 f"bracket output {t.token} escapes the window for tuple "
                 f"({', '.join(a.token for a in args)})"
             )
-    acc: dict = {}
-    for bi, bc in bout.terms.items():
-        axpy(acc, bc, phi(bi).terms)
-    prefix = 0
-    for i, xi in enumerate(args):
-        for t, tc in phi(xi).terms.items():
-            p = t.parity ^ xi.parity
-            coeff = d * tc if (p and prefix % 2) else -d * tc
-            axpy(acc, coeff, alg.bracket_basis(args[:i] + (t,) + args[i + 1 :]).terms)
-        prefix += xi.parity
-    return Element(acc)
+    return leibniz_defect(alg, args, lambda x: phi(x).terms, b=as_scalar(delta))
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +353,12 @@ def stabilize(space_small: SolutionSpace, space_large: SolutionSpace) -> Solutio
     return replace(space_small, basis=basis, stable=True)
 
 
-def solve_stabilized(alg, delta, window=None, shift=None, bump=None) -> SolutionSpace:
-    """Solve at W and at W + bump (default S + 2), then stabilize."""
+def solve_stabilized(alg, delta, window=None, shift=None) -> SolutionSpace:
+    """Solve at windows W and W + S + 2, then stabilize."""
     if alg.is_finite:
         return solve_delta_derivations(alg, delta)
     small = solve_delta_derivations(alg, delta, window, shift)
-    if bump is None:
-        bump = shift + 2
-    large = solve_delta_derivations(alg, delta, window + bump, shift)
+    large = solve_delta_derivations(alg, delta, window + shift + 2, shift)
     return stabilize(small, large)
 
 

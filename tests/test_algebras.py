@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -217,35 +217,68 @@ def test_gradedness():
                 assert (alg.grade2(oi), oi.parity) == (total, parity), (alg.name, args, oi)
 
 
-def test_jacobi_residual_witt_against_hand_expansion():
-    witt = make_algebra("witt")
+# two structure tables that break the identity
+_BROKEN_TABLES = {
+    "binary": {"dim": 3, "brackets": [[0, 1, [[2, "1"]]], [0, 2, [[0, "2"], [1, "1"]]], [1, 2, [[1, "3"]]]]},
+    "ternary": {"dim": 4, "arity": 3, "brackets": [[0, 1, 2, [[0, "1"]]], [0, 1, 3, [[3, "1"]]]]},
+}
 
-    def wb(i, j):
-        return {i + j: Fraction(i - j)} if i != j else {}
 
-    def hand_jacobi(i, j, k):
-        # [x,[y,z]] - [[x,y],z] - [y,[x,z]] over plain dicts
+def _hand_bracket(case):
+    """(algebra, bracket on plain position tuples -> {position: coefficient},
+    positions): positions are the subscripts k of the basis vectors e_k."""
+    if case == "witt":
+
+        def wb(args):
+            i, j = args
+            return {i + j: Fraction(i - j)} if i != j else {}
+
+        return make_algebra("witt"), wb, range(-3, 4)
+    data = _BROKEN_TABLES[case]
+    table = {tuple(e[:-1]): {k: Fraction(c) for k, c in e[-1]} for e in data["brackets"]}
+
+    def tb(args):
+        if len(set(args)) < len(args):
+            return {}
+        sign = (-1) ** sum(a > b for a, b in combinations(args, 2))
+        return {k: sign * c for k, c in table.get(tuple(sorted(args)), {}).items()}
+
+    return algebra_from_structure_json(data), tb, range(data["dim"])
+
+
+@pytest.mark.parametrize(
+    "case, nonzero, values",
+    [("witt", 0, set()), ("binary", 6, {(2, 5), (2, -5)}), ("ternary", 36, {(3, 1), (3, -1)})],
+    ids=["witt", "binary", "ternary"],
+)
+def test_identity_residual_against_hand_expansion(case, nonzero, values):
+    alg, br, points = _hand_bracket(case)
+    n = alg.arity
+
+    def hand(args):
+        # [x,[y]] - sum_i [y_1,..,[x,y_i],..,y_n] over plain dicts
+        xs, ys = args[: n - 1], args[n - 1 :]
         acc: dict = {}
 
-        def add(d, sgn):
-            for deg, c in d.items():
-                acc[deg] = acc.get(deg, Fraction(0)) + sgn * c
+        def add(sgn, inner, outer):
+            for k, c in inner.items():
+                for o, c2 in br(outer(k)).items():
+                    acc[o] = acc.get(o, Fraction(0)) + sgn * c * c2
 
-        for deg, c in wb(j, k).items():
-            for deg2, c2 in wb(i, deg).items():
-                acc[deg2] = acc.get(deg2, Fraction(0)) + c * c2
-        for deg, c in wb(i, j).items():
-            for deg2, c2 in wb(deg, k).items():
-                acc[deg2] = acc.get(deg2, Fraction(0)) - c * c2
-        for deg, c in wb(i, k).items():
-            for deg2, c2 in wb(j, deg).items():
-                acc[deg2] = acc.get(deg2, Fraction(0)) - c * c2
-        return {d: c for d, c in acc.items() if c}
+        add(1, br(ys), lambda k: xs + (k,))
+        for i in range(n):
+            add(-1, br(xs + (ys[i],)), lambda k: ys[:i] + (k,) + ys[i + 1 :])
+        return {o: c for o, c in acc.items() if c}
 
-    for i, j, k in product(range(-3, 4), repeat=3):
-        res = identity_residual(witt, (E(i), E(j), E(k)))
-        assert res.is_zero()
-        assert hand_jacobi(i, j, k) == {}
+    seen = []
+    for args in product(points, repeat=2 * n - 1):
+        res = identity_residual(alg, tuple(E(k) for k in args))
+        got = {o.degree2 // 2: c for o, c in res.terms.items()}
+        assert got == hand(args), args
+        if got:
+            seen.append(got)
+    assert len(seen) == nonzero
+    assert {t for r in seen for t in r.items()} == values
 
 
 def test_identity_residual_all_builtins_small_window():
@@ -347,6 +380,19 @@ def test_structure_json_rejects_bad_entries():
         algebra_from_structure_json({"dim": 3, "brackets": [[0, 1, [[2, "1"]]], [0, 1, [[2, "2"]]]]})
     with pytest.raises(ValueError):
         algebra_from_structure_json({"dim": 3, "brackets": [[0, 1, [[2, "1"], [2, "1"]]]]})
+    # malformed tables and entries are named in a ValueError
+    for bad in (
+        {"brackets": []},
+        {"dim": 3},
+        {"dim": None, "brackets": []},
+        {"dim": 3, "brackets": None},
+        [3],
+    ):
+        with pytest.raises(ValueError, match="structure table 'custom' needs int"):
+            algebra_from_structure_json(bad)
+    for entry in (5, [0, 1, 5], [0, 1, [[2, 0.5]]], [0, 1, [[2]]], ["a", 1, [[2, "1"]]]):
+        with pytest.raises(ValueError, match=r"entry .* of structure table 'custom' is malformed"):
+            algebra_from_structure_json({"dim": 3, "brackets": [entry]})
     # a table needs a basis and a bracket of two or more arguments
     for bad in ({"dim": 2, "arity": 0}, {"dim": 2, "arity": 1}, {"dim": 0}, {"dim": -1, "arity": 3}):
         with pytest.raises(ValueError, match="dim >= 1 and arity >= 2"):

@@ -1,5 +1,6 @@
-"""Package layout: module size and import order."""
+"""Package layout: module size, import order and dead names."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -47,3 +48,56 @@ def test_import_order(code):
         [sys.executable, "-c", code], stderr=subprocess.PIPE, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def _trees() -> dict:
+    return {p.name: ast.parse(p.read_text()) for p in sorted((SRC / "halfder").glob("*.py"))}
+
+
+def _names_used(tree) -> set:
+    """Names a module reads: bare names, attributes and `__all__` strings."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _trees().items():
+        used = _names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert not unused, f"imports never used: {unused}"
+
+
+def test_no_unreferenced_private_functions():
+    trees = _trees()
+    used = set().union(*map(_names_used, trees.values()))
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    dead = [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert not dead, f"private module-level functions nothing in src/ references: {dead}"

@@ -268,20 +268,21 @@ def test_nary_compatibility_residual():
         tpa_residual(a4, prod, E(1), (E(1), E(2)))
 
 
+def _theta_rule(x, y):
+    """A parity preserving product on svir: L*L = L, L*G = G*L = G, G*G = 0."""
+    if x.family is Family.C or y.family is Family.C:
+        return Element.zero()
+    if x.parity and y.parity:
+        return Element.zero()
+    fam = Family.GPLUS if (x.parity ^ y.parity) else Family.L
+    return Element.basis(bidx(fam, x.degree2 + y.degree2))
+
+
 def test_super_residual_swap_law():
     # independent check of the Koszul branch: antisymmetry alone gives
     # residual(z, (y, x)) = -(-1)^{|x||y|} residual(z, (x, y))
     sv = make_algebra("svir", sector="neveu_schwarz")
-
-    def srule(x, y):
-        if x.family is Family.C or y.family is Family.C:
-            return Element.zero()
-        if x.parity and y.parity:
-            return Element.zero()
-        fam = Family.GPLUS if (x.parity ^ y.parity) else Family.L
-        return Element.basis(bidx(fam, x.degree2 + y.degree2))
-
-    p = ProductSpec(kind="table", name="theta", rule=srule)
+    p = ProductSpec(kind="table", name="theta", rule=_theta_rule)
     srcs = sv.window_indices(3)
     rng = random.Random(5)
     hit_sign_branch = False
@@ -294,6 +295,32 @@ def test_super_residual_swap_law():
         if z.parity and x.parity and not lhs.is_zero():
             hit_sign_branch = True
     assert hit_sign_branch
+
+
+@pytest.mark.parametrize("case", ["wab-fails", "svir-theta"])
+def test_tpa_residual_is_multilinear_on_elements(case):
+    if case == "wab-fails":
+        alg = make_algebra("wab", a=1, b=0)
+        p = parse_product_literal("mutation:w=L_1", alg)
+    else:
+        alg = make_algebra("svir", sector="neveu_schwarz")
+        p = ProductSpec(kind="table", name="theta", rule=_theta_rule)
+    srcs = alg.window_indices(2)
+    rng = random.Random(12)
+
+    def element():
+        return Element({i: Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)) for i in rng.sample(srcs, 3)})
+
+    nonzero = 0
+    for _ in range(15):
+        z, x, y = element(), element(), element()
+        expected = Element.zero()
+        for (zt, zc), (xi, xc), (yj, yc) in iproduct(z.items(), x.items(), y.items()):
+            basis = tpa_residual(alg, p, zt, (xi, yj))
+            nonzero += not basis.is_zero()
+            expected = expected + basis.scale(zc * xc * yc)
+        assert tpa_residual(alg, p, z, (x, y)) == expected, (z, x, y)
+    assert nonzero
 
 
 def test_poisson_residual_frozen_examples():
