@@ -235,6 +235,8 @@ def make_algebra(name: str, params: dict | None = None, **kw) -> AlgebraSpec:
         if k in ("a", "b"):
             clean[k] = as_scalar(v)
         elif k == "n":
+            if isinstance(v, bool) or not isinstance(v, (int, str)):
+                raise ValueError(f"nary_simple needs an integer arity n, not {v!r}")
             clean[k] = int(v)
         elif k == "sector":
             if v not in ("ramond", "neveu_schwarz"):
@@ -260,17 +262,17 @@ def same_algebra(a: AlgebraSpec, b: AlgebraSpec) -> bool:
 def leibniz_defect(alg: AlgebraSpec, args: tuple, image: Callable, a=ONE, b=ONE) -> Element:
     """a.f([x_1..x_n]) - b.sum_i (sign) [x_1,..,f(x_i),..,x_n] on basis args.
 
-    image(x) gives the terms {t: c} of f on a basis index x; a term t of
+    image(x) gives the Element f(x) on a basis index x; a term t of
     f(x_i) takes the sign (-1)^{(|t|+|x_i|)(|x_1|+..+|x_{i-1}|)}.  f = ad_x
     gives the defining identity, f = phi with b = delta the delta-derivation
     equation, and f = z*- with a = n the transposed Poisson law.
     """
     acc: dict = {}
     for o, c in alg.bracket_basis(args).terms.items():
-        axpy(acc, c if a is ONE else a * c, image(o))
+        axpy(acc, c if a is ONE else a * c, image(o).terms)
     prefix = 0
     for i, xi in enumerate(args):
-        for t, tc in image(xi).items():
+        for t, tc in image(xi).terms.items():
             coeff = b * tc if (t.parity ^ xi.parity) and prefix % 2 else -b * tc
             axpy(acc, coeff, alg.bracket_basis(args[:i] + (t,) + args[i + 1 :]).terms)
         prefix += xi.parity
@@ -289,7 +291,7 @@ def identity_residual(alg: AlgebraSpec, args: tuple) -> Element:
     if len(args) != 2 * n - 1:
         raise ValueError(f"identity residual needs {2 * n - 1} indices, got {len(args)}")
     xs, ys = args[: n - 1], args[n - 1 :]
-    return leibniz_defect(alg, ys, lambda y: alg.bracket_basis(xs + (y,)).terms)
+    return leibniz_defect(alg, ys, lambda y: alg.bracket_basis(xs + (y,)))
 
 
 _SUM_FAMILY_POOL = (_E, _L, _I, _J)
@@ -363,6 +365,13 @@ def finite_structure_json(alg: AlgebraSpec) -> dict:
     return {"dim": len(basis), "arity": alg.arity, "brackets": entries}
 
 
+def _json_int(value) -> int:
+    """An int read from JSON; a float or a bool is rejected, never truncated."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an int")
+    return value
+
+
 def algebra_from_structure_json(data: dict, name: str = "custom") -> AlgebraSpec:
     """Finite algebra from a JSON structure table (positions label e_0..e_{dim-1}).
 
@@ -371,7 +380,7 @@ def algebra_from_structure_json(data: dict, name: str = "custom") -> AlgebraSpec
     assumed for imported tables.
     """
     try:
-        dim, arity, entries = int(data["dim"]), int(data.get("arity", 2)), list(data["brackets"])
+        dim, arity, entries = _json_int(data["dim"]), _json_int(data.get("arity", 2)), list(data["brackets"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"structure table {name!r} needs int 'dim', 'arity', list 'brackets': {exc!r}") from None
     if dim < 1 or arity < 2:
@@ -381,8 +390,8 @@ def algebra_from_structure_json(data: dict, name: str = "custom") -> AlgebraSpec
     for entry in entries:
         try:
             *combo, terms = entry
-            combo = tuple(int(k) for k in combo)
-            terms = [(int(k), as_scalar(c)) for k, c in terms]
+            combo = tuple(map(_json_int, combo))
+            terms = [(_json_int(k), as_scalar(c)) for k, c in terms]
         except (TypeError, ValueError) as exc:
             raise ValueError(f"entry {entry!r} of structure table {name!r} is malformed: {exc}") from None
         if len(combo) != arity:

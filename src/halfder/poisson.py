@@ -163,39 +163,40 @@ def assoc_comm_residuals(p: ProductSpec, x, y, z) -> tuple[Element, Element]:
     return assoc, comm
 
 
+def _tpa_defect(alg: AlgebraSpec, p: ProductSpec, z: BasisIndex, args: tuple) -> Element:
+    return leibniz_defect(alg, args, lambda x: p.basis_product(z, x), alg.arity)
+
+
 def tpa_residual(alg: AlgebraSpec, p: ProductSpec, z, args: tuple) -> Element:
     """n.z*[x1..xn] - sum_i (sign) [x1,..,z*xi,..,xn] on the given inputs.
 
-    The Leibniz defect of f = z*- with a = n, extended multilinearly to
-    Element arguments.  A term t of z*xi moved into slot i takes the sign
+    The Leibniz defect of f = z*- with a = n, extended multilinearly in z
+    and the arguments.  A term t of z*xi moved into slot i takes the sign
     (-1)^{(|t|+|xi|)(|x1|+..+|x_{i-1}|)}.  The law is stated for parity
     preserving products, for which this is (-1)^{|zt|(|x1|+..+|x_{i-1}|)}
     per basis term zt of z.  Zero iff the compatibility law holds there.
     """
-    n = alg.arity
-    if len(args) != n:
-        raise ValueError(f"expected {n} bracket arguments, got {len(args)}")
-    ze = _as_element(z)
-
-    def image(x):
-        acc: dict = {}
-        for zt, zc in ze.terms.items():
-            axpy(acc, zc, p.basis_product(zt, x).terms)
-        return acc
-
-    return multilinear(tuple(map(_as_element, args)), lambda idxs: leibniz_defect(alg, idxs, image, n))
+    if len(args) != alg.arity:
+        raise ValueError(f"expected {alg.arity} bracket arguments, got {len(args)}")
+    return multilinear(tuple(map(_as_element, (z, *args))), lambda zx: _tpa_defect(alg, p, zx[0], zx[1:]))
 
 
 def poisson_residual(alg: AlgebraSpec, p: ProductSpec, x, y, z) -> Element:
     """[x*y, z] - x*[y,z] - y*[x,z], the classical Leibniz defect."""
     if alg.arity != 2:
         raise ValueError("the Poisson Leibniz rule is a binary-bracket check")
-    xe, ye, ze = _as_element(x), _as_element(y), _as_element(z)
-    return (
-        alg.bracket(product_eval(p, xe, ye), ze)
-        - product_eval(p, xe, alg.bracket(ye, ze))
-        - product_eval(p, ye, alg.bracket(xe, ze))
-    )
+
+    def kernel(xyz):
+        x, y, z = xyz
+        acc: dict = {}
+        for t, c in p.basis_product(x, y).terms.items():
+            axpy(acc, c, alg.bracket_basis((t, z)).terms)
+        for u, v in ((x, y), (y, x)):  # u*[v,z]
+            for t, c in alg.bracket_basis((v, z)).terms.items():
+                axpy(acc, -c, p.basis_product(u, t).terms)
+        return Element(acc)
+
+    return multilinear(tuple(map(_as_element, (x, y, z))), kernel)
 
 
 def _scan_order(alg: AlgebraSpec, window: int) -> list:
@@ -232,7 +233,7 @@ def check_tpa_window(alg: AlgebraSpec, p: ProductSpec, window: int) -> tuple[Opt
     for z in srcs:
         for args in combinations_with_replacement(srcs, alg.arity):
             checked += 1
-            if not tpa_residual(alg, p, z, args).is_zero():
+            if not _tpa_defect(alg, p, z, args).is_zero():
                 return (z, args), checked
     return None, checked
 

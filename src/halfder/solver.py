@@ -99,7 +99,7 @@ def delta_residual(alg, phi: LinMapWindow, delta, args: tuple) -> Element:
                 f"bracket output {t.token} escapes the window for tuple "
                 f"({', '.join(a.token for a in args)})"
             )
-    return leibniz_defect(alg, args, lambda x: phi(x).terms, b=as_scalar(delta))
+    return leibniz_defect(alg, args, phi, b=as_scalar(delta))
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +317,10 @@ def solve_delta_derivations(alg, delta, window=None, shift=None) -> SolutionSpac
 
 
 def stabilize(space_small: SolutionSpace, space_large: SolutionSpace) -> SolutionSpace:
-    """Keep the part of the small-window space that extends to the large one.
+    """Restrict the large-window space to the small space's window.
 
-    The result is spanned by restrictions of large-window solutions; its
-    dimension can only drop when the windows grow, which is the sense in
-    which it is stable.
+    The small space's basis is not read: each equation of its window is one
+    of the large window, on the same unknowns, so the restrictions solve it.
     """
     if space_small.alg.is_finite:
         raise ValueError("finite-dimensional spaces are already stable")
@@ -354,12 +353,12 @@ def stabilize(space_small: SolutionSpace, space_large: SolutionSpace) -> Solutio
 
 
 def solve_stabilized(alg, delta, window=None, shift=None) -> SolutionSpace:
-    """Solve at windows W and W + S + 2, then stabilize."""
+    """Solve once at window W + S + 2 and restrict the solutions to W."""
     if alg.is_finite:
         return solve_delta_derivations(alg, delta)
-    small = solve_delta_derivations(alg, delta, window, shift)
-    large = solve_delta_derivations(alg, delta, window + shift + 2, shift)
-    return stabilize(small, large)
+    _Window(alg, window, shift)  # checks the W/S bounds before the solve
+    small = SolutionSpace(alg, as_scalar(delta), window, shift, basis=(), stable=False)
+    return stabilize(small, solve_delta_derivations(alg, small.delta, window + shift + 2, shift))
 
 
 def is_trivial_space(space: SolutionSpace) -> bool:

@@ -390,7 +390,21 @@ def test_structure_json_rejects_bad_entries():
     ):
         with pytest.raises(ValueError, match="structure table 'custom' needs int"):
             algebra_from_structure_json(bad)
-    for entry in (5, [0, 1, 5], [0, 1, [[2, 0.5]]], [0, 1, [[2]]], ["a", 1, [[2, "1"]]]):
+    # integer fields take ints only: a float or a bool is rejected, not truncated
+    for bad in ({"dim": 2.5}, {"dim": True}, {"dim": "3"}, {"dim": 3, "arity": 2.9}, {"dim": 3, "arity": True}):
+        with pytest.raises(ValueError, match="structure table 'custom' needs int"):
+            algebra_from_structure_json({**bad, "brackets": []})
+    for entry in (
+        5,
+        [0, 1, 5],
+        [0, 1, [[2, 0.5]]],
+        [0, 1, [[2]]],
+        ["a", 1, [[2, "1"]]],
+        [0.2, True, [[1.0, "1"]]],
+        [0, 1.0, [[2, "1"]]],
+        [0, 1, [[2.0, "1"]]],
+        [False, 1, [[2, "1"]]],
+    ):
         with pytest.raises(ValueError, match=r"entry .* of structure table 'custom' is malformed"):
             algebra_from_structure_json({"dim": 3, "brackets": [entry]})
     # a table needs a basis and a bracket of two or more arguments
@@ -412,6 +426,11 @@ def test_make_algebra_validation():
         make_algebra("svir", sector="twisted")
     with pytest.raises(ValueError):
         make_algebra("nary_simple", n=2)
+    # n is an integer or an integer string; 3.7 must not build n = 3
+    for n in (3.7, 3.0, True, Fraction(7, 2), "3.5"):
+        with pytest.raises(ValueError):
+            make_algebra("nary_simple", n=n)
+    assert make_algebra("nary_simple", n="3").params == {"n": 3}
     with pytest.raises(ValueError):
         make_algebra("witt", a=1)
     # the names and the registry live in two modules; every name builds

@@ -323,6 +323,31 @@ def test_tpa_residual_is_multilinear_on_elements(case):
     assert nonzero
 
 
+@pytest.mark.parametrize(
+    "name, params, product",
+    [("witt", {}, "mutation:w=e_0"), ("wab", {"a": 0, "b": -1}, "mutation:w=L_1 - 2*I_0")],
+)
+def test_poisson_residual_is_multilinear_on_elements(name, params, product):
+    alg = make_algebra(name, params)
+    p = parse_product_literal(product, alg)
+    srcs = alg.window_indices(2)
+    rng = random.Random(21)
+
+    def element():
+        return Element({i: Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)) for i in rng.sample(srcs, 3)})
+
+    nonzero = 0
+    for _ in range(15):
+        x, y, z = element(), element(), element()
+        expected = Element.zero()
+        for (xi, xc), (yj, yc), (zk, zc) in iproduct(x.items(), y.items(), z.items()):
+            basis = poisson_residual(alg, p, xi, yj, zk)
+            nonzero += not basis.is_zero()
+            expected = expected + basis.scale(xc * yc * zc)
+        assert poisson_residual(alg, p, x, y, z) == expected, (x, y, z)
+    assert nonzero
+
+
 def test_poisson_residual_frozen_examples():
     witt = make_algebra("witt")
     p = laurent_mutation("e_0")

@@ -28,6 +28,7 @@ from halfder.solver import (
     nullspace,
     solve_delta_derivations,
     solve_stabilized,
+    space_to_jsonable,
     stabilize,
 )
 
@@ -295,6 +296,49 @@ def test_stabilized_dimension_is_monotone_in_window():
     assert dims == [5, 5, 5]
 
 
+@pytest.mark.parametrize(
+    "name, params, delta, window, shift",
+    [
+        ("witt", {}, Fraction(1), 6, 2),
+        ("wab", {"a": HALF, "b": -1}, HALF, 10, 2),
+        ("n2sca", {"sector": "ramond"}, Fraction(1), 4, 1),
+        ("svir", {"sector": "neveu_schwarz"}, HALF, 4, 2),
+        ("thin", {}, HALF, 12, 3),
+    ],
+)
+def test_one_solve_stabilization_matches_two_solves(name, params, delta, window, shift):
+    alg = make_algebra(name, params)
+    small = solve_delta_derivations(alg, delta, window, shift)
+    reference = stabilize(small, solve_delta_derivations(alg, delta, window + shift + 2, shift))
+    space = solve_stabilized(alg, delta, window, shift)
+    assert space_to_jsonable(space) == space_to_jsonable(reference)
+    # the restrictions of the large solutions already lie in the small space
+    assert all(small.contains(b) for b in space.basis)
+
+
+def test_stabilized_solve_checks_bounds_then_solves_once(monkeypatch):
+    witt = make_algebra("witt")
+    windows = []
+    original = solver.solve_delta_derivations
+
+    def counted(alg, delta, window=None, shift=None):
+        windows.append(window)
+        return original(alg, delta, window, shift)
+
+    monkeypatch.setattr(solver, "solve_delta_derivations", counted)
+    assert solve_stabilized(witt, HALF, 5, 2).dimension == 5
+    assert windows == [9]
+
+    def refuse(*args):
+        raise AssertionError("solved before the window and shift bounds were checked")
+
+    monkeypatch.setattr(solver, "solve_delta_derivations", refuse)
+    with pytest.raises(ValueError, match="shift bound must be smaller than the window"):
+        solve_stabilized(witt, HALF, 2, 5)
+    with pytest.raises(ValueError, match="window and shift bounds"):
+        solve_stabilized(witt, HALF)
+
+
 def test_stabilize_preconditions():
     witt = make_algebra("witt")
     small = solve_delta_derivations(witt, HALF, window=6, shift=2)
@@ -521,10 +565,10 @@ def test_solve_eliminates_once_per_component(monkeypatch):
     # one elimination per solve, of the final N of the one class below full rank
     assert (calls, len(classes.made)) == ([1], 6)
     assert space.dimension == 1
-    # a stabilized solve: one per window, and one in stabilize
+    # a stabilized solve: one for the one (large) window, and one in stabilize
     calls.clear()
     assert solve_stabilized(make_algebra("witt"), HALF, 4, 1).dimension == 3  # shifts -1, 0, 1
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_solve_raises_when_a_row_leaves_its_class():
