@@ -3,7 +3,8 @@
 Each AlgebraSpec bundles lazy structure constants (bracket on basis
 indices), an optional commutative associative product for the ambient
 function algebras, and enough index bookkeeping to enumerate degree
-windows.  Structure constants are exact rationals throughout.  The
+windows.  Structure constants are exact rationals, stored once per
+algebra as packed int entries (core.pack) and read in int arithmetic.  The
 built-in algebras live in `halfder.catalogue`; `make_algebra` builds
 them by name.
 """
@@ -11,9 +12,10 @@ them by name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 from typing import Callable, Optional, Sequence
 
-from .core import C_INDEX, Element, Family, ONE, as_scalar, axpy, bidx
+from .core import C_INDEX, Element, Family, ONE, as_scalar, axpy, bidx, combine, pack, unpack
 
 ALGEBRA_NAMES = (
     "witt",
@@ -107,15 +109,22 @@ class AlgebraSpec:
             return sorted(self.basis_list)
         return self.indices_in_degree2_range(-2 * window, 2 * window)
 
-    def bracket_basis(self, idxs: tuple) -> Element:
-        """Structure constants on a basis tuple, memoized."""
+    def _check(self, idxs: tuple) -> None:
+        for i in idxs:
+            if not self.valid_index(i):
+                raise ValueError(f"index {i.token} is not valid in algebra {self.name}")
+
+    def bracket_ints(self, idxs: tuple) -> tuple:
+        """Structure constants on a basis tuple as a packed entry, memoized."""
         out = self._bcache.get(idxs)
         if out is None:
-            for i in idxs:
-                if not self.valid_index(i):
-                    raise ValueError(f"index {i.token} is not valid in algebra {self.name}")
-            out = self._bcache[idxs] = self.bracket_fn(idxs)
+            self._check(idxs)
+            out = self._bcache[idxs] = pack(self.bracket_fn(idxs))
         return out
+
+    def bracket_basis(self, idxs: tuple) -> Element:
+        """Structure constants on a basis tuple, built from the packed table."""
+        return unpack(self.bracket_ints(idxs))
 
     def bracket(self, *args: Element) -> Element:
         """Multilinear extension of the bracket to Elements."""
@@ -123,17 +132,18 @@ class AlgebraSpec:
             raise ValueError(f"{self.name} bracket takes {self.arity} arguments, got {len(args)}")
         return multilinear(args, self.bracket_basis)
 
-    def assoc_basis(self, x, y) -> Element:
+    def assoc_ints(self, x, y) -> tuple:
+        """The associative product of two basis indices as a packed entry, memoized."""
         if self.assoc_fn is None:
             raise ValueError(f"algebra {self.name} has no associative product")
-        key = (x, y)
-        out = self._acache.get(key)
+        out = self._acache.get((x, y))
         if out is None:
-            for i in key:
-                if not self.valid_index(i):
-                    raise ValueError(f"index {i.token} is not valid in algebra {self.name}")
-            out = self._acache[key] = self.assoc_fn(x, y)
+            self._check((x, y))
+            out = self._acache[(x, y)] = pack(self.assoc_fn(x, y))
         return out
+
+    def assoc_basis(self, x, y) -> Element:
+        return unpack(self.assoc_ints(x, y))
 
     def assoc(self, x: Element, y: Element) -> Element:
         """Bilinear extension of the associative product."""
@@ -262,21 +272,24 @@ def same_algebra(a: AlgebraSpec, b: AlgebraSpec) -> bool:
 def leibniz_defect(alg: AlgebraSpec, args: tuple, image: Callable, a=ONE, b=ONE) -> Element:
     """a.f([x_1..x_n]) - b.sum_i (sign) [x_1,..,f(x_i),..,x_n] on basis args.
 
-    image(x) gives the Element f(x) on a basis index x; a term t of
-    f(x_i) takes the sign (-1)^{(|t|+|x_i|)(|x_1|+..+|x_{i-1}|)}.  f = ad_x
-    gives the defining identity, f = phi with b = delta the delta-derivation
-    equation, and f = z*- with a = n the transposed Poisson law.
+    image(x) gives the packed entry (core.pack) of f(x) on a basis index x,
+    and core.combine sums in ints; a term t of f(x_i) takes the sign
+    (-1)^{(|t|+|x_i|)(|x_1|+..+|x_{i-1}|)}.  f = ad_x gives the defining
+    identity, f = phi with b = delta the delta-derivation equation, and
+    f = z*- with a = n the transposed Poisson law.
     """
-    acc: dict = {}
-    for o, c in alg.bracket_basis(args).terms.items():
-        axpy(acc, c if a is ONE else a * c, image(o).terms)
+    bracket = alg.bracket_ints
+    top = bracket(args)
+    parts = [(a.numerator * n, a.denominator * top[0], image(o)) for o, n in zip(top[1::2], top[2::2])]
     prefix = 0
     for i, xi in enumerate(args):
-        for t, tc in image(xi).terms.items():
-            coeff = b * tc if (t.parity ^ xi.parity) and prefix % 2 else -b * tc
-            axpy(acc, coeff, alg.bracket_basis(args[:i] + (t,) + args[i + 1 :]).terms)
+        f = image(xi)
+        for t, m in zip(f[1::2], f[2::2]):
+            m *= b.numerator
+            entry = bracket(args[:i] + (t,) + args[i + 1 :])
+            parts.append((m if (t.parity ^ xi.parity) and prefix % 2 else -m, b.denominator * f[0], entry))
         prefix += xi.parity
-    return Element(acc)
+    return combine(parts)
 
 
 def identity_residual(alg: AlgebraSpec, args: tuple) -> Element:
@@ -291,7 +304,7 @@ def identity_residual(alg: AlgebraSpec, args: tuple) -> Element:
     if len(args) != 2 * n - 1:
         raise ValueError(f"identity residual needs {2 * n - 1} indices, got {len(args)}")
     xs, ys = args[: n - 1], args[n - 1 :]
-    return leibniz_defect(alg, ys, lambda y: alg.bracket_basis(xs + (y,)))
+    return leibniz_defect(alg, ys, lambda y: alg.bracket_ints(xs + (y,)))
 
 
 _SUM_FAMILY_POOL = (_E, _L, _I, _J)
@@ -328,8 +341,8 @@ def direct_sum(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
         if all(i in a_set for i in idxs):
             return a.bracket_basis(idxs)
         if all(i in b_inv for i in idxs):
-            out = b.bracket_basis(tuple(b_inv[i] for i in idxs))
-            return Element({b_map[i]: c for i, c in out.terms.items()})
+            e = b.bracket_ints(tuple(b_inv[i] for i in idxs))
+            return unpack(e[:1] + tuple(chain.from_iterable((b_map[o], n) for o, n in zip(e[1::2], e[2::2]))))
         return Element.zero()
 
     def grade2(idx):
@@ -354,8 +367,6 @@ def finite_structure_json(alg: AlgebraSpec) -> dict:
     basis = list(alg.basis_list)
     pos = {idx: k for k, idx in enumerate(basis)}
     entries = []
-    from itertools import combinations
-
     for combo in combinations(range(len(basis)), alg.arity):
         out = alg.bracket_basis(tuple(basis[k] for k in combo))
         if out.is_zero():

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 Scalar = Fraction
@@ -242,6 +244,41 @@ def element_combine(pairs: Iterable[tuple[object, Element]]) -> Element:
         if c:
             axpy(out, c, el.terms)
     return _wrap(out)
+
+
+def pack(element: Element) -> tuple:
+    """(den, o_1, n_1, o_2, n_2, ...) with element = sum n_i/den o_i in term
+    order, den the lcm of the denominators; zero packs to ().  Structure
+    constants and map images are stored in this form."""
+    terms = element.terms
+    if not terms:
+        return ()
+    den = lcm(*[c.denominator for c in terms.values()])
+    return (den, *chain.from_iterable((o, c.numerator * (den // c.denominator)) for o, c in terms.items()))
+
+
+def unpack(entry: tuple) -> Element:
+    """The Element of a packed entry."""
+    return _wrap({o: Fraction(n, entry[0]) for o, n in zip(entry[1::2], entry[2::2])})
+
+
+def combine(parts: Iterable[tuple]) -> Element:
+    """Exact sum of num/den * entry over (num, den, packed entry) triples.
+
+    The package's int residual kernel: every term is accumulated as an int
+    over one common denominator, and one Element is built at the end.
+    """
+    parts = [(n, d * e[0], e) for n, d, e in parts if e]
+    # star-args from a list: CPython builds a generator's tuple at a guessed
+    # length and shrinks it, which piles tuples up on the small free lists
+    den = lcm(*[d for _, d, _ in parts])
+    acc: dict = {}
+    get = acc.get
+    for n, d, e in parts:
+        f = n * (den // d)
+        for o, c in zip(e[1::2], e[2::2]):
+            acc[o] = get(o, 0) + f * c
+    return _wrap({o: Fraction(v, den) for o, v in acc.items() if v})
 
 
 def render(element: Element) -> str:

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement, product as iproduct
 from typing import Callable, Optional
 
 from .algebras import AlgebraSpec, leibniz_defect, make_algebra, multilinear
-from .core import BasisIndex, Element, Family, ONE, axpy, bidx, parse_element, render
+from .core import BasisIndex, Element, Family, ONE, bidx, combine, pack, parse_element, render, unpack
 from .solver import LinMapWindow
 
 __all__ = [
@@ -65,11 +65,15 @@ class ProductSpec:
     w: Optional[Element] = None
     _cache: dict = field(default_factory=dict, repr=False)
 
-    def basis_product(self, x: BasisIndex, y: BasisIndex) -> Element:
+    def product_ints(self, x: BasisIndex, y: BasisIndex) -> tuple:
+        """The product of two basis indices as a packed entry (core.pack), memoized."""
         out = self._cache.get((x, y))
         if out is None:
-            out = self._cache[(x, y)] = self.rule(x, y)
+            out = self._cache[(x, y)] = pack(self.rule(x, y))
         return out
+
+    def basis_product(self, x: BasisIndex, y: BasisIndex) -> Element:
+        return unpack(self.product_ints(x, y))
 
     def __repr__(self):
         return f"<product {self.name}>"
@@ -164,7 +168,7 @@ def assoc_comm_residuals(p: ProductSpec, x, y, z) -> tuple[Element, Element]:
 
 
 def _tpa_defect(alg: AlgebraSpec, p: ProductSpec, z: BasisIndex, args: tuple) -> Element:
-    return leibniz_defect(alg, args, lambda x: p.basis_product(z, x), alg.arity)
+    return leibniz_defect(alg, args, lambda x: p.product_ints(z, x), alg.arity)
 
 
 def tpa_residual(alg: AlgebraSpec, p: ProductSpec, z, args: tuple) -> Element:
@@ -178,7 +182,7 @@ def tpa_residual(alg: AlgebraSpec, p: ProductSpec, z, args: tuple) -> Element:
     """
     if len(args) != alg.arity:
         raise ValueError(f"expected {alg.arity} bracket arguments, got {len(args)}")
-    return multilinear(tuple(map(_as_element, (z, *args))), lambda zx: _tpa_defect(alg, p, zx[0], zx[1:]))
+    return multilinear([*map(_as_element, (z, *args))], lambda zx: _tpa_defect(alg, p, zx[0], zx[1:]))
 
 
 def poisson_residual(alg: AlgebraSpec, p: ProductSpec, x, y, z) -> Element:
@@ -188,15 +192,14 @@ def poisson_residual(alg: AlgebraSpec, p: ProductSpec, x, y, z) -> Element:
 
     def kernel(xyz):
         x, y, z = xyz
-        acc: dict = {}
-        for t, c in p.basis_product(x, y).terms.items():
-            axpy(acc, c, alg.bracket_basis((t, z)).terms)
+        xy = p.product_ints(x, y)
+        parts = [(n, xy[0], alg.bracket_ints((t, z))) for t, n in zip(xy[1::2], xy[2::2])]
         for u, v in ((x, y), (y, x)):  # u*[v,z]
-            for t, c in alg.bracket_basis((v, z)).terms.items():
-                axpy(acc, -c, p.basis_product(u, t).terms)
-        return Element(acc)
+            vz = alg.bracket_ints((v, z))
+            parts += [(-n, vz[0], p.product_ints(u, t)) for t, n in zip(vz[1::2], vz[2::2])]
+        return combine(parts)
 
-    return multilinear(tuple(map(_as_element, (x, y, z))), kernel)
+    return multilinear([*map(_as_element, (x, y, z))], kernel)
 
 
 def _scan_order(alg: AlgebraSpec, window: int) -> list:
@@ -240,9 +243,9 @@ def check_tpa_window(alg: AlgebraSpec, p: ProductSpec, window: int) -> tuple[Opt
 
 def right_mult_map(p: ProductSpec, z, alg: AlgebraSpec, window: int) -> LinMapWindow:
     """The map x -> x*z on the window sources."""
-    ze = _as_element(z)
+    zs = [(c.numerator, c.denominator, t) for t, c in _as_element(z).terms.items()]
     srcs = alg.window_indices(window)
-    images = {s: product_eval(p, Element.basis(s), ze) for s in srcs}
+    images = {s: combine([(n, d, p.product_ints(s, t)) for n, d, t in zs]) for s in srcs}
     return LinMapWindow(alg, window, images, sources=srcs)
 
 

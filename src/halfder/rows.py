@@ -11,7 +11,6 @@ on the first solve.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import Iterable
 
@@ -39,26 +38,17 @@ def residual_rows(win: _Window, delta: Fraction, full=frozenset(), targets=None)
     A row is the flat tuple (u_1..u_k, c_1..c_k) of a primitive integer row
     (ascending unknowns, coprime coefficients, c_1 > 0), so rows that are
     rational multiples of each other coincide; rows repeat.  Brackets are
-    read from alg.bracket_fn into a table local to the call, as ints over a
-    common denominator.  Raises ValueError when a row leaves its class,
-    that is when a bracket met is not homogeneous for grade2 and parity.
+    the packed entries of alg.bracket_ints.  Raises ValueError when a row
+    leaves its class, that is when a bracket met is not homogeneous for
+    grade2 and parity.
     """
     alg = win.alg
     graded = not alg.is_finite
     targets = targets or class_split(win)[0]
     classes = sorted({k for by_class in targets.values() for k in by_class})
-    table: dict = {}
-
-    def bracket(args):
-        """(den, o_1, n_1, o_2, n_2, ...): the bracket is sum n_i/den o_i."""
-        if (out := table.get(args)) is None:
-            terms = alg.bracket_fn(args).terms
-            den = lcm(*(c.denominator for c in terms.values()))
-            out = table[args] = (den, *chain(*((o, c.numerator * den // c.denominator) for o, c in terms.items())))
-        return out
-
+    bracket = alg.bracket_ints
     dn, dd = delta.numerator, delta.denominator
-    for args in bounded_tuples(alg, win.sources, lambda args: bracket(args)[1::2]):
+    for args in bounded_tuples(alg, win.sources):
         b = bracket(args)
         grade = sum(map(alg.grade2, args))
         parity = sum(x.parity for x in args) % 2
@@ -71,9 +61,10 @@ def residual_rows(win: _Window, delta: Fraction, full=frozenset(), targets=None)
             for i, xi in enumerate(args):
                 for t in targets[xi].get(k, ()):
                     n = dn if (t.parity ^ xi.parity) and prefix % 2 else -dn
-                    inner.append((win.uid[(xi, t)], n, bracket(args[:i] + (t,) + args[i + 1 :])))
+                    if bi := bracket(args[:i] + (t,) + args[i + 1 :]):
+                        inner.append((win.uid[(xi, t)], n, bi))
                 prefix += xi.parity
-            scale = dd * lcm(b[0], *(bi[0] for _, _, bi in inner))
+            scale = dd * lcm(*b[:1], *(bi[0] for _, _, bi in inner))
             acc: dict = {}
             for o, c in zip(b[1::2], b[2::2]):
                 f = c * (scale // b[0])
@@ -91,8 +82,8 @@ def residual_rows(win: _Window, delta: Fraction, full=frozenset(), targets=None)
                     tokens = ", ".join(x.token for x in args)
                     raise ValueError(f"the row of {y.token} for ({tokens}) leaves its class: {alg.name} is not graded")
                 if row := sorted((u, c) for u, c in d.items() if c):
-                    g = gcd(*(c for _, c in row)) * (1 if row[0][1] > 0 else -1)
-                    yield tuple(u for u, _ in row) + tuple(c // g for _, c in row)
+                    g = gcd(*[c for _, c in row]) * (1 if row[0][1] > 0 else -1)
+                    yield (*[u for u, _ in row], *[c // g for _, c in row])
 
 
 class _Class:

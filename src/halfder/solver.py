@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
 from .algebras import AlgebraSpec, leibniz_defect, same_algebra
-from .core import Element, Family, ONE, ZERO, as_scalar, axpy, bidx
+from .core import Element, Family, ONE, ZERO, as_scalar, axpy, bidx, pack, render, unpack
 
 __all__ = [
     "LinMapWindow",
@@ -41,9 +41,10 @@ class WindowEscapeError(ValueError):
 
 
 class LinMapWindow:
-    """A linear map given by explicit images on a finite set of sources."""
+    """A linear map given by explicit images on a finite set of sources,
+    each nonzero image stored once as a packed entry (core.pack)."""
 
-    __slots__ = ("alg", "sources", "source_set", "images")
+    __slots__ = ("alg", "sources", "source_set", "packed")
 
     def __init__(self, alg, window, images: dict, sources: Sequence | None = None):
         self.alg = alg
@@ -51,24 +52,33 @@ class LinMapWindow:
             sources = alg.window_indices(window)
         self.sources = tuple(sorted(sources))
         self.source_set = src = frozenset(self.sources)
-        self.images = {}
+        self.packed = {}
         for s, img in images.items():
             if s not in src:
                 raise ValueError(f"image given for {s.token}, which is not a source")
             if img.is_zero():
                 continue
-            self.images[s] = img
+            self.packed[s] = pack(img)
             for t in img.terms:
                 if not alg.valid_index(t):
                     raise ValueError(f"image index {t.token} is not valid in {alg.name}")
 
-    def __call__(self, idx) -> Element:
-        img = self.images.get(idx)
-        if img is None:
+    def ints(self, idx) -> tuple:
+        """The packed image of a basis index; WindowEscapeError off the sources."""
+        out = self.packed.get(idx)
+        if out is None:
             if idx not in self.source_set:
                 raise WindowEscapeError(f"{idx.token} is outside the map's source window")
-            return Element.zero()
-        return img
+            return ()
+        return out
+
+    def __call__(self, idx) -> Element:
+        return unpack(self.ints(idx))
+
+    @property
+    def images(self) -> dict:
+        """{source: Element image} over the sources with a nonzero image."""
+        return {s: unpack(e) for s, e in self.packed.items()}
 
     def __repr__(self):
         body = ", ".join(f"{s.token} -> {img!r}" for s, img in sorted(self.images.items()))
@@ -85,21 +95,15 @@ def delta_residual(alg, phi: LinMapWindow, delta, args: tuple) -> Element:
     The Leibniz defect of phi with b = delta: an image term t in slot i
     takes the Koszul sign (-1)^{(|t|+|x_i|)(|x1|+..+|x_{i-1}|)}.  Raises
     WindowEscapeError when an argument or a bracket output falls outside
-    phi's sources.
+    phi's sources: phi.ints meets every argument and every output of the
+    one bracket entry the defect reads.
     """
     if len(args) != alg.arity:
         raise ValueError(f"expected {alg.arity} arguments, got {len(args)}")
-    src = phi.source_set
-    for a in args:
-        if a not in src:
-            raise WindowEscapeError(f"argument {a.token} is outside the map's source window")
-    for t in alg.bracket_basis(args).terms:
-        if t not in src:
-            raise WindowEscapeError(
-                f"bracket output {t.token} escapes the window for tuple "
-                f"({', '.join(a.token for a in args)})"
-            )
-    return leibniz_defect(alg, args, phi, b=as_scalar(delta))
+    try:
+        return leibniz_defect(alg, args, phi.ints, b=as_scalar(delta))
+    except WindowEscapeError as e:
+        raise WindowEscapeError(f"{e}, for tuple ({', '.join(a.token for a in args)})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +223,14 @@ class _Window:
         """Coordinates of a map; None (or ValueError when strict) if a
         nonzero image coefficient falls outside the unknown set."""
         vec = {}
-        for s, img in phi.images.items():
-            for t, c in img.terms.items():
+        for s, e in phi.packed.items():
+            for t, n in zip(e[1::2], e[2::2]):
                 u = self.uid.get((s, t))
                 if u is None:
                     if strict:
                         raise ValueError(f"map sends {s.token} to {t.token}, outside shift bound {self.shift}")
                     return None
-                vec[u] = c
+                vec[u] = Fraction(n, e[0])
         return vec
 
     def map_of(self, vec: dict) -> LinMapWindow:
@@ -237,14 +241,12 @@ class _Window:
         return LinMapWindow(self.alg, self.window, {s: Element(d) for s, d in images.items()}, sources=self.sources)
 
 
-def bounded_tuples(alg, sources: Sequence, outputs=None):
+def bounded_tuples(alg, sources: Sequence):
     """Yield the sorted argument tuples over the sorted sources whose
-    bracket outputs, outputs(args) (by default those of
-    alg.bracket_basis(args)), stay inside them."""
-    outputs = outputs or (lambda args: alg.bracket_basis(args).terms)
+    bracket outputs stay inside them."""
     inside = frozenset(sources)
     for args in combinations_with_replacement(sources, alg.arity):
-        if inside.issuperset(outputs(args)):
+        if inside.issuperset(alg.bracket_ints(args)[1::2]):
             yield args
 
 
@@ -374,18 +376,8 @@ def is_trivial_space(space: SolutionSpace) -> bool:
     if space.dimension != 1:
         return False
     phi = space.basis[0]
-    lam = None
-    for s in phi.sources:
-        img = phi(s)
-        terms = img.terms
-        if len(terms) != 1 or s not in terms:
-            return False
-        c = terms[s]
-        if lam is None:
-            lam = c
-        elif c != lam:
-            return False
-    return lam is not None and lam != 0
+    lam = phi(phi.sources[0]).coeff(phi.sources[0]) if phi.sources else ZERO
+    return lam != 0 and all(phi(s) == Element.single(s, lam) for s in phi.sources)
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +426,9 @@ def closed_form_map(family: str, coeffs: dict, alg, window: int) -> LinMapWindow
         images = {}
         for s in alg.window_indices(window):
             if family == "wab_even":
-                images[s] = Element(
-                    {bidx(s.family, s.degree2 + 2 * t): c for t, c in cs.items()}
-                )
+                images[s] = Element({bidx(s.family, s.degree2 + 2 * t): c for t, c in cs.items()})
             elif s.family is Family.L:
-                images[s] = Element(
-                    {bidx(Family.I, s.degree2 + 2 * t): c for t, c in cs.items()}
-                )
+                images[s] = Element({bidx(Family.I, s.degree2 + 2 * t): c for t, c in cs.items()})
             else:
                 images[s] = Element.zero()
         return LinMapWindow(alg, window, images)
@@ -492,16 +480,7 @@ def closed_form_map(family: str, coeffs: dict, alg, window: int) -> LinMapWindow
 
 
 def space_to_jsonable(space: SolutionSpace, trivial: Optional[bool] = None) -> dict:
-    from .core import render
-
-    basis = []
-    for b in space.basis:
-        entry = [
-            {"source": s.token, "image": render(b(s))}
-            for s in b.sources
-            if not b(s).is_zero()
-        ]
-        basis.append(entry)
+    basis = [[{"source": s.token, "image": render(img)} for s, img in sorted(b.images.items())] for b in space.basis]
     return {
         "algebra": space.alg.name,
         "params": {k: str(v) for k, v in sorted(space.alg.params.items())},

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfder.algebras import (
     ALGEBRA_NAMES,
@@ -14,6 +16,9 @@ from halfder.algebras import (
 )
 from halfder.catalogue import BUILDERS
 from halfder.core import Element, Family, bidx, parse_element, render
+from halfder.poisson import ProductSpec, poisson_residual, tpa_residual
+from halfder.solver import LinMapWindow, delta_residual
+from test_solver import finite_structures
 
 
 def E(i):
@@ -224,6 +229,39 @@ _BROKEN_TABLES = {
 }
 
 
+def leibniz_oracle(br, image, args, a=1, b=1):
+    """a.f(br(args)) - b.sum_i br(args with x_i -> f(x_i)) over plain dicts.
+
+    The Fraction reference of algebras.leibniz_defect for even bases: br
+    maps a tuple of plain keys, and image one key, to {key: Fraction}.
+    """
+    acc: dict = {}
+
+    def add(c, terms):
+        for k, v in terms.items():
+            acc[k] = acc.get(k, Fraction(0)) + c * v
+
+    for o, c in br(args).items():
+        add(a * c, image(o))
+    for i, x in enumerate(args):
+        for t, c in image(x).items():
+            add(-b * c, br(args[:i] + (t,) + args[i + 1 :]))
+    return {k: v for k, v in acc.items() if v}
+
+
+def _table_bracket(data):
+    """The bracket of a JSON structure table on plain position tuples."""
+    table = {tuple(e[:-1]): {k: Fraction(c) for k, c in e[-1]} for e in data["brackets"]}
+
+    def tb(args):
+        if len(set(args)) < len(args):
+            return {}
+        sign = (-1) ** sum(a > b for a, b in combinations(args, 2))
+        return {k: sign * c for k, c in table.get(tuple(sorted(args)), {}).items()}
+
+    return tb
+
+
 def _hand_bracket(case):
     """(algebra, bracket on plain position tuples -> {position: coefficient},
     positions): positions are the subscripts k of the basis vectors e_k."""
@@ -235,15 +273,11 @@ def _hand_bracket(case):
 
         return make_algebra("witt"), wb, range(-3, 4)
     data = _BROKEN_TABLES[case]
-    table = {tuple(e[:-1]): {k: Fraction(c) for k, c in e[-1]} for e in data["brackets"]}
+    return algebra_from_structure_json(data), _table_bracket(data), range(data["dim"])
 
-    def tb(args):
-        if len(set(args)) < len(args):
-            return {}
-        sign = (-1) ** sum(a > b for a, b in combinations(args, 2))
-        return {k: sign * c for k, c in table.get(tuple(sorted(args)), {}).items()}
 
-    return algebra_from_structure_json(data), tb, range(data["dim"])
+def _positions(el):
+    return {o.degree2 // 2: c for o, c in el.terms.items()}
 
 
 @pytest.mark.parametrize(
@@ -256,29 +290,61 @@ def test_identity_residual_against_hand_expansion(case, nonzero, values):
     n = alg.arity
 
     def hand(args):
-        # [x,[y]] - sum_i [y_1,..,[x,y_i],..,y_n] over plain dicts
+        # [x,[y]] - sum_i [y_1,..,[x,y_i],..,y_n]: the defect of f = [x, -]
         xs, ys = args[: n - 1], args[n - 1 :]
-        acc: dict = {}
-
-        def add(sgn, inner, outer):
-            for k, c in inner.items():
-                for o, c2 in br(outer(k)).items():
-                    acc[o] = acc.get(o, Fraction(0)) + sgn * c * c2
-
-        add(1, br(ys), lambda k: xs + (k,))
-        for i in range(n):
-            add(-1, br(xs + (ys[i],)), lambda k: ys[:i] + (k,) + ys[i + 1 :])
-        return {o: c for o, c in acc.items() if c}
+        return leibniz_oracle(br, lambda k: br(xs + (k,)), ys)
 
     seen = []
     for args in product(points, repeat=2 * n - 1):
-        res = identity_residual(alg, tuple(E(k) for k in args))
-        got = {o.degree2 // 2: c for o, c in res.terms.items()}
+        got = _positions(identity_residual(alg, tuple(E(k) for k in args)))
         assert got == hand(args), args
         if got:
             seen.append(got)
     assert len(seen) == nonzero
     assert {t for r in seen for t in r.items()} == values
+
+
+_COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)])
+
+
+def _sparse(draw, keys, dim):
+    """{key: {position: coefficient}} with at most two terms per key."""
+    return {k: {t: draw(_COEFFS) for t in draw(st.sets(st.integers(0, dim - 1), max_size=2))} for k in keys}
+
+
+@settings(deadline=None)
+@given(finite_structures(), st.data())
+def test_int_residuals_match_fraction_oracle(structure, data):
+    # the packed-int identity, delta, tpa and Poisson residuals against
+    # the plain Fraction expansion, on random tables, maps and products
+    alg, br, dim = algebra_from_structure_json(structure), _table_bracket(structure), structure["dim"]
+    points = list(product(range(dim), repeat=2))
+
+    def el(terms):
+        return Element({E(k): c for k, c in terms.items()})
+
+    for x, y, z in product(range(dim), repeat=3):
+        got = identity_residual(alg, (E(x), E(y), E(z)))
+        assert _positions(got) == leibniz_oracle(br, lambda k: br((x, k)), (y, z)), (x, y, z)
+    phi, delta = _sparse(data.draw, range(dim), dim), data.draw(_COEFFS | st.just(Fraction(0)))
+    lin = LinMapWindow(alg, None, {E(s): el(img) for s, img in phi.items()})
+    for args in points:
+        got = delta_residual(alg, lin, delta, tuple(map(E, args)))
+        assert _positions(got) == leibniz_oracle(br, phi.__getitem__, args, b=delta), args
+    # a random commutative product on the same basis
+    table = _sparse(data.draw, [(i, j) for i, j in points if i <= j], dim)
+
+    def mul(i, j):
+        return table[min(i, j), max(i, j)]
+
+    p = ProductSpec("table", "random", lambda u, v: el(mul(u.degree2 // 2, v.degree2 // 2)))
+    for z, args in product(range(dim), points):
+        got = tpa_residual(alg, p, E(z), tuple(map(E, args)))
+        assert _positions(got) == leibniz_oracle(br, lambda k: mul(z, k), args, a=2), (z, args)
+    for x, y, z in product(range(dim), repeat=3):
+        # [x*y, z] - x*[y,z] - y*[x,z] is the defect of [-, z] over the product
+        got = poisson_residual(alg, p, E(x), E(y), E(z))
+        assert _positions(got) == leibniz_oracle(lambda uv: mul(*uv), lambda k: br((k, z)), (x, y)), (x, y, z)
 
 
 def test_identity_residual_all_builtins_small_window():

@@ -275,3 +275,60 @@ def test_full_stdout_exits_without_traceback():
     assert proc.returncode == 1
     assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
     assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+
+def test_structure_tables_hold_only_packed_entries(monkeypatch):
+    # every structure constant a scan computes is stored once, as a packed
+    # int entry (den, o_1, n_1, ...); no Element cache sits beside it
+    from halfder.algebras import AlgebraSpec
+    from halfder.core import BasisIndex
+    from halfder.poisson import ProductSpec
+
+    made = []
+    for cls, attr in ((AlgebraSpec, "__post_init__"), (ProductSpec, "__init__")):
+        original = getattr(cls, attr)
+
+        def keep(self, *args, _original=original, **kwargs):
+            _original(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(cls, attr, keep)
+    wab = ["--algebra", "wab", "--param", "a=1", "--param", "b=-1", "--product=mutation:w=L_1 + 2*I_-1"]
+    for args in (
+        ["algebra-check", "--algebra", "n2sca", "--param", "sector=ramond", "--window", "4"],
+        ["tpa-verify", *wab, "--window", "3"],
+        ["tpa-witness", *wab, "--window", "3", "--expect-witness"],
+        ["algebra-check", "--algebra", "sl2"],
+        ["derive-solve", "--algebra", "sl2"],
+    ):
+        code, _ = run(args)
+        assert code == 0, args
+    tables = {"_bcache": 0, "_acache": 0, "_cache": 0}
+    for obj in made:
+        for name in tables:
+            for entry in getattr(obj, name, {}).values():
+                assert type(entry) is tuple, (name, entry)
+                assert all(type(x) is int or isinstance(x, BasisIndex) for x in entry), (name, entry)
+                tables[name] += 1
+    assert all(tables.values()), tables
+
+
+def test_algebra_check_compares_packed_brackets(monkeypatch):
+    from halfder import cli
+    from halfder.algebras import AlgebraSpec
+    from halfder.core import ONE, Element, Family, bidx
+
+    basis = (bidx(Family.E, 0), bidx(Family.E, 2))
+
+    def check(rule):
+        alg = AlgebraSpec(name="table", basis_list=basis, bracket_fn=rule)
+        monkeypatch.setattr(cli, "_make_algebra", lambda ns: alg)
+        return run(["algebra-check", "--algebra", "sl2"])[1]
+
+    # [x, y] = x - y, its terms in argument order: [y, x] lists them the
+    # other way round and is still -[x, y]
+    report = check(lambda xy: Element({xy[0]: ONE, xy[1]: -ONE}) if xy[0] != xy[1] else Element.zero())
+    assert report.status == "pass" and report.payload["antisymmetry_checked"] == 3
+    report = check(lambda xy: Element.basis(xy[0]) if xy[0] != xy[1] else Element.zero())
+    assert report.status == "fail"
+    assert report.payload == {"check": "antisymmetry", "tuple": ["e_0", "e_1"], "residual": "e_0 + e_1"}

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,12 @@ from halfder.core import (
     ParseError,
     as_scalar,
     bidx,
+    combine,
     element_combine,
+    pack,
     parse_element,
     render,
+    unpack,
 )
 
 
@@ -147,6 +151,23 @@ def test_combine_is_bilinear(a, b, x, y):
     right = x.scale(a) + y.scale(b)
     assert left == right
     assert element_combine([(a + b, x)]) == x.scale(a) + x.scale(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements, st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 12), elements), max_size=4))
+def test_packed_entries_round_trip_and_combine(el, parts):
+    # (den, o_1, n_1, ...) keeps the term order, and equal values pack
+    # equally: den is the least common denominator, so gcd(den, n_i) = 1
+    entry = pack(el)
+    assert unpack(entry) == el and list(unpack(entry).terms) == list(el.terms)
+    assert entry[1::2] == tuple(el.terms)
+    if el:
+        assert gcd(*entry[::2]) == 1
+        assert all(Fraction(n, entry[0]) == el.terms[o] for o, n in zip(entry[1::2], entry[2::2]))
+    else:
+        assert entry == ()
+    got = combine([(n, d, pack(e)) for n, d, e in parts])
+    assert got == element_combine([(Fraction(n, d), e) for n, d, e in parts])
 
 
 @settings(max_examples=60, deadline=None)
