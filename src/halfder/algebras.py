@@ -11,9 +11,8 @@ them by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
 from itertools import chain, combinations
-from typing import Callable, Optional, Sequence
 
 from .core import C_INDEX, Element, Family, ONE, as_scalar, axpy, bidx, combine, pack, unpack
 
@@ -36,7 +35,6 @@ ALGEBRA_NAMES = (
 _E, _L, _I, _J, _C = Family.E, Family.L, Family.I, Family.J, Family.C
 
 
-@dataclass(eq=False)
 class AlgebraSpec:
     """One algebra: index vocabulary plus lazy multiplication rules.
 
@@ -44,21 +42,21 @@ class AlgebraSpec:
     infinite families; finite algebras carry an explicit basis instead.
     grade2 is the additive grading used for gradedness checks; it defaults
     to degree2 and only deviates where the index label is positional.
+    bracket_fn maps a basis tuple to an Element; assoc_fn, when given, maps
+    a basis pair to their commutative associative product.
     """
 
-    name: str
-    arity: int = 2
-    sector: str = "none"
-    params: dict = field(default_factory=dict)
-    patterns: tuple = ()
-    has_center: bool = False
-    basis_list: Optional[tuple] = None
-    bracket_fn: Callable = None
-    assoc_fn: Optional[Callable] = None
-    grade2_fn: Optional[Callable] = None
-    display: str = ""
-    _bcache: dict = field(default_factory=dict, repr=False)
-    _acache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, name, arity=2, sector="none", params=None, patterns=(), has_center=False,
+                 basis_list=None, bracket_fn=None, assoc_fn=None, grade2_fn=None, display=""):
+        self.name, self.arity, self.sector = name, arity, sector
+        self.params = {} if params is None else params
+        self.patterns, self.has_center, self.basis_list = patterns, has_center, basis_list
+        self.bracket_fn, self.assoc_fn, self.grade2_fn = bracket_fn, assoc_fn, grade2_fn
+        self.display = display
+        self._bcache = {}
+        self._acache = {}
+        # a separate method: perfbench/spans.py wraps it by name to count structure constants
+        self.__post_init__()
 
     @property
     def is_finite(self) -> bool:

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations_with_replacement
 
 from .algebras import ALGEBRA_NAMES, algebra_params, identity_residual, make_algebra
@@ -39,21 +39,21 @@ from .solver import (
 __all__ = ["Report", "emit_report", "main", "run_command"]
 
 
-@dataclass
 class Report:
-    command: list
-    verb: str
-    status: str  # pass | fail | witness-found | none
-    payload: dict
-    elapsed: float
-    fmt: str = field(default="text")
+    """One command's result; status is pass, fail, witness-found or none."""
+
+    def __init__(self, command, verb, status, payload, elapsed, fmt="text"):
+        self.command, self.verb, self.status = command, verb, status
+        self.payload, self.elapsed, self.fmt = payload, elapsed, fmt
 
 
 class UsageError(ValueError):
     pass
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first command rather than at import."""
     parser = argparse.ArgumentParser(
         prog="halfder",
         description="exact checks for brackets, half-derivations and compatible products",
@@ -110,8 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     return parser
 
-
-_PARSER = _build_parser()
 
 _INT_PARAMS = ("k", "n", "variant")
 _RATIONAL_PARAMS = ("a", "b")
@@ -352,7 +350,7 @@ def _exit_code(ns, status) -> int:
 def run_command(argv) -> tuple[int, Report | None]:
     """Parse and execute one command; (exit code, report or None on usage error)."""
     try:
-        ns = _PARSER.parse_args(list(argv))
+        ns = _build_parser().parse_args(list(argv))
     except SystemExit as e:
         return (0 if e.code in (0, None) else 2, None)
     start = time.perf_counter()

@@ -8,11 +8,11 @@ Neveu-Schwarz G generators) inside plain ints.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from enum import IntEnum
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Iterable, Iterator, Mapping
 
 Scalar = Fraction
 

@@ -9,9 +9,7 @@ Poisson Leibniz rule, associativity, and commutativity, all exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product as iproduct
-from typing import Callable, Optional
 
 from .algebras import AlgebraSpec, leibniz_defect, make_algebra, multilinear
 from .core import BasisIndex, Element, Family, ONE, bidx, combine, pack, parse_element, render, unpack
@@ -54,16 +52,16 @@ def _table_sub(idx: BasisIndex) -> int:
     return idx.degree2 // 2
 
 
-@dataclass(eq=False)
 class ProductSpec:
-    """A commutative bilinear product given by a basis-pair rule."""
+    """A commutative bilinear product given by a basis-pair rule.
 
-    kind: str  # "mutation" or "table"
-    name: str
-    rule: Callable[[BasisIndex, BasisIndex], Element]
-    ambient: Optional[AlgebraSpec] = None
-    w: Optional[Element] = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    kind is "mutation" or "table"; rule maps two basis indices to an
+    Element.  A mutation product also keeps its ambient algebra and w.
+    """
+
+    def __init__(self, kind, name, rule, ambient=None, w=None):
+        self.kind, self.name, self.rule, self.ambient, self.w = kind, name, rule, ambient, w
+        self._cache = {}
 
     def product_ints(self, x: BasisIndex, y: BasisIndex) -> tuple:
         """The product of two basis indices as a packed entry (core.pack), memoized."""
@@ -108,7 +106,7 @@ def mutation_product(ambient: AlgebraSpec, w: Element) -> ProductSpec:
     )
 
 
-def normal_form_product(family: str, params: Optional[dict] = None) -> ProductSpec:
+def normal_form_product(family: str, params: dict | None = None) -> ProductSpec:
     """One of the named table products on the thin or solvable basis.
 
     thin_k: e_1*e_1 = e_k and all other pairs 0.
@@ -206,7 +204,7 @@ def _scan_order(alg: AlgebraSpec, window: int) -> list:
     return sorted(alg.window_indices(window), key=lambda i: (i.degree2, int(i.family)))
 
 
-def find_poisson_witness(alg: AlgebraSpec, p: ProductSpec, window: int) -> Optional[tuple]:
+def find_poisson_witness(alg: AlgebraSpec, p: ProductSpec, window: int) -> tuple | None:
     """First window triple (x, y, z) with a nonzero Leibniz defect, or None.
 
     Triples are ordered by degree triple first, family triple second, so
@@ -225,7 +223,7 @@ def find_poisson_witness(alg: AlgebraSpec, p: ProductSpec, window: int) -> Optio
     return None
 
 
-def check_tpa_window(alg: AlgebraSpec, p: ProductSpec, window: int) -> tuple[Optional[tuple], int]:
+def check_tpa_window(alg: AlgebraSpec, p: ProductSpec, window: int) -> tuple[tuple | None, int]:
     """Scan z against sorted argument tuples; (first failing (z, args), count).
 
     Swapping two bracket arguments rescales the residual by a sign, so the

@@ -10,9 +10,9 @@ on the first solve.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
 
 from . import solver
 from .core import ONE

@@ -12,13 +12,12 @@ strictly larger window and keeping only restrictions of its solutions.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Optional, Sequence
 
-from .algebras import AlgebraSpec, leibniz_defect, same_algebra
+from .algebras import leibniz_defect, same_algebra
 from .core import Element, Family, ONE, ZERO, as_scalar, axpy, bidx, pack, render, unpack
 
 __all__ = [
@@ -219,7 +218,7 @@ class _Window:
                 self.uid[(s, t)] = len(self.unknowns)
                 self.unknowns.append((s, t))
 
-    def vector_of(self, phi: LinMapWindow, strict: bool = True) -> Optional[dict]:
+    def vector_of(self, phi: LinMapWindow, strict: bool = True) -> dict | None:
         """Coordinates of a map; None (or ValueError when strict) if a
         nonzero image coefficient falls outside the unknown set."""
         vec = {}
@@ -268,34 +267,32 @@ def _row_dict(row: tuple) -> dict:
     return dict(zip(row[:k], row[k:]))
 
 
-@dataclass(eq=False)
 class SolutionSpace:
-    """Exact span of delta-derivation maps found on one window."""
+    """Exact span of delta-derivation maps found on one window (window and
+    shift are None for a finite algebra)."""
 
-    alg: AlgebraSpec
-    delta: Fraction
-    window: Optional[int]
-    shift: Optional[int]
-    basis: tuple
-    stable: bool
+    def __init__(self, alg, delta, window, shift, basis, stable):
+        self.alg, self.delta, self.window, self.shift = alg, delta, window, shift
+        self.basis, self.stable = basis, stable
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
+    @cached_property
     def _window(self) -> _Window:
         return _Window(self.alg, self.window, self.shift)
 
     @cached_property
     def _pivots(self) -> dict:
-        win = self._window()
+        win = self._window
         return _rref([win.vector_of(b) for b in self.basis])
 
     def contains(self, phi: LinMapWindow) -> bool:
         """Exact span membership of a map over the same window/shift set-up."""
         if not same_algebra(self.alg, phi.alg):
             raise ValueError("membership needs a map over the same algebra")
-        win = self._window()
+        win = self._window
         if phi.source_set != set(win.sources):
             raise ValueError("membership needs a map over the same source window")
         cand = win.vector_of(phi, strict=False)
@@ -336,7 +333,7 @@ def stabilize(space_small: SolutionSpace, space_large: SolutionSpace) -> Solutio
             f"window gap {gap} is too small; it must be at least max(shift, 1) = "
             f"{max(space_small.shift, 1)}"
         )
-    win = space_small._window()
+    win = space_small._window
     rows = []
     for b in space_large.basis:
         vec = {}
@@ -351,7 +348,9 @@ def stabilize(space_small: SolutionSpace, space_large: SolutionSpace) -> Solutio
     pivots = _rref(rows)
     vectors = [{lead: ONE, **{c: -v for c, v in pivots[lead].items()}} for lead in sorted(pivots)]
     basis = tuple(win.map_of(v) for v in vectors)
-    return replace(space_small, basis=basis, stable=True)
+    return SolutionSpace(
+        space_small.alg, space_small.delta, space_small.window, space_small.shift, basis=basis, stable=True
+    )
 
 
 def solve_stabilized(alg, delta, window=None, shift=None) -> SolutionSpace:
@@ -479,7 +478,7 @@ def closed_form_map(family: str, coeffs: dict, alg, window: int) -> LinMapWindow
 # JSON view
 
 
-def space_to_jsonable(space: SolutionSpace, trivial: Optional[bool] = None) -> dict:
+def space_to_jsonable(space: SolutionSpace, trivial: bool | None = None) -> dict:
     basis = [[{"source": s.token, "image": render(img)} for s, img in sorted(b.images.items())] for b in space.basis]
     return {
         "algebra": space.alg.name,

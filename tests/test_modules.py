@@ -50,6 +50,32 @@ def test_import_order(code):
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+# run under -S, so that no .pth file of site-packages preloads modules
+_FOOTPRINT = """
+import sys
+from halfder import cli
+print(sorted(m for m in {modules!r} if m in sys.modules))
+print(cli._build_parser.cache_info().currsize)
+print(cli.run_command(["algebra-list", "--format", "json"])[0], cli._build_parser.cache_info().currsize)
+"""
+
+# pulled in by dataclass code generation or by typing, or compiled only on first use
+_NOT_AT_IMPORT = ("dataclasses", "typing", "inspect", "halfder.catalogue", "halfder.rows")
+
+
+def test_import_builds_nothing():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _FOOTPRINT.format(modules=_NOT_AT_IMPORT)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, before, after = proc.stdout.splitlines()[-3:]
+    assert loaded == "[]", f"import halfder.cli loaded {loaded}"
+    assert before == "0", "the argument parser was built at import"
+    assert after == "0 1", "algebra-list should exit 0 after building the parser once"
+
+
 def _trees() -> dict:
     return {p.name: ast.parse(p.read_text()) for p in sorted((SRC / "halfder").glob("*.py"))}
 
@@ -101,3 +127,15 @@ def test_no_unreferenced_private_functions():
         and node.name not in used
     ]
     assert not dead, f"private module-level functions nothing in src/ references: {dead}"
+
+
+def test_no_typing_or_dataclasses_imports():
+    banned = {"typing", "dataclasses"}
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [f"{name}: {a.name}" for a in node.names if a.name.split(".")[0] in banned]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in banned:
+                found.append(f"{name}: {node.module}")
+    assert not found, f"annotation-only or code-generating imports (README, 'Import cost'): {found}"

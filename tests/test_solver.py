@@ -424,6 +424,26 @@ def test_contains_requires_matching_window():
     assert not space.contains(wide)
 
 
+def test_contains_builds_the_window_once(monkeypatch):
+    # the wab b = -1 questions of the benchmark ask ten memberships of one space
+    wab = make_algebra("wab", {"a": HALF, "b": -1})
+    space = solve_stabilized(wab, HALF, window=4, shift=1)
+    maps = [
+        closed_form_map(family, {t: 1}, wab, 4) for family in ("wab_even", "wab_odd") for t in (-1, 0, 1)
+    ] + [closed_form_map("wab_even", {2: 1}, wab, 4)]  # shift 2 > S=1
+    built = []
+    init = _Window.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(_Window, "__init__", spy)
+    answers = [space.contains(phi) for phi in maps + maps[:3]]
+    assert answers == [True] * 6 + [False] + [True] * 3
+    assert len(built) <= 1
+
+
 # ---------------------------------------------------------------------------
 # integer rows and the per-class integer nullspace
 
