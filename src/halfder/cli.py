@@ -18,15 +18,6 @@ from itertools import combinations_with_replacement
 
 from .algebras import ALGEBRA_NAMES, algebra_params, identity_residual, make_algebra
 from .core import ParseError, as_scalar, parse_element, render
-from .poisson import (
-    check_tpa_window,
-    find_poisson_witness,
-    mutation_closure_check,
-    parse_product_literal,
-    poisson_residual,
-    product_eval,
-    tpa_residual,
-)
 from .solver import (
     bounded_tuples,
     delta_residual,
@@ -37,6 +28,20 @@ from .solver import (
 )
 
 __all__ = ["Report", "emit_report", "main", "run_command"]
+
+# bound from halfder.poisson by __getattr__ on first use, so a solve never compiles it
+_POISSON = ("check_tpa_window", "find_poisson_witness", "mutation_closure_check", "parse_product_literal",
+            "poisson_residual", "product_eval", "tpa_residual")
+
+
+def __getattr__(name):
+    """Bind the Poisson names; setdefault keeps one already set, such as a tracer's wrapper."""
+    if name not in _POISSON:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import poisson
+    for n in _POISSON:
+        globals().setdefault(n, getattr(poisson, n))
+    return globals()[name]
 
 
 class Report:
@@ -246,7 +251,7 @@ def _verb_derive_solve(ns):
 
 def _product_for(literal, alg):
     try:
-        return parse_product_literal(literal, alg)
+        return __getattr__("parse_product_literal")(literal, alg)  # binds the names the verbs below call
     except ParseError as e:
         raise UsageError(f"bad element in product literal: {e}") from None
     except ValueError as e:

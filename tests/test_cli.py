@@ -332,3 +332,34 @@ def test_algebra_check_compares_packed_brackets(monkeypatch):
     report = check(lambda xy: Element.basis(xy[0]) if xy[0] != xy[1] else Element.zero())
     assert report.status == "fail"
     assert report.payload == {"check": "antisymmetry", "tuple": ["e_0", "e_1"], "residual": "e_0 + e_1"}
+
+
+def test_poisson_names_bind_on_first_use(monkeypatch):
+    # cli binds the halfder.poisson names on first use; a name set on cli
+    # before the first Poisson verb, as a tracer sets its wrappers, is the
+    # one the verb calls, on that command and on later ones
+    from halfder import cli, poisson
+
+    assert not hasattr(cli, "no_such_name")
+    for name in cli._POISSON:
+        monkeypatch.delitem(vars(cli), name, raising=False)
+    windows = []
+
+    def spy(alg, p, window):
+        windows.append(window)
+        return poisson.check_tpa_window(alg, p, window)
+
+    monkeypatch.setattr(cli, "check_tpa_window", spy)
+    for window in ("2", "3"):
+        code, report = run(["tpa-verify", "--algebra", "witt", "--product=mutation:w=e_0", "--window", window])
+        assert code == 0 and report.status == "pass"
+    assert windows == [2, 3] and cli.check_tpa_window is spy
+    assert [n for n in cli._POISSON if getattr(cli, n) is not getattr(poisson, n)] == ["check_tpa_window"]
+
+
+def test_poisson_names_import_from_cli_in_a_fresh_process():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "from halfder.cli import tpa_residual\nfrom halfder import poisson\nprint(tpa_residual is poisson.tpa_residual)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"

@@ -57,10 +57,15 @@ from halfder import cli
 print(sorted(m for m in {modules!r} if m in sys.modules))
 print(cli._build_parser.cache_info().currsize)
 print(cli.run_command(["algebra-list", "--format", "json"])[0], cli._build_parser.cache_info().currsize)
+print(cli.run_command(["derive-solve", "--algebra", "sl2", "--format", "json"])[0], "halfder.poisson" in sys.modules)
+print(cli.run_command(["tpa-verify", "--algebra", "witt", "--product=mutation:w=e_0", "--window", "2"])[0],
+      "halfder.poisson" in sys.modules)
+from halfder import poisson
+print([n for n in cli._POISSON if getattr(cli, n) is not getattr(poisson, n)])
 """
 
 # pulled in by dataclass code generation or by typing, or compiled only on first use
-_NOT_AT_IMPORT = ("dataclasses", "typing", "inspect", "halfder.catalogue", "halfder.rows")
+_NOT_AT_IMPORT = ("dataclasses", "typing", "inspect", "halfder.catalogue", "halfder.rows", "halfder.poisson")
 
 
 def test_import_builds_nothing():
@@ -70,10 +75,14 @@ def test_import_builds_nothing():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded, before, after = proc.stdout.splitlines()[-3:]
+    loaded, before, after, solved, verified, unbound = proc.stdout.splitlines()[-6:]
     assert loaded == "[]", f"import halfder.cli loaded {loaded}"
     assert before == "0", "the argument parser was built at import"
     assert after == "0 1", "algebra-list should exit 0 after building the parser once"
+    assert solved == "0 False", "derive-solve should exit 0 without importing halfder.poisson"
+    assert verified == "0 True", "tpa-verify should exit 0 after importing halfder.poisson"
+    # the same objects, so a wrapper on either binding fires once per call
+    assert unbound == "[]", f"cli names that are not the halfder.poisson objects: {unbound}"
 
 
 def _trees() -> dict:
