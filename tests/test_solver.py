@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
@@ -409,6 +410,24 @@ def test_closed_form_validation():
         closed_form_map("no_such_family", {}, witt, 6)
     with pytest.raises(ValueError):
         closed_form_map("solvable_candidate", {0: 1}, make_algebra("solvable"), 6)
+
+
+def test_closed_form_keys_are_never_truncated():
+    witt, thin = make_algebra("witt"), make_algebra("thin")
+    for key in (1.5, 1.0, True, Fraction(1)):
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            closed_form_map("witt_shift_family", {key: 1}, witt, 4)
+    with pytest.raises(ValueError, match="1.9"):
+        closed_form_map("thin_candidate", {"alpha": {1.9: 1}}, thin, 4)
+    with pytest.raises(ValueError, match="1.5"):
+        closed_form_map("witt_shift_family", {"1.5": 1}, witt, 4)
+    # ints and integer strings are read as before
+    shift1 = closed_form_map("witt_shift_family", {1: 1}, witt, 4)
+    assert shift1.images == {E(i): Element.basis(E(i + 1)) for i in range(-4, 5)}
+    assert closed_form_map("witt_shift_family", {"1": 1}, witt, 4).images == shift1.images
+    shift2 = closed_form_map("witt_shift_family", {"2": 1}, witt, 4)
+    assert shift2.images == closed_form_map("witt_shift_family", {2: 1}, witt, 4).images
+    assert shift2.images == {E(i): Element.basis(E(i + 2)) for i in range(-4, 5)}
 
 
 def test_contains_requires_matching_window():
