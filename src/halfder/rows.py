@@ -15,8 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import solver
-from .core import ONE
-from .solver import _row_dict, _Window, bounded_tuples
+from .solver import _cut, _row_dict, _Window, bounded_tuples
 
 
 def class_split(win: _Window) -> tuple[dict, dict]:
@@ -89,45 +88,50 @@ def residual_rows(win: _Window, delta: Fraction, full=frozenset(), targets=None)
 class _Class:
     """An integer basis N of the nullspace of the rows fed to one class.
 
-    N starts as the unit vectors of the class's columns.  A row that N
-    annihilates is in the Q-span of the rows before it and is dropped.
-    Otherwise the sparsest w in N with a nonzero dot product dw leaves N,
-    and every other v with dot d is cut in place to dw*v - d*w and divided
-    by its gcd, so N spans the nullspace of every row so far; the class is
-    at full rank when N is empty.
+    N starts as the unit vectors of the class's columns.  Those of the
+    columns no row has touched stay implicit, as the keys of free; the
+    explicit vectors in null use no free column.  A row that N annihilates
+    is in the Q-span of the rows before it and is dropped.  Otherwise a w
+    in N with a nonzero dot product dw leaves N, and every other v with
+    dot d is cut to dw*v - d*w (solver._cut), so N spans the nullspace of
+    every row so far; the class is at full rank when N is empty.
     """
 
-    __slots__ = ("null",)
+    __slots__ = ("free", "null")
 
     def __init__(self, cols: list):
-        self.null = [{u: 1} for u in cols]
+        self.free = dict.fromkeys(cols)
+        self.null = []
+
+    def vectors(self) -> list[dict]:
+        """N, the unit vectors of the free columns first."""
+        return [{u: 1} for u in self.free] + self.null
 
     def add(self, row: tuple) -> bool:
         """Feed one row of the class; True once the class has full rank."""
-        null, r = self.null, _row_dict(row).items()
-        dots = [sum(c * v.get(u, 0) for u, c in r) for v in null]
-        if any(dots):
+        free, null, r = self.free, self.null, _row_dict(row)
+        dots = [sum(c * v.get(u, 0) for u, c in r.items()) for v in null]
+        if touched := [u for u in r if u in free]:
+            # w is e_p for the row's first free column p; its other free
+            # columns join null as unit vectors, to be cut like the rest
+            for u in touched:
+                del free[u]
+            w, dw = {touched[0]: 1}, r[touched[0]]
+            null += ({u: 1} for u in touched[1:])
+            dots += (r[u] for u in touched[1:])
+        elif any(dots):  # the sparsest explicit w
             j = min((j for j, d in enumerate(dots) if d), key=lambda j: len(null[j]))
             w, dw = null.pop(j), dots.pop(j)
-            for v, d in zip(null, dots):
-                if d:
-                    for u in v:
-                        v[u] *= dw
-                    for u, x in w.items():
-                        if y := v.get(u, 0) - d * x:
-                            v[u] = y
-                        else:
-                            del v[u]
-                    if (g := gcd(*v.values())) > 1:
-                        for u in v:
-                            v[u] //= g
-        return not null
+        for v, d in zip(null, dots):
+            if d:  # all 0 when neither branch ran
+                _cut(v, d, w, dw)
+        return not (free or null)
 
 
 def select_rows(rows: Iterable[tuple], cols: dict, full: set) -> list[dict]:
     """The canonical nullspace basis of the stream, one vector per free
-    column f, ascending: 1 at f and 0 at the other free columns, as
-    solver._nullspace_vectors reads it off a full elimination.
+    column f, ascending: 1 at f and 0 at the other free columns, as a
+    full elimination reads it off its reduced row echelon form.
 
     cols maps each class to its unknowns, and a row belongs to the class of
     its first one.  A class at full rank has nullspace {0}: its state is
@@ -147,5 +151,5 @@ def select_rows(rows: Iterable[tuple], cols: dict, full: set) -> list[dict]:
         if k in live and live[k].add(row):
             del live[k]
             full.add(k)
-    pivots = solver._rref({~u: x for u, x in v.items()} for c in live.values() for v in c.null)
-    return [{~lead: ONE, **{~u: -x for u, x in pivots[lead].items()}} for lead in sorted(pivots, reverse=True)]
+    pivots = solver._rref({~u: x for u, x in v.items()} for c in live.values() for v in c.vectors())
+    return [{~u: Fraction(x, p[lead]) for u, x in p.items()} for lead, p in sorted(pivots.items(), reverse=True)]

@@ -16,9 +16,10 @@ from collections.abc import Iterable, Sequence
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 
 from .algebras import leibniz_defect, same_algebra
-from .core import Element, ONE, ZERO, as_scalar, axpy, pack, render, unpack
+from .core import Element, ONE, ZERO, as_scalar, pack, render, unpack
 
 __all__ = [
     "LinMapWindow",
@@ -114,67 +115,58 @@ def delta_residual(alg, phi: LinMapWindow, delta, args: tuple) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# exact elimination engine (sparse rows over Q)
+# exact elimination engine (sparse integer rows)
 
 
-def _reduce(row: dict, pivots: dict) -> dict:
-    """Eliminate row in place until its lead column has no pivot; returns it.
+def _cut(v: dict, d: int, w: dict, dw: int) -> None:
+    """Replace v by (dw*v - d*w)/g in place, g the gcd of its entries,
+    dropping the entries that cancel: the one elimination step.
 
-    The row comes back empty exactly when it lies in the span of the pivots.
+    With d and dw the dot products of v and w with some row, the result
+    annihilates that row; with d and dw the entries of v and w at a
+    column, it is 0 there.
     """
-    while row:
-        lead = min(row)
-        p = pivots.get(lead)
-        if p is None:
-            break
-        axpy(row, row.pop(lead), p)
-    return row
+    for u in v:
+        v[u] *= dw
+    for u, x in w.items():
+        if y := v.get(u, 0) - d * x:
+            v[u] = y
+        else:
+            del v[u]
+    if (g := gcd(*v.values())) > 1:
+        for u in v:
+            v[u] //= g
 
 
 def _rref(rows: Iterable[dict]) -> dict:
-    """Reduced row echelon form, exact over Q, as {lead: {col: c}}.
+    """Reduced row echelon form of integer rows with nonzero entries,
+    fraction-free, as {lead: row}; its length is the rank.
 
-    Each pivot row is stored solved for its lead, x_lead = sum c * x_col:
-    the unit lead entry is implicit, and a row with coefficient f at the
-    lead is eliminated by axpy(row, f, pivot), with no negation per step.
+    Each pivot row is primitive, positive at its lead (its least column)
+    and 0 at every other lead.
     """
     pivots: dict = {}
     for row in rows:
-        r = _reduce(dict(row), pivots)
+        r = dict(row)
+        while r and (p := pivots.get(lead := min(r))):
+            _cut(r, r[lead], p, p[lead])
         if r:
-            lead = min(r)
-            inv = -ONE / r.pop(lead)
-            pivots[lead] = {c: v * inv for c, v in r.items()}
+            g = gcd(*r.values()) if r[lead] > 0 else -gcd(*r.values())
+            pivots[lead] = {u: x // g for u, x in r.items()}
     for lead in sorted(pivots, reverse=True):
-        prow = pivots[lead]
+        p = pivots[lead]
         for other in pivots.values():
-            f = other.pop(lead, None)
-            if f:
-                axpy(other, f, prow)
+            if other is not p and (d := other.get(lead)):
+                _cut(other, d, p, p[lead])
     return pivots
-
-
-def _nullspace_vectors(pivots: dict, cols: Sequence) -> list[dict]:
-    """Canonical nullspace basis: one vector per free column, ascending."""
-    out = []
-    for f in cols:
-        if f in pivots:
-            continue
-        vec = {f: ONE}
-        for lead, row in pivots.items():
-            c = row.get(f)
-            if c:
-                vec[lead] = c
-        out.append(vec)
-    return out
 
 
 def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     """Exact nullspace basis of a dense rational matrix.
 
-    Deterministic: fraction-preserving elimination with pivots taken on the
-    leftmost nonzero column, rows in the given order; the basis is the
-    canonical one with a unit entry in each free column.
+    Deterministic: each row is cleared of denominators and the integer
+    rows are reduced by _rref; the basis is the canonical one with a unit
+    entry in each free column, in ascending free column.
     """
     if not rows:
         return []
@@ -183,12 +175,20 @@ def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-        r = {c: as_scalar(v) for c, v in enumerate(row) if v}
-        if r:
-            sparse.append(r)
+        if r := {c: x for c, v in enumerate(row) if (x := as_scalar(v))}:
+            den = lcm(*[x.denominator for x in r.values()])
+            sparse.append({c: x.numerator * (den // x.denominator) for c, x in r.items()})
     pivots = _rref(sparse)
-    vecs = _nullspace_vectors(pivots, range(ncols))
-    return [[v.get(c, ZERO) for c in range(ncols)] for v in vecs]
+    out = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [ZERO] * ncols
+            vec[f] = ONE
+            for lead, p in pivots.items():
+                if x := p.get(f):
+                    vec[lead] = Fraction(-x, p[lead])
+            out.append(vec)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ class _Window:
             self.window = None
             self.shift = None
             self.sources = sorted(alg.basis_list)
-            targets = {s: list(self.sources) for s in self.sources}
+            targets = dict.fromkeys(self.sources, self.sources)
         else:
             if window is None or shift is None:
                 raise ValueError("infinite algebras need window and shift bounds")
@@ -219,25 +219,25 @@ class _Window:
                 s: alg.indices_in_degree2_range(s.degree2 - 2 * shift, s.degree2 + 2 * shift)
                 for s in self.sources
             }
-        self.unknowns = []
-        self.uid = {}
-        for s in self.sources:
-            for t in targets[s]:
-                self.uid[(s, t)] = len(self.unknowns)
-                self.unknowns.append((s, t))
+        self.source_set = frozenset(self.sources)
+        self.unknowns = [(s, t) for s in self.sources for t in targets[s]]
+        self.uid = {st: u for u, st in enumerate(self.unknowns)}
 
     def vector_of(self, phi: LinMapWindow, strict: bool = True) -> dict | None:
-        """Coordinates of a map; None (or ValueError when strict) if a
-        nonzero image coefficient falls outside the unknown set."""
+        """Integer coordinates of phi restricted to the sources, times the
+        lcm of their image denominators; None (or ValueError when strict)
+        if a nonzero image coefficient falls outside the unknown set."""
+        images = [(s, e) for s in self.sources if (e := phi.packed.get(s))]
+        den = lcm(*[e[0] for _, e in images])
         vec = {}
-        for s, e in phi.packed.items():
+        for s, e in images:
             for t, n in zip(e[1::2], e[2::2]):
                 u = self.uid.get((s, t))
                 if u is None:
                     if strict:
                         raise ValueError(f"map sends {s.token} to {t.token}, outside shift bound {self.shift}")
                     return None
-                vec[u] = Fraction(n, e[0])
+                vec[u] = n * (den // e[0])
         return vec
 
     def map_of(self, vec: dict) -> LinMapWindow:
@@ -301,13 +301,17 @@ class SolutionSpace:
         if not same_algebra(self.alg, phi.alg):
             raise ValueError("membership needs a map over the same algebra")
         win = self._window
-        if phi.source_set != set(win.sources):
+        if phi.source_set != win.source_set:
             raise ValueError("membership needs a map over the same source window")
         cand = win.vector_of(phi, strict=False)
         if cand is None:
             # some image coefficient is outside the space's shift bound
             return False
-        return not _reduce(cand, self._pivots)
+        # each cut clears one lead and, the pivots being reduced, no other
+        for lead, p in self._pivots.items():
+            if d := cand.get(lead):
+                _cut(cand, d, p, p[lead])
+        return not cand
 
 
 def solve_delta_derivations(alg, delta, window=None, shift=None) -> SolutionSpace:
@@ -342,20 +346,8 @@ def stabilize(space_small: SolutionSpace, space_large: SolutionSpace) -> Solutio
             f"{max(space_small.shift, 1)}"
         )
     win = space_small._window
-    rows = []
-    for b in space_large.basis:
-        vec = {}
-        for s in win.sources:
-            for t, c in b(s).terms.items():
-                u = win.uid.get((s, t))
-                if u is None:
-                    raise ValueError("restriction leaves the small shift window")
-                vec[u] = c
-        if vec:
-            rows.append(vec)
-    pivots = _rref(rows)
-    vectors = [{lead: ONE, **{c: -v for c, v in pivots[lead].items()}} for lead in sorted(pivots)]
-    basis = tuple(win.map_of(v) for v in vectors)
+    pivots = _rref(v for b in space_large.basis if (v := win.vector_of(b)))
+    basis = tuple(win.map_of({u: Fraction(x, p[lead]) for u, x in p.items()}) for lead, p in sorted(pivots.items()))
     return SolutionSpace(
         space_small.alg, space_small.delta, space_small.window, space_small.shift, basis=basis, stable=True
     )

@@ -17,7 +17,6 @@ from halfder.solver import (
     LinMapWindow,
     SolutionSpace,
     WindowEscapeError,
-    _nullspace_vectors,
     _row_dict,
     _rref,
     _system_rows,
@@ -463,6 +462,14 @@ def test_contains_builds_the_window_once(monkeypatch):
     assert len(built) <= 1
 
 
+def test_window_builds_each_unknown_once():
+    # uid and unknowns share one (s, t) tuple per unknown
+    for win in (_Window(make_algebra("witt"), 4, 1), _Window(make_algebra("sl2"), None, None)):
+        assert all(key is st for key, st in zip(win.uid, win.unknowns))
+        assert list(win.uid.values()) == list(range(len(win.unknowns)))
+        assert win.source_set == frozenset(win.sources)
+
+
 # ---------------------------------------------------------------------------
 # integer rows and the per-class integer nullspace
 
@@ -493,8 +500,46 @@ def _dot(row: tuple, vec: dict) -> int:
     return sum(c * vec.get(u, 0) for u, c in _row_dict(row).items())
 
 
+def _fraction_rref(rows) -> dict:
+    """The oracle: reduced row echelon form over Fraction, as
+    {lead: {col: c}} with an implicit 1 at the lead, so that
+    x_lead = sum c * x_col."""
+    pivots: dict = {}
+    for row in rows:
+        r = {c: Fraction(v) for c, v in row.items() if v}
+        while r and (lead := min(r)) in pivots:
+            f, p = r.pop(lead), pivots[lead]
+            for c, v in p.items():
+                if x := r.get(c, 0) + f * v:
+                    r[c] = x
+                else:
+                    del r[c]
+        if r:
+            lead = min(r)
+            inv = -1 / r.pop(lead)
+            pivots[lead] = {c: v * inv for c, v in r.items()}
+    for lead in sorted(pivots, reverse=True):
+        for other in pivots.values():
+            if f := other.pop(lead, None):
+                for c, v in pivots[lead].items():
+                    if x := other.get(c, 0) + f * v:
+                        other[c] = x
+                    else:
+                        del other[c]
+    return pivots
+
+
+def _fraction_nullspace(rows, cols) -> list[dict]:
+    """The oracle's canonical nullspace basis: one vector per free column,
+    ascending, with 1 there and 0 at the other free columns."""
+    pivots = _fraction_rref(rows)
+    return [
+        {f: Fraction(1), **{lead: p[f] for lead, p in pivots.items() if f in p}} for f in cols if f not in pivots
+    ]
+
+
 def _reference_nullspace(rows, cols):
-    return _nullspace_vectors(_rref(map(_row_dict, rows)), cols)
+    return _fraction_nullspace(map(_row_dict, rows), cols)
 
 
 def _one_class(rows, ncols):
@@ -514,25 +559,28 @@ class _ClassSpy:
 
             def __init__(self, cols):
                 super().__init__(cols)
-                self.cols, self.fed, self.sizes = cols, [], [len(self.null)]
+                self.cols, self.fed, self.sizes = cols, [], [len(self.vectors())]
                 made.append(self)
 
             def add(self, row):
                 full = super().add(row)
                 self.fed.append(row)
-                self.sizes.append(len(self.null))
+                self.sizes.append(len(self.vectors()))
                 return full
 
         monkeypatch.setattr(rows_module, "_Class", Spy)
 
 
 def _check_null(c, rows):
-    """N is a primitive integer basis that annihilates rows, starts as the
-    unit vectors of the class and loses at most one vector per row fed."""
+    """N, implicit unit vectors included, is a primitive integer basis that
+    annihilates rows, starts as the unit vectors of the class and loses at
+    most one vector per row fed; no explicit vector uses a free column."""
+    null = c.vectors()
     assert c.sizes[0] == len(c.cols) and all(0 <= a - b <= 1 for a, b in zip(c.sizes, c.sizes[1:]))
-    assert all(type(x) is int for v in c.null for x in v.values())
-    assert all(v and gcd(*v.values()) == 1 and set(v) <= set(c.cols) for v in c.null)
-    assert all(_dot(row, v) == 0 for row in rows for v in c.null)
+    assert all(type(x) is int for v in null for x in v.values())
+    assert all(v and gcd(*v.values()) == 1 and set(v) <= set(c.cols) for v in null)
+    assert all(_dot(row, v) == 0 for row in rows for v in null)
+    assert not any(set(v) & set(c.free) for v in c.null)
 
 
 @pytest.mark.parametrize(
@@ -544,9 +592,9 @@ def test_system_rows_keep_a_spanning_selection(monkeypatch, name, params, window
     full = list(residual_rows(win, HALF))
     spy = _ClassSpy(monkeypatch)
     vectors = _system_rows(win, HALF)
-    live = [c for c in spy.made if c.null]
+    live = [c for c in spy.made if c.vectors()]
     assert len(spy.made) == classes and len(live) == below
-    assert sum(len(c.cols) - len(c.null) for c in live) == rank
+    assert sum(len(c.cols) - len(c.vectors()) for c in live) == rank
     for c in spy.made:
         assert set(c.fed) <= set(full)
         _check_null(c, [row for row in full if row[0] in c.cols])
@@ -560,7 +608,7 @@ def test_witt_classes_stay_below_full_rank(monkeypatch):
     stream = list(residual_rows(win, HALF))
     spy = _ClassSpy(monkeypatch)
     vectors = _system_rows(win, HALF)
-    assert [(len(c.cols), len(c.null)) for c in spy.made] == [(17, 1)] * 5
+    assert [(len(c.cols), len(c.vectors())) for c in spy.made] == [(17, 1)] * 5
     assert sum(len(c.fed) for c in spy.made) == len(stream) > 514
     assert len(vectors) == 5
 
@@ -582,7 +630,7 @@ def test_solve_stores_no_held_rows(monkeypatch):
     space = solve_delta_derivations(alg, HALF, 6, 1)
     assert space.dimension == 1
     # a class stores its N alone, never a row; five reach full rank
-    assert sorted(len(c.null) for c in spy.made) == [0] * 5 + [1]
+    assert sorted(len(c.vectors()) for c in spy.made) == [0] * 5 + [1]
     for c in spy.made:
         _check_null(c, [])
     assert (assembled, streamed) == (2775, 12973)
@@ -656,6 +704,58 @@ def test_component_nullspace_matches_full_elimination(case):
     assert _one_class(rows, len(cols)) == _reference_nullspace(rows, cols)
 
 
+@st.composite
+def rational_matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    num = st.integers(-3, 3) | st.sampled_from([_M61, -2 * _M61, 10**30 + 1, -(10**30) + 7])
+    entry = st.builds(Fraction, num, st.sampled_from([1, 1, 2, 3, 7, _M61, 10**20]))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        how = draw(st.sampled_from(["new", "zero", "repeat", "scaled"])) if rows else "new"
+        if how == "new":
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+        elif how == "zero":
+            rows.append([Fraction(0)] * ncols)
+        else:
+            k = 1 if how == "repeat" else draw(st.sampled_from([-1, Fraction(2, 3), _M61]))
+            rows.append([k * x for x in draw(st.sampled_from(rows))])
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_integer_rref_and_nullspace_match_fraction_elimination(case):
+    rows, ncols = case
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    ints = []
+    for r in sparse:
+        den = lcm(*[x.denominator for x in r.values()])
+        ints.append({c: int(x * den) for c, x in r.items()})
+    expected = _fraction_rref(sparse)
+    pivots = _rref(ints)
+    assert sorted(pivots) == sorted(expected)
+    for lead, p in pivots.items():
+        assert min(p) == lead and p[lead] > 0 and gcd(*p.values()) == 1
+        assert all(type(x) is int and x for x in p.values())
+        assert {c: Fraction(-x, p[lead]) for c, x in p.items() if c != lead} == expected[lead]
+    dense = [[v.get(c, 0) for c in range(ncols)] for v in _fraction_nullspace(sparse, range(ncols))]
+    assert nullspace(rows) == (dense if rows else [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_row_sets())
+def test_class_stream_matches_fraction_elimination(case):
+    # after every row, N spans the oracle's nullspace of the rows so far,
+    # and the class reports full rank exactly when the oracle's rank does
+    rows, cols = case
+    c = rows_module._Class(cols)
+    for i, row in enumerate(rows):
+        full = c.add(row)
+        seen = [_row_dict(r) for r in rows[: i + 1]]
+        assert full == (len(_fraction_rref(seen)) == len(cols))
+        assert _fraction_rref(c.vectors()) == _fraction_rref(_fraction_nullspace(seen, cols))
+
+
 def test_one_row_gives_vectors_in_free_column_order():
     # x0 + x1 + x2: both vectors have the least key 0, so a solve keeps the
     # order they come in, which must be the full elimination's
@@ -684,7 +784,7 @@ def test_finite_solve_matches_full_elimination(data, delta):
     rows = list(residual_rows(win, delta))
     expected = sorted(_reference_nullspace(rows, range(len(win.unknowns))), key=min)
     space = solve_delta_derivations(alg, delta)
-    assert [win.vector_of(b) for b in space.basis] == expected
+    assert [b.images for b in space.basis] == [win.map_of(v).images for v in expected]
 
 
 def _scaled(row: tuple, k: int) -> tuple:
