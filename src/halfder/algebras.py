@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-from .core import C_INDEX, Element, Family, ONE, as_scalar, axpy, bidx, combine, pack, unpack
+from .core import C_INDEX, Element, Family, ONE, as_scalar, bidx, combine, pack, unpack
 
 ALGEBRA_NAMES = (
     "witt",
@@ -53,9 +53,9 @@ class AlgebraSpec:
     a basis pair to their commutative associative product.
     """
 
-    def __init__(self, name, arity=2, sector="none", params=None, patterns=(), has_center=False,
+    def __init__(self, name, arity=2, params=None, patterns=(), has_center=False,
                  basis_list=None, bracket_fn=None, assoc_fn=None, grade2_fn=None, display=""):
-        self.name, self.arity, self.sector = name, arity, sector
+        self.name, self.arity = name, arity
         self.params = {} if params is None else params
         self.patterns, self.has_center, self.basis_list = patterns, has_center, basis_list
         self.bracket_fn, self.assoc_fn, self.grade2_fn = bracket_fn, assoc_fn, grade2_fn
@@ -135,7 +135,7 @@ class AlgebraSpec:
         """Multilinear extension of the bracket to Elements."""
         if len(args) != self.arity:
             raise ValueError(f"{self.name} bracket takes {self.arity} arguments, got {len(args)}")
-        return multilinear(args, self.bracket_basis)
+        return multilinear(args, lambda idxs: [(1, 1, self.bracket_ints(idxs))])
 
     def assoc_ints(self, x, y) -> tuple:
         """The associative product of two basis indices as a packed entry, memoized."""
@@ -147,23 +147,22 @@ class AlgebraSpec:
             out = self._acache[(x, y)] = pack(self.assoc_fn(x, y))
         return out
 
-    def assoc_basis(self, x, y) -> Element:
-        return unpack(self.assoc_ints(x, y))
-
     def assoc(self, x: Element, y: Element) -> Element:
         """Bilinear extension of the associative product."""
-        return multilinear((x, y), lambda p: self.assoc_basis(p[0], p[1]))
+        return multilinear((x, y), lambda xy: [(1, 1, self.assoc_ints(*xy))])
 
 
 def multilinear(args, rule) -> Element:
-    """Multilinear extension of rule, from basis tuples to Elements, to Element args."""
+    """Multilinear extension of rule to Element args: rule maps a basis
+    tuple to core.combine parts (num, den, packed entry), and one combine
+    sums them all, scaled by the product of the tuple's coefficients."""
     stack = [((), ONE)]
     for a in args:
         stack = [(idxs + (i,), coeff * c) for idxs, coeff in stack for i, c in a.terms.items()]
-    acc: dict = {}
-    for idxs, coeff in stack:
-        axpy(acc, coeff, rule(idxs).terms)
-    return Element(acc)
+    # a list, not a generator: the rules fill the structure-constant tables
+    # before combine allocates its short-lived tuples, so the two do not
+    # interleave in memory (a generator raised the peak RSS of witness scans)
+    return combine([(c.numerator * n, c.denominator * d, e) for idxs, c in stack for n, d, e in rule(idxs)])
 
 
 def _el(pairs) -> Element:
@@ -263,7 +262,6 @@ def make_algebra(name: str, params: dict | None = None, **kw) -> AlgebraSpec:
 def same_algebra(a: AlgebraSpec, b: AlgebraSpec) -> bool:
     return (
         a.name == b.name
-        and a.sector == b.sector
         and a.arity == b.arity
         and a.params == b.params
         and a.basis_list == b.basis_list
@@ -274,11 +272,12 @@ def same_algebra(a: AlgebraSpec, b: AlgebraSpec) -> bool:
 # operations
 
 
-def leibniz_defect(alg: AlgebraSpec, args: tuple, image: Callable, a=ONE, b=ONE) -> Element:
-    """a.f([x_1..x_n]) - b.sum_i (sign) [x_1,..,f(x_i),..,x_n] on basis args.
+def leibniz_parts(alg: AlgebraSpec, args: tuple, image: Callable, a=ONE, b=ONE) -> list:
+    """a.f([x_1..x_n]) - b.sum_i (sign) [x_1,..,f(x_i),..,x_n] on basis args,
+    as the core.combine parts (num, den, packed entry) that sum to it.
 
-    image(x) gives the packed entry (core.pack) of f(x) on a basis index x,
-    and core.combine sums in ints; a term t of f(x_i) takes the sign
+    image(x) gives the packed entry (core.pack) of f(x) on a basis index x;
+    a term t of f(x_i) takes the sign
     (-1)^{(|t|+|x_i|)(|x_1|+..+|x_{i-1}|)}.  f = ad_x gives the defining
     identity, f = phi with b = delta the delta-derivation equation, and
     f = z*- with a = n the transposed Poisson law.
@@ -294,7 +293,7 @@ def leibniz_defect(alg: AlgebraSpec, args: tuple, image: Callable, a=ONE, b=ONE)
             entry = bracket(args[:i] + (t,) + args[i + 1 :])
             parts.append((m if (t.parity ^ xi.parity) and prefix % 2 else -m, b.denominator * f[0], entry))
         prefix += xi.parity
-    return combine(parts)
+    return parts
 
 
 def identity_residual(alg: AlgebraSpec, args: tuple) -> Element:
@@ -309,4 +308,4 @@ def identity_residual(alg: AlgebraSpec, args: tuple) -> Element:
     if len(args) != 2 * n - 1:
         raise ValueError(f"identity residual needs {2 * n - 1} indices, got {len(args)}")
     xs, ys = args[: n - 1], args[n - 1 :]
-    return leibniz_defect(alg, ys, lambda y: alg.bracket_ints(xs + (y,)))
+    return combine(leibniz_parts(alg, ys, lambda y: alg.bracket_ints(xs + (y,))))

@@ -78,13 +78,9 @@ def closed_form_map(family: str, coeffs: dict, alg, window: int) -> LinMapWindow
                 images[s] = Element({bidx(E, 2 * i): c for i, c in beta.items()})
             else:
                 shift = Fraction(4, 2**n)  # 2^{2-n}
-                terms = {bidx(E, 2 * n): (1 - shift) * a1}
-                for i, c in beta.items():
-                    # L^{n-2} kills e_1 and shifts e_i (i >= 2) to e_{i+n-2}
-                    if i >= 2 and c:
-                        t = bidx(E, 2 * (i + n - 2))
-                        terms[t] = terms.get(t, ZERO) + shift * c
-                images[s] = Element(terms)
+                # L^{n-2} kills e_1 and shifts e_i (i >= 2) to e_{i+n-2}
+                shifted = Element({bidx(E, 2 * (i + n - 2)): shift * c for i, c in beta.items() if i >= 2})
+                images[s] = Element.single(bidx(E, 2 * n), (1 - shift) * a1) + shifted
         return LinMapWindow(alg, window, images)
     if family == "solvable_candidate":
         if alg.name != "solvable":

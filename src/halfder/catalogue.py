@@ -138,7 +138,6 @@ def _make_svir(params) -> AlgebraSpec:
 
     return AlgebraSpec(
         name="svir",
-        sector=sector,
         params={"sector": sector},
         patterns=((_L, 0, None), (_GP, off, None)),
         has_center=True,
@@ -207,7 +206,6 @@ def _make_n2sca(params) -> AlgebraSpec:
 
     return AlgebraSpec(
         name="n2sca",
-        sector=sector,
         params={"sector": sector},
         patterns=((_L, 0, None), (_J, 0, None), (_GP, off, None), (_GM, off, None)),
         has_center=True,

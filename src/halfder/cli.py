@@ -17,7 +17,7 @@ from functools import cache
 from itertools import combinations_with_replacement
 
 from .algebras import ALGEBRA_NAMES, algebra_params, identity_residual, make_algebra
-from .core import ParseError, as_scalar, parse_element, render
+from .core import ParseError, as_scalar, combine, parse_element, render
 from .solver import (
     bounded_tuples,
     delta_residual,
@@ -190,15 +190,10 @@ def _verb_algebra_check(ns):
         for i in range(n - 1):
             swapped = t[:i] + (t[i + 1], t[i]) + t[i + 2 :]
             sign = -1 if (t[i].parity and t[i + 1].parity) else 1
-            e, f = alg.bracket_ints(t), alg.bracket_ints(swapped)
+            res = combine([(1, 1, alg.bracket_ints(t)), (sign, 1, alg.bracket_ints(swapped))])
             anti_checked += 1
-            # den is the least common denominator: the values agree iff the dens and {o: n} maps do
-            if e[:1] != f[:1] or dict(zip(e[1::2], e[2::2])) != {o: -sign * m for o, m in zip(f[1::2], f[2::2])}:
-                return "fail", {
-                    "check": "antisymmetry",
-                    "tuple": [i.token for i in t],
-                    "residual": render(alg.bracket_basis(t) + sign * alg.bracket_basis(swapped)),
-                }
+            if res:
+                return "fail", {"check": "antisymmetry", "tuple": [i.token for i in t], "residual": render(res)}
     id_checked = 0
     for xblock in combinations_with_replacement(srcs, n - 1):
         for yblock in combinations_with_replacement(srcs, n):

@@ -172,7 +172,7 @@ class Element:
             return self
         if not self.terms:
             return other
-        return _wrap(axpy(dict(self.terms), ONE, other.terms))
+        return combine([(1, 1, pack(self)), (1, 1, pack(other))])
 
     def __sub__(self, other: "Element") -> "Element":
         return self + -other
@@ -212,38 +212,13 @@ def _wrap(terms: dict[BasisIndex, Fraction]) -> Element:
 _ZERO_ELEMENT = _wrap({})
 
 
-def axpy(acc: dict, c: Fraction, terms: Mapping) -> dict:
-    """acc += c * terms in place, dropping every entry that cancels to zero.
-
-    The package's sparse accumulate kernel.  Passing the ONE object as c
-    adds without multiplying.
-    """
-    get, pop = acc.get, acc.pop
-    if c is ONE:
-        for k, v in terms.items():
-            v = get(k, ZERO) + v
-            if v:
-                acc[k] = v
-            else:
-                pop(k, None)
-    else:
-        for k, v in terms.items():
-            v = get(k, ZERO) + c * v
-            if v:
-                acc[k] = v
-            else:
-                pop(k, None)
-    return acc
-
-
 def element_combine(pairs: Iterable[tuple[object, Element]]) -> Element:
     """Exact linear combination sum(c_k * e_k)."""
-    out: dict[BasisIndex, Fraction] = {}
+    parts = []
     for coeff, el in pairs:
         c = as_scalar(coeff)
-        if c:
-            axpy(out, c, el.terms)
-    return _wrap(out)
+        parts.append((c.numerator, c.denominator, pack(el)))
+    return combine(parts)
 
 
 def pack(element: Element) -> tuple:
@@ -265,8 +240,8 @@ def unpack(entry: tuple) -> Element:
 def combine(parts: Iterable[tuple]) -> Element:
     """Exact sum of num/den * entry over (num, den, packed entry) triples.
 
-    The package's int residual kernel: every term is accumulated as an int
-    over one common denominator, and one Element is built at the end.
+    The package's one sum kernel: every term is accumulated as an int over
+    one common denominator, and one Element is built at the end.
     """
     parts = [(n, d * e[0], e) for n, d, e in parts if e]
     # star-args from a list: CPython builds a generator's tuple at a guessed
@@ -392,15 +367,13 @@ def parse_element(text: str, alg=None) -> Element:
     stripped = text.strip()
     if stripped == "0":
         return _ZERO_ELEMENT
-    acc: dict[BasisIndex, Fraction] = {}
+    parts = []
     sign = -1 if sc.take("-") else 1
     while True:
         sc.skip_ws()
-        coeff = ONE
-        ch = sc.peek()
-        if ch.isdigit():
+        num = den = 1
+        if sc.peek().isdigit():
             num = sc.integer()
-            den = 1
             if sc.take("/"):
                 dpos = sc.pos
                 den = sc.integer()
@@ -409,9 +382,7 @@ def parse_element(text: str, alg=None) -> Element:
             star = sc.pos
             if not sc.take("*"):
                 raise ParseError("expected '*' between coefficient and basis token", star)
-            coeff = Fraction(num, den)
-        idx = _parse_basis_token(sc, alg)
-        axpy(acc, ONE, {idx: sign * coeff})
+        parts.append((sign * num, den, (1, _parse_basis_token(sc, alg), 1)))
         if sc.done():
             break
         if sc.take("+"):
@@ -420,4 +391,4 @@ def parse_element(text: str, alg=None) -> Element:
             sign = -1
         else:
             raise ParseError("expected '+' or '-' between terms", sc.pos)
-    return _wrap(acc)
+    return combine(parts)

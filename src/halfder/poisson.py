@@ -9,10 +9,11 @@ Poisson Leibniz rule, associativity, and commutativity, all exactly.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations_with_replacement, product as iproduct
 
-from .algebras import AlgebraSpec, leibniz_defect, make_algebra, multilinear
-from .core import BasisIndex, Element, Family, ONE, bidx, combine, pack, parse_element, render, unpack
+from .algebras import AlgebraSpec, leibniz_parts, make_algebra, multilinear
+from .core import BasisIndex, Element, Family, ONE, bidx, combine, pack, parse_element, render
 from .solver import LinMapWindow
 
 __all__ = [
@@ -69,9 +70,6 @@ class ProductSpec:
         if out is None:
             out = self._cache[(x, y)] = pack(self.rule(x, y))
         return out
-
-    def basis_product(self, x: BasisIndex, y: BasisIndex) -> Element:
-        return unpack(self.product_ints(x, y))
 
     def __repr__(self):
         return f"<product {self.name}>"
@@ -152,7 +150,7 @@ def _as_element(x) -> Element:
 
 def product_eval(p: ProductSpec, x, y) -> Element:
     """Bilinear extension of the basis rule."""
-    return multilinear((_as_element(x), _as_element(y)), lambda xy: p.basis_product(*xy))
+    return multilinear((_as_element(x), _as_element(y)), lambda xy: [(1, 1, p.product_ints(*xy))])
 
 
 def assoc_comm_residuals(p: ProductSpec, x, y, z) -> tuple[Element, Element]:
@@ -163,10 +161,6 @@ def assoc_comm_residuals(p: ProductSpec, x, y, z) -> tuple[Element, Element]:
     )
     comm = product_eval(p, xe, ye) - product_eval(p, ye, xe)
     return assoc, comm
-
-
-def _tpa_defect(alg: AlgebraSpec, p: ProductSpec, z: BasisIndex, args: tuple) -> Element:
-    return leibniz_defect(alg, args, lambda x: p.product_ints(z, x), alg.arity)
 
 
 def tpa_residual(alg: AlgebraSpec, p: ProductSpec, z, args: tuple) -> Element:
@@ -180,7 +174,10 @@ def tpa_residual(alg: AlgebraSpec, p: ProductSpec, z, args: tuple) -> Element:
     """
     if len(args) != alg.arity:
         raise ValueError(f"expected {alg.arity} bracket arguments, got {len(args)}")
-    return multilinear([*map(_as_element, (z, *args))], lambda zx: _tpa_defect(alg, p, zx[0], zx[1:]))
+    return multilinear(
+        [*map(_as_element, (z, *args))],
+        lambda zx: leibniz_parts(alg, zx[1:], partial(p.product_ints, zx[0]), alg.arity),
+    )
 
 
 def poisson_residual(alg: AlgebraSpec, p: ProductSpec, x, y, z) -> Element:
@@ -195,7 +192,7 @@ def poisson_residual(alg: AlgebraSpec, p: ProductSpec, x, y, z) -> Element:
         for u, v in ((x, y), (y, x)):  # u*[v,z]
             vz = alg.bracket_ints((v, z))
             parts += [(-n, vz[0], p.product_ints(u, t)) for t, n in zip(vz[1::2], vz[2::2])]
-        return combine(parts)
+        return parts
 
     return multilinear([*map(_as_element, (x, y, z))], kernel)
 
@@ -232,9 +229,10 @@ def check_tpa_window(alg: AlgebraSpec, p: ProductSpec, window: int) -> tuple[tup
     srcs = _scan_order(alg, window)
     checked = 0
     for z in srcs:
+        image = partial(p.product_ints, z)
         for args in combinations_with_replacement(srcs, alg.arity):
             checked += 1
-            if not _tpa_defect(alg, p, z, args).is_zero():
+            if combine(leibniz_parts(alg, args, image, alg.arity)):
                 return (z, args), checked
     return None, checked
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
-from .algebras import leibniz_defect, same_algebra
-from .core import Element, ONE, ZERO, as_scalar, pack, render, unpack
+from .algebras import leibniz_parts, same_algebra
+from .core import Element, ONE, ZERO, as_scalar, combine, pack, render, unpack
 
 __all__ = [
     "LinMapWindow",
@@ -109,7 +109,7 @@ def delta_residual(alg, phi: LinMapWindow, delta, args: tuple) -> Element:
     if len(args) != alg.arity:
         raise ValueError(f"expected {alg.arity} arguments, got {len(args)}")
     try:
-        return leibniz_defect(alg, args, phi.ints, b=as_scalar(delta))
+        return combine(leibniz_parts(alg, args, phi.ints, b=as_scalar(delta)))
     except WindowEscapeError as e:
         raise WindowEscapeError(f"{e}, for tuple ({', '.join(a.token for a in args)})") from None
 
@@ -206,12 +206,7 @@ class _Window:
             self.sources = sorted(alg.basis_list)
             targets = dict.fromkeys(self.sources, self.sources)
         else:
-            if window is None or shift is None:
-                raise ValueError("infinite algebras need window and shift bounds")
-            if shift <= 0 or window <= 0:
-                raise ValueError("window and shift bounds must be positive")
-            if shift >= window:
-                raise ValueError("shift bound must be smaller than the window")
+            _check_bounds(window, shift)
             self.window = window
             self.shift = shift
             self.sources = alg.window_indices(window)
@@ -246,6 +241,17 @@ class _Window:
             s, t = self.unknowns[u]
             images.setdefault(s, {})[t] = c
         return LinMapWindow(self.alg, self.window, {s: Element(d) for s, d in images.items()}, sources=self.sources)
+
+
+def _check_bounds(window, shift) -> None:
+    """Raise ValueError unless 0 < shift < window, the bounds an infinite
+    algebra's window needs."""
+    if window is None or shift is None:
+        raise ValueError("infinite algebras need window and shift bounds")
+    if shift <= 0 or window <= 0:
+        raise ValueError("window and shift bounds must be positive")
+    if shift >= window:
+        raise ValueError("shift bound must be smaller than the window")
 
 
 def bounded_tuples(alg, sources: Sequence):
@@ -357,7 +363,9 @@ def solve_stabilized(alg, delta, window=None, shift=None) -> SolutionSpace:
     """Solve once at window W + S + 2 and restrict the solutions to W."""
     if alg.is_finite:
         return solve_delta_derivations(alg, delta)
-    _Window(alg, window, shift)  # checks the W/S bounds before the solve
+    # the bounds only: stabilize builds the small window once, after the
+    # large solve, so the window does not add to the solve's peak memory
+    _check_bounds(window, shift)
     small = SolutionSpace(alg, as_scalar(delta), window, shift, basis=(), stable=False)
     return stabilize(small, solve_delta_derivations(alg, small.delta, window + shift + 2, shift))
 

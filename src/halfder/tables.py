@@ -14,13 +14,18 @@ _SUM_FAMILY_POOL = (_E, _L, _I, _J)
 
 
 def direct_sum(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
-    """Direct sum of two finite algebras with disjointly relabeled families."""
+    """Direct sum of two finite Lie algebras (no odd basis index) with
+    disjointly relabeled families."""
     if not (a.is_finite and b.is_finite):
         raise ValueError("direct_sum is defined for finite algebras only")
     if a.arity != b.arity:
         raise ValueError("direct_sum operands must share the arity")
-    if a.sector != "none" or b.sector != "none":
-        raise ValueError("direct_sum operands must be plain (sector none)")
+    for alg in (a, b):
+        if odd := [i.token for i in alg.basis_list if i.parity]:
+            raise ValueError(
+                f"direct_sum relabels families into the even ones (E, L, I, J), so it takes no odd "
+                f"basis index; {alg.name} has {', '.join(odd)}"
+            )
     used = {i.family for i in a.basis_list}
     free = [f for f in _SUM_FAMILY_POOL if f not in used]
     relabel: dict = {}

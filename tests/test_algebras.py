@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from halfder.algebras import (
     ALGEBRA_NAMES,
+    AlgebraSpec,
     algebra_from_structure_json,
     algebra_params,
     direct_sum,
@@ -16,7 +18,7 @@ from halfder.algebras import (
 )
 from halfder.catalogue import BUILDERS
 from halfder.core import Element, Family, bidx, parse_element, render
-from halfder.poisson import ProductSpec, poisson_residual, tpa_residual
+from halfder.poisson import ProductSpec, mutation_product, poisson_residual, product_eval, tpa_residual
 from halfder.solver import LinMapWindow, delta_residual
 from test_solver import finite_structures
 
@@ -55,6 +57,57 @@ def test_witt_bracket_matches_independent_rule():
             got = witt.bracket_basis((E(i), E(j)))
             expected = Element.single(E(i + j), i - j)
             assert got == expected
+
+
+def term_sum(rule, args):
+    """sum of c_1..c_k * rule((i_1..i_k)) over the terms (i_j, c_j) of the
+    Elements args, term by term over plain {index: Fraction} dicts."""
+    acc: dict = {}
+    for combo in product(*(a.terms.items() for a in args)):
+        c = prod(c for _, c in combo)
+        for k, v in rule(tuple(i for i, _ in combo)).items():
+            acc[k] = acc.get(k, Fraction(0)) + c * v
+    return {k: v for k, v in acc.items() if v}
+
+
+def _witt_rule(ij):
+    i, j = (k.degree2 // 2 for k in ij)
+    return {E(i + j): Fraction(i - j)}
+
+
+def _laurent_rule(idxs):
+    """e_i e_j.. = e_{i+j+..}: the Laurent product, and with w in the
+    middle the mutation x.w.y."""
+    return {E(sum(k.degree2 // 2 for k in idxs)): Fraction(1)}
+
+
+_SMALL_E = [E(i) for i in range(-3, 4)]
+_NARY = make_algebra("nary_simple", n=3)
+_coeffs = st.sampled_from([Fraction(n, d) for n in (-2, -1, 1, 2) for d in (1, 3)])
+
+
+def _elements(indices):
+    return st.dictionaries(st.sampled_from(indices), _coeffs, min_size=1, max_size=4).map(Element)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _elements(_SMALL_E),
+    _elements(_SMALL_E),
+    _elements(_SMALL_E),
+    _coeffs,
+    st.lists(_elements(_NARY.basis_list), min_size=3, max_size=3),
+)
+def test_multilinear_extensions_match_term_sums(x, z, w, c, nary_args):
+    # y = c.x + z: the c.x part of [x, y] cancels in pairs, and degrees in
+    # [-3, 3] make the terms of the products meet and cancel
+    y = x.scale(c) + z
+    witt, laurent = make_algebra("witt"), make_algebra("laurent")
+    assert witt.bracket(x, y).terms == term_sum(_witt_rule, (x, y))
+    assert witt.bracket(x, x).is_zero()
+    assert laurent.assoc(x, y).terms == term_sum(_laurent_rule, (x, y))
+    assert product_eval(mutation_product(laurent, w), x, y).terms == term_sum(_laurent_rule, (x, w, y))
+    assert _NARY.bracket(*nary_args).terms == term_sum(lambda t: _NARY.bracket_basis(t).terms, nary_args)
 
 
 def test_wab_bracket():
@@ -232,8 +285,9 @@ _BROKEN_TABLES = {
 def leibniz_oracle(br, image, args, a=1, b=1):
     """a.f(br(args)) - b.sum_i br(args with x_i -> f(x_i)) over plain dicts.
 
-    The Fraction reference of algebras.leibniz_defect for even bases: br
-    maps a tuple of plain keys, and image one key, to {key: Fraction}.
+    The Fraction reference of core.combine(algebras.leibniz_parts(...))
+    for even bases: br maps a tuple of plain keys, and image one key, to
+    {key: Fraction}.
     """
     acc: dict = {}
 
@@ -415,6 +469,18 @@ def test_direct_sum():
     assert len(mixed.basis_list) == 6
     with pytest.raises(ValueError):
         direct_sum(make_algebra("witt"), make_algebra("sl2"))
+
+
+def test_direct_sum_rejects_odd_operands():
+    # the second summand's families are relabeled into the even E, L, I, J:
+    # G+_0 with [G, G] = c would become an even L_0 with [L_0, L_0] = c
+    c = bidx(Family.C)
+    odd = AlgebraSpec(
+        name="odd", basis_list=(G(0), c), bracket_fn=lambda xy: B(c) if xy == (G(0), G(0)) else Element.zero()
+    )
+    for a, b in ((make_algebra("sl2"), odd), (odd, make_algebra("sl2"))):
+        with pytest.raises(ValueError, match=r"takes no odd basis index; odd has G\+_0"):
+            direct_sum(a, b)
 
 
 def test_structure_json_round_trip():

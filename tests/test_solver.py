@@ -470,6 +470,21 @@ def test_window_builds_each_unknown_once():
         assert win.source_set == frozenset(win.sources)
 
 
+def test_solve_stabilized_builds_each_window_once(monkeypatch):
+    # the large window serves the solve, and the small one, built after it,
+    # serves stabilize
+    built = []
+    init = _Window.__init__
+
+    def counted(self, alg, window, shift):
+        built.append(window)
+        init(self, alg, window, shift)
+
+    monkeypatch.setattr(_Window, "__init__", counted)
+    assert solve_stabilized(make_algebra("witt"), HALF, 4, 1).dimension == 3
+    assert built == [7, 4]
+
+
 # ---------------------------------------------------------------------------
 # integer rows and the per-class integer nullspace
 
