@@ -1,0 +1,114 @@
+"""Exact scalars and graded basis indices.
+
+Everything downstream computes over Q with fractions.Fraction, so a zero
+residual means zero, never "small".  Basis vectors carry a family tag plus
+a doubled degree (``degree2``); doubling keeps half-integer gradings (the
+Neveu-Schwarz G generators) inside plain ints.
+"""
+
+from __future__ import annotations
+
+from enum import IntEnum
+from fractions import Fraction
+
+Scalar = Fraction
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def as_scalar(value) -> Fraction:
+    """Coerce an int, a "p/q" string, or a Fraction to an exact scalar."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not an exact rational: {value!r}") from exc
+    raise TypeError(f"cannot interpret {value!r} as an exact scalar")
+
+
+class Family(IntEnum):
+    """Generator families; the enum order fixes the canonical term order."""
+
+    E = 0
+    L = 1
+    I = 2
+    J = 3
+    GPLUS = 4
+    GMINUS = 5
+    C = 6
+
+
+_FAMILY_TOKEN = {
+    Family.E: "e",
+    Family.L: "L",
+    Family.I: "I",
+    Family.J: "J",
+    Family.GPLUS: "G+",
+    Family.GMINUS: "G-",
+    Family.C: "c",
+}
+
+_ODD_FAMILIES = frozenset((Family.GPLUS, Family.GMINUS))
+
+_INDEX_CACHE: dict[tuple[int, int], "BasisIndex"] = {}
+
+
+class BasisIndex:
+    """Immutable label (family, degree2) for one basis vector.
+
+    degree2 is twice the grading degree, always an int; parity is fixed by
+    the family (G families odd, everything else even).  Family C is the
+    central label and must sit in degree 0.
+    """
+
+    __slots__ = ("family", "degree2", "parity", "_key", "_hash")
+
+    def __init__(self, family: Family, degree2: int = 0):
+        if family is Family.C and degree2 != 0:
+            raise ValueError("central index c must have degree2 = 0")
+        self.family = family
+        self.degree2 = degree2
+        self.parity = 1 if family in _ODD_FAMILIES else 0
+        self._key = (int(family), degree2)
+        self._hash = hash(self._key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BasisIndex) and self._key == other._key
+
+    def __lt__(self, other: "BasisIndex") -> bool:
+        return self._key < other._key
+
+    def __le__(self, other: "BasisIndex") -> bool:
+        return self._key <= other._key
+
+    @property
+    def token(self) -> str:
+        fam = self.family
+        if fam is Family.C:
+            return "c"
+        d = self.degree2
+        sub = str(d // 2) if d % 2 == 0 else f"{d}/2"
+        return f"{_FAMILY_TOKEN[fam]}_{sub}"
+
+    def __repr__(self) -> str:
+        return self.token
+
+
+def bidx(family: Family, degree2: int = 0) -> BasisIndex:
+    """Interned BasisIndex constructor (hot paths churn through many)."""
+    key = (int(family), degree2)
+    idx = _INDEX_CACHE.get(key)
+    if idx is None:
+        idx = _INDEX_CACHE[key] = BasisIndex(family, degree2)
+    return idx
+
+
+C_INDEX = bidx(Family.C, 0)

@@ -7,19 +7,23 @@ degree shift |image - source| <= 2S, assembles every residual equation whose
 inputs and bracket outputs stay inside the window, and computes the exact
 nullspace.  Windowed artifacts near the boundary are removed by solving a
 strictly larger window and keeping only restrictions of its solutions.
+
+The window maps live in `halfder.maps` and the exact elimination in
+`halfder.elimination`; this module re-exports their public names.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd, lcm
 
-from .algebras import leibniz_parts, same_algebra
-from .core import Element, ONE, ZERO, as_scalar, combine, pack, render, unpack
+from .algebras import same_algebra
+from .core import Element, ZERO, as_scalar, render
+from .elimination import _cut, _rref, nullspace
+from .maps import LinMapWindow, WindowEscapeError, _check_bounds, _Window, delta_residual, identity_map
 
 __all__ = [
     "LinMapWindow",
@@ -28,6 +32,7 @@ __all__ = [
     "bounded_tuples",
     "closed_form_map",
     "delta_residual",
+    "identity_map",
     "is_trivial_space",
     "nullspace",
     "solve_delta_derivations",
@@ -42,216 +47,6 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import candidates
     return getattr(candidates, name)
-
-
-class WindowEscapeError(ValueError):
-    """A residual evaluation needed an index outside the map's source set."""
-
-
-class LinMapWindow:
-    """A linear map given by explicit images on a finite set of sources,
-    each nonzero image stored once as a packed entry (core.pack)."""
-
-    __slots__ = ("alg", "sources", "source_set", "packed")
-
-    def __init__(self, alg, window, images: dict, sources: Sequence | None = None):
-        self.alg = alg
-        if sources is None:
-            sources = alg.window_indices(window)
-        self.sources = tuple(sorted(sources))
-        self.source_set = src = frozenset(self.sources)
-        self.packed = {}
-        for s, img in images.items():
-            if s not in src:
-                raise ValueError(f"image given for {s.token}, which is not a source")
-            if img.is_zero():
-                continue
-            self.packed[s] = pack(img)
-            for t in img.terms:
-                if not alg.valid_index(t):
-                    raise ValueError(f"image index {t.token} is not valid in {alg.name}")
-
-    def ints(self, idx) -> tuple:
-        """The packed image of a basis index; WindowEscapeError off the sources."""
-        out = self.packed.get(idx)
-        if out is None:
-            if idx not in self.source_set:
-                raise WindowEscapeError(f"{idx.token} is outside the map's source window")
-            return ()
-        return out
-
-    def __call__(self, idx) -> Element:
-        return unpack(self.ints(idx))
-
-    @property
-    def images(self) -> dict:
-        """{source: Element image} over the sources with a nonzero image."""
-        return {s: unpack(e) for s, e in self.packed.items()}
-
-    def __repr__(self):
-        body = ", ".join(f"{s.token} -> {img!r}" for s, img in sorted(self.images.items()))
-        return f"<map {body or '0'}>"
-
-
-def identity_map(alg, window) -> LinMapWindow:
-    return LinMapWindow(alg, window, {s: Element.basis(s) for s in alg.window_indices(window)})
-
-
-def delta_residual(alg, phi: LinMapWindow, delta, args: tuple) -> Element:
-    """phi[x1..xn] - delta * sum_i (sign) [x1,..,phi(xi),..,xn] on basis args.
-
-    The Leibniz defect of phi with b = delta: an image term t in slot i
-    takes the Koszul sign (-1)^{(|t|+|x_i|)(|x1|+..+|x_{i-1}|)}.  Raises
-    WindowEscapeError when an argument or a bracket output falls outside
-    phi's sources: phi.ints meets every argument and every output of the
-    one bracket entry the defect reads.
-    """
-    if len(args) != alg.arity:
-        raise ValueError(f"expected {alg.arity} arguments, got {len(args)}")
-    try:
-        return combine(leibniz_parts(alg, args, phi.ints, b=as_scalar(delta)))
-    except WindowEscapeError as e:
-        raise WindowEscapeError(f"{e}, for tuple ({', '.join(a.token for a in args)})") from None
-
-
-# ---------------------------------------------------------------------------
-# exact elimination engine (sparse integer rows)
-
-
-def _cut(v: dict, d: int, w: dict, dw: int) -> None:
-    """Replace v by (dw*v - d*w)/g in place, g the gcd of its entries,
-    dropping the entries that cancel: the one elimination step.
-
-    With d and dw the dot products of v and w with some row, the result
-    annihilates that row; with d and dw the entries of v and w at a
-    column, it is 0 there.
-    """
-    for u in v:
-        v[u] *= dw
-    for u, x in w.items():
-        if y := v.get(u, 0) - d * x:
-            v[u] = y
-        else:
-            del v[u]
-    if (g := gcd(*v.values())) > 1:
-        for u in v:
-            v[u] //= g
-
-
-def _rref(rows: Iterable[dict]) -> dict:
-    """Reduced row echelon form of integer rows with nonzero entries,
-    fraction-free, as {lead: row}; its length is the rank.
-
-    Each pivot row is primitive, positive at its lead (its least column)
-    and 0 at every other lead.
-    """
-    pivots: dict = {}
-    for row in rows:
-        r = dict(row)
-        while r and (p := pivots.get(lead := min(r))):
-            _cut(r, r[lead], p, p[lead])
-        if r:
-            g = gcd(*r.values()) if r[lead] > 0 else -gcd(*r.values())
-            pivots[lead] = {u: x // g for u, x in r.items()}
-    for lead in sorted(pivots, reverse=True):
-        p = pivots[lead]
-        for other in pivots.values():
-            if other is not p and (d := other.get(lead)):
-                _cut(other, d, p, p[lead])
-    return pivots
-
-
-def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Exact nullspace basis of a dense rational matrix.
-
-    Deterministic: each row is cleared of denominators and the integer
-    rows are reduced by _rref; the basis is the canonical one with a unit
-    entry in each free column, in ascending free column.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    sparse = []
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        if r := {c: x for c, v in enumerate(row) if (x := as_scalar(v))}:
-            den = lcm(*[x.denominator for x in r.values()])
-            sparse.append({c: x.numerator * (den // x.denominator) for c, x in r.items()})
-    pivots = _rref(sparse)
-    out = []
-    for f in range(ncols):
-        if f not in pivots:
-            vec = [ZERO] * ncols
-            vec[f] = ONE
-            for lead, p in pivots.items():
-                if x := p.get(f):
-                    vec[lead] = Fraction(-x, p[lead])
-            out.append(vec)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the generic windowed system
-
-
-class _Window:
-    """Source/target bookkeeping for one (algebra, W, S) configuration."""
-
-    def __init__(self, alg, window, shift):
-        self.alg = alg
-        if alg.is_finite:
-            self.window = None
-            self.shift = None
-            self.sources = sorted(alg.basis_list)
-            targets = dict.fromkeys(self.sources, self.sources)
-        else:
-            _check_bounds(window, shift)
-            self.window = window
-            self.shift = shift
-            self.sources = alg.window_indices(window)
-            targets = {
-                s: alg.indices_in_degree2_range(s.degree2 - 2 * shift, s.degree2 + 2 * shift)
-                for s in self.sources
-            }
-        self.source_set = frozenset(self.sources)
-        self.unknowns = [(s, t) for s in self.sources for t in targets[s]]
-        self.uid = {st: u for u, st in enumerate(self.unknowns)}
-
-    def vector_of(self, phi: LinMapWindow, strict: bool = True) -> dict | None:
-        """Integer coordinates of phi restricted to the sources, times the
-        lcm of their image denominators; None (or ValueError when strict)
-        if a nonzero image coefficient falls outside the unknown set."""
-        images = [(s, e) for s in self.sources if (e := phi.packed.get(s))]
-        den = lcm(*[e[0] for _, e in images])
-        vec = {}
-        for s, e in images:
-            for t, n in zip(e[1::2], e[2::2]):
-                u = self.uid.get((s, t))
-                if u is None:
-                    if strict:
-                        raise ValueError(f"map sends {s.token} to {t.token}, outside shift bound {self.shift}")
-                    return None
-                vec[u] = n * (den // e[0])
-        return vec
-
-    def map_of(self, vec: dict) -> LinMapWindow:
-        images: dict = {}
-        for u, c in vec.items():
-            s, t = self.unknowns[u]
-            images.setdefault(s, {})[t] = c
-        return LinMapWindow(self.alg, self.window, {s: Element(d) for s, d in images.items()}, sources=self.sources)
-
-
-def _check_bounds(window, shift) -> None:
-    """Raise ValueError unless 0 < shift < window, the bounds an infinite
-    algebra's window needs."""
-    if window is None or shift is None:
-        raise ValueError("infinite algebras need window and shift bounds")
-    if shift <= 0 or window <= 0:
-        raise ValueError("window and shift bounds must be positive")
-    if shift >= window:
-        raise ValueError("shift bound must be smaller than the window")
 
 
 def bounded_tuples(alg, sources: Sequence):
@@ -354,9 +149,9 @@ def stabilize(space_small: SolutionSpace, space_large: SolutionSpace) -> Solutio
     win = space_small._window
     pivots = _rref(v for b in space_large.basis if (v := win.vector_of(b)))
     basis = tuple(win.map_of({u: Fraction(x, p[lead]) for u, x in p.items()}) for lead, p in sorted(pivots.items()))
-    return SolutionSpace(
-        space_small.alg, space_small.delta, space_small.window, space_small.shift, basis=basis, stable=True
-    )
+    out = SolutionSpace(space_small.alg, space_small.delta, space_small.window, space_small.shift, basis, True)
+    out._window = win  # the same window, so contains() does not build it again
+    return out
 
 
 def solve_stabilized(alg, delta, window=None, shift=None) -> SolutionSpace:

@@ -1,0 +1,135 @@
+"""AlgebraSpec, one algebra's index vocabulary and lazy structure
+constants, and multilinear, the extension of a basis rule to Elements.
+
+Structure constants are exact rationals, stored once per algebra as
+packed int entries (core.pack) and read in int arithmetic.
+"""
+
+from __future__ import annotations
+
+from .core import C_INDEX, Element, Family, ONE, bidx, combine, pack, unpack
+
+_C = Family.C
+
+
+class AlgebraSpec:
+    """One algebra: index vocabulary plus lazy multiplication rules.
+
+    patterns lists (family, degree2 mod 2, min degree2 or None) for the
+    infinite families; finite algebras carry an explicit basis instead.
+    grade2 is the additive grading used for gradedness checks; it defaults
+    to degree2 and only deviates where the index label is positional.
+    bracket_fn maps a basis tuple to an Element; assoc_fn, when given, maps
+    a basis pair to their commutative associative product.
+    """
+
+    def __init__(self, name, arity=2, params=None, patterns=(), has_center=False,
+                 basis_list=None, bracket_fn=None, assoc_fn=None, grade2_fn=None, display=""):
+        self.name, self.arity = name, arity
+        self.params = {} if params is None else params
+        self.patterns, self.has_center, self.basis_list = patterns, has_center, basis_list
+        self.bracket_fn, self.assoc_fn, self.grade2_fn = bracket_fn, assoc_fn, grade2_fn
+        self.display = display
+        self._bcache = {}
+        self._acache = {}
+        # a separate method: perfbench/spans.py wraps it by name to count structure constants
+        self.__post_init__()
+
+    @property
+    def is_finite(self) -> bool:
+        return self.basis_list is not None
+
+    def valid_index(self, idx) -> bool:
+        if self.basis_list is not None:
+            return idx in self._basis_set
+        if idx.family is _C:
+            return self.has_center
+        for fam, off, lo in self.patterns:
+            if idx.family is fam and idx.degree2 % 2 == off:
+                if lo is None or idx.degree2 >= lo:
+                    return True
+        return False
+
+    def __post_init__(self):
+        if self.basis_list is not None:
+            self._basis_set = frozenset(self.basis_list)
+        if not self.display:
+            self.display = self.name
+
+    def grade2(self, idx) -> int:
+        if self.grade2_fn is not None:
+            return self.grade2_fn(idx)
+        return idx.degree2
+
+    def indices_in_degree2_range(self, lo: int, hi: int) -> list:
+        """Valid indices with lo <= degree2 <= hi, canonically sorted."""
+        if self.basis_list is not None:
+            return sorted(i for i in self.basis_list if lo <= i.degree2 <= hi)
+        out = []
+        for fam, off, fmin in self.patterns:
+            start = lo if lo % 2 == off else lo + 1
+            if fmin is not None and start < fmin:
+                start = fmin if fmin % 2 == off else fmin + 1
+            d = start
+            while d <= hi:
+                out.append(bidx(fam, d))
+                d += 2
+        if self.has_center and lo <= 0 <= hi:
+            out.append(C_INDEX)
+        return sorted(out)
+
+    def window_indices(self, window: int) -> list:
+        """All valid sources for the window: |degree2| <= 2W, center always."""
+        if self.basis_list is not None:
+            return sorted(self.basis_list)
+        return self.indices_in_degree2_range(-2 * window, 2 * window)
+
+    def _check(self, idxs: tuple) -> None:
+        for i in idxs:
+            if not self.valid_index(i):
+                raise ValueError(f"index {i.token} is not valid in algebra {self.name}")
+
+    def bracket_ints(self, idxs: tuple) -> tuple:
+        """Structure constants on a basis tuple as a packed entry, memoized."""
+        out = self._bcache.get(idxs)
+        if out is None:
+            self._check(idxs)
+            out = self._bcache[idxs] = pack(self.bracket_fn(idxs))
+        return out
+
+    def bracket_basis(self, idxs: tuple) -> Element:
+        """Structure constants on a basis tuple, built from the packed table."""
+        return unpack(self.bracket_ints(idxs))
+
+    def bracket(self, *args: Element) -> Element:
+        """Multilinear extension of the bracket to Elements."""
+        if len(args) != self.arity:
+            raise ValueError(f"{self.name} bracket takes {self.arity} arguments, got {len(args)}")
+        return multilinear(args, lambda idxs: [(1, 1, self.bracket_ints(idxs))])
+
+    def assoc_ints(self, x, y) -> tuple:
+        """The associative product of two basis indices as a packed entry, memoized."""
+        if self.assoc_fn is None:
+            raise ValueError(f"algebra {self.name} has no associative product")
+        out = self._acache.get((x, y))
+        if out is None:
+            self._check((x, y))
+            out = self._acache[(x, y)] = pack(self.assoc_fn(x, y))
+        return out
+
+    def assoc(self, x: Element, y: Element) -> Element:
+        """Bilinear extension of the associative product."""
+        return multilinear((x, y), lambda xy: [(1, 1, self.assoc_ints(*xy))])
+
+
+def multilinear(args, rule) -> Element:
+    """Multilinear extension of rule to Element args: rule maps a basis
+    tuple to core.combine parts (num, den, packed entry), and one combine
+    sums them all, scaled by the product of the tuple's coefficients."""
+    stack = [((), ONE)]
+    for a in args:
+        stack = [(idxs + (i,), coeff * c) for idxs, coeff in stack for i, c in a.terms.items()]
+    # a list, not a generator: the rules fill the structure-constant tables
+    # before combine allocates its short-lived tuples, so the two do not
+    # interleave in memory (a generator raised the peak RSS of witness scans)
+    return combine([(c.numerator * n, c.denominator * d, e) for idxs, c in stack for n, d, e in rule(idxs)])

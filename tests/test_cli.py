@@ -277,6 +277,23 @@ def test_full_stdout_exits_without_traceback():
     assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["derive-solve", "--algebra", "witt", "--param", "a"], "--param needs KEY=VALUE"),
+        (["tpa-verify", "--algebra", "sl2", "--product=mutation:w=e_0"], "no mutation ambient"),
+    ],
+)
+def test_module_entry_point_reports_usage_errors(argv, message):
+    # python -m halfder.cli, whose usage errors come from the argument
+    # grammar and the Poisson verbs, modules of their own
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "halfder.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {message}") and "Traceback" not in proc.stderr
+
+
 def test_structure_tables_hold_only_packed_entries(monkeypatch):
     # every structure constant a scan computes is stored once, as a packed
     # int entry (den, o_1, n_1, ...); no Element cache sits beside it

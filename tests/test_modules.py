@@ -1,6 +1,7 @@
 """Package layout: module size, import order and dead names."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -11,8 +12,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# just above cli.py, the largest module
-MAX_CODE_TOKENS = 3400
+# just above cli.py, the largest module (1,415)
+MAX_CODE_TOKENS = 1500
 
 
 def code_tokens(path: Path) -> int:
@@ -42,6 +43,18 @@ def test_module_size_limit():
         "import halfder.algebras; halfder.algebras.make_algebra('n2sca', sector='ramond')",
         "import halfder.tables",
         "import halfder.candidates",
+        # each part split off a larger module, imported first
+        "import halfder.basis",
+        "import halfder.element",
+        "import halfder.spec",
+        "import halfder.elimination",
+        "import halfder.maps",
+        "import halfder.superconformal",
+        "import halfder.finite",
+        "import halfder.products",
+        "import halfder.report",
+        "import halfder.arguments",
+        "import halfder.poisson_verbs",
     ],
 )
 def test_import_order(code):
@@ -57,12 +70,11 @@ _FOOTPRINT = """
 import sys
 from halfder import cli
 print(sorted(m for m in {modules!r} if m in sys.modules))
-print(cli._build_parser.cache_info().currsize)
 print(cli.run_command(["algebra-list", "--format", "json"])[0], cli._build_parser.cache_info().currsize)
 print(cli.run_command(["derive-solve", "--algebra", "sl2", "--format", "json"])[0],
-      sorted(m for m in ("halfder.poisson", "halfder.tables", "halfder.candidates") if m in sys.modules))
+      sorted(m for m in {poisson_or_data!r} if m in sys.modules))
 print(cli.run_command(["tpa-verify", "--algebra", "witt", "--product=mutation:w=e_0", "--window", "2"])[0],
-      "halfder.poisson" in sys.modules)
+      all(m in sys.modules for m in ("halfder.poisson", "halfder.products", "halfder.poisson_verbs")))
 from halfder import poisson
 print([n for n in cli._POISSON if getattr(cli, n) is not getattr(poisson, n)])
 from halfder import algebras, candidates, solver, tables
@@ -71,27 +83,59 @@ print(solver.closed_form_map is candidates.closed_form_map, algebras.direct_sum 
 """
 
 # pulled in by dataclass code generation or by typing, or compiled only on first use
-_NOT_AT_IMPORT = ("dataclasses", "typing", "inspect", "halfder.catalogue", "halfder.rows", "halfder.poisson",
-                  "halfder.tables", "halfder.candidates")
+_NOT_AT_IMPORT = ("dataclasses", "typing", "inspect", "halfder.catalogue", "halfder.superconformal",
+                  "halfder.finite", "halfder.rows", "halfder.poisson", "halfder.products", "halfder.tables",
+                  "halfder.candidates", "halfder.arguments", "halfder.poisson_verbs")
+# the Poisson modules, and the algebras and maps built from data, which no solve compiles
+_NOT_IN_A_SOLVE = ("halfder.poisson", "halfder.products", "halfder.poisson_verbs", "halfder.tables",
+                   "halfder.candidates")
 
 
 def test_import_builds_nothing():
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", _FOOTPRINT.format(modules=_NOT_AT_IMPORT)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    code = _FOOTPRINT.format(modules=_NOT_AT_IMPORT, poisson_or_data=_NOT_IN_A_SOLVE)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded, before, after, solved, verified, unbound, served = proc.stdout.splitlines()[-7:]
+    loaded, listed, solved, verified, unbound, served = proc.stdout.splitlines()[-6:]
+    # halfder.arguments among them: the argument parser is not even compiled at import
     assert loaded == "[]", f"import halfder.cli loaded {loaded}"
-    assert before == "0", "the argument parser was built at import"
-    assert after == "0 1", "algebra-list should exit 0 after building the parser once"
+    assert listed == "0 1", "algebra-list should exit 0 after building the parser once"
     assert solved == "0 []", f"derive-solve should exit 0 without importing these: {solved}"
-    assert verified == "0 True", "tpa-verify should exit 0 after importing halfder.poisson"
+    assert verified == "0 True", "tpa-verify should exit 0 after importing the Poisson modules"
     # the same objects, so a wrapper on either binding fires once per call
     assert unbound == "[]", f"cli names that are not the halfder.poisson objects: {unbound}"
     # the moved objects themselves, and no other name served
     assert served == "True True False False", f"solver/algebras names on first use: {served}"
+
+
+# the names tests, the README and perfbench/ask.py read from each module
+# before it was split, besides its __all__
+_READ_FROM = {
+    "core": ("BasisIndex", "Element", "Family", "ONE", "ParseError", "as_scalar", "bidx", "combine",
+             "element_combine", "pack", "parse_element", "render", "unpack"),
+    "solver": ("LinMapWindow", "SolutionSpace", "WindowEscapeError", "_Window", "_row_dict", "_rref",
+               "_system_rows", "closed_form_map", "delta_residual", "identity_map", "is_trivial_space",
+               "nullspace", "solve_delta_derivations", "solve_stabilized", "space_to_jsonable", "stabilize"),
+    "algebras": ("ALGEBRA_NAMES", "AlgebraSpec", "algebra_from_structure_json", "algebra_params", "direct_sum",
+                 "finite_structure_json", "identity_residual", "make_algebra"),
+    "poisson": ("ProductSpec", "ambient_for", "assoc_comm_residuals", "check_tpa_window", "find_poisson_witness",
+                "mutation_closure_check", "mutation_product", "normal_form_product", "parse_product_literal",
+                "poisson_residual", "product_eval", "right_mult_map", "tpa_residual"),
+    "cli": ("_POISSON", "_build_parser", "_make_algebra", "check_tpa_window", "emit_report", "main",
+            "run_command"),
+    "catalogue": ("BUILDERS",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READ_FROM))
+def test_split_modules_keep_their_names(name):
+    module = importlib.import_module(f"halfder.{name}")
+    for attr in sorted({*_READ_FROM[name], *getattr(module, "__all__", ())}):
+        obj = getattr(module, attr)
+        home = getattr(obj, "__module__", "") if callable(obj) else ""
+        if home.startswith("halfder."):
+            # a function or class is the object of the module that defines it
+            assert getattr(importlib.import_module(home), obj.__name__) is obj, f"{name}.{attr}"
 
 
 def _trees() -> dict:

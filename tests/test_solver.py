@@ -472,7 +472,7 @@ def test_window_builds_each_unknown_once():
 
 def test_solve_stabilized_builds_each_window_once(monkeypatch):
     # the large window serves the solve, and the small one, built after it,
-    # serves stabilize
+    # serves stabilize and then the returned space's membership queries
     built = []
     init = _Window.__init__
 
@@ -481,7 +481,10 @@ def test_solve_stabilized_builds_each_window_once(monkeypatch):
         init(self, alg, window, shift)
 
     monkeypatch.setattr(_Window, "__init__", counted)
-    assert solve_stabilized(make_algebra("witt"), HALF, 4, 1).dimension == 3
+    witt = make_algebra("witt")
+    space = solve_stabilized(witt, HALF, 4, 1)
+    assert space.dimension == 3
+    assert space.contains(identity_map(witt, 4))
     assert built == [7, 4]
 
 
