@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import solver
-from .solver import _cut, _row_dict, _Window, bounded_tuples
+from .solver import _bounded_entries, _cut, _row_dict, _Window
+from .spec import BracketTable
 
 
 def class_split(win: _Window) -> tuple[dict, dict]:
@@ -37,18 +38,18 @@ def residual_rows(win: _Window, delta: Fraction, full=frozenset(), targets=None)
     A row is the flat tuple (u_1..u_k, c_1..c_k) of a primitive integer row
     (ascending unknowns, coprime coefficients, c_1 > 0), so rows that are
     rational multiples of each other coincide; rows repeat.  Brackets are
-    the packed entries of alg.bracket_ints.  Raises ValueError when a row
-    leaves its class, that is when a bracket met is not homogeneous for
-    grade2 and parity.
+    read from a BracketTable of the call's own, not from the algebra's
+    memo, so the window's constants are freed with the stream.  Raises
+    ValueError when a row leaves its class, that is when a bracket met is
+    not homogeneous for grade2 and parity.
     """
     alg = win.alg
     graded = not alg.is_finite
     targets = targets or class_split(win)[0]
     classes = sorted({k for by_class in targets.values() for k in by_class})
-    bracket = alg.bracket_ints
+    table = BracketTable(alg)
     dn, dd = delta.numerator, delta.denominator
-    for args in bounded_tuples(alg, win.sources):
-        b = bracket(args)
+    for args, b in _bounded_entries(alg, win.sources, table.__getitem__):
         grade = sum(map(alg.grade2, args))
         parity = sum(x.parity for x in args) % 2
         for k in classes:
@@ -60,7 +61,7 @@ def residual_rows(win: _Window, delta: Fraction, full=frozenset(), targets=None)
             for i, xi in enumerate(args):
                 for t in targets[xi].get(k, ()):
                     n = dn if (t.parity ^ xi.parity) and prefix % 2 else -dn
-                    if bi := bracket(args[:i] + (t,) + args[i + 1 :]):
+                    if bi := table[args[:i] + (t,) + args[i + 1 :]]:
                         inner.append((win.uid[(xi, t)], n, bi))
                 prefix += xi.parity
             scale = dd * lcm(*b[:1], *(bi[0] for _, _, bi in inner))

@@ -49,13 +49,20 @@ def __getattr__(name):
     return getattr(candidates, name)
 
 
-def bounded_tuples(alg, sources: Sequence):
-    """Yield the sorted argument tuples over the sorted sources whose
-    bracket outputs stay inside them."""
+def _bounded_entries(alg, sources: Sequence, bracket):
+    """Yield (args, packed bracket of args) over the sorted argument tuples
+    of the sorted sources whose bracket outputs stay inside them, reading
+    each entry once through bracket."""
     inside = frozenset(sources)
     for args in combinations_with_replacement(sources, alg.arity):
-        if inside.issuperset(alg.bracket_ints(args)[1::2]):
-            yield args
+        b = bracket(args)
+        if inside.issuperset(b[1::2]):
+            yield args, b
+
+
+def bounded_tuples(alg, sources: Sequence):
+    """The argument tuples of _bounded_entries, read through the algebra's memo."""
+    return (args for args, _ in _bounded_entries(alg, sources, alg.bracket_ints))
 
 
 def _system_rows(win: _Window, delta: Fraction) -> list[dict]:
@@ -169,12 +176,9 @@ def is_trivial_space(space: SolutionSpace) -> bool:
     """True iff the stabilized space is exactly the scalar multiples of id."""
     if not space.stable:
         raise ValueError("is_trivial_space needs a stabilized space")
-    if space.dimension == 0:
-        warnings.warn(
-            "zero-dimensional derivation space: even the identity is missing",
-            stacklevel=2,
-        )
-        return False
+    # the identity is a delta-derivation exactly when delta * arity = 1
+    if space.dimension == 0 and space.delta * space.alg.arity == 1:
+        warnings.warn("zero-dimensional derivation space: even the identity is missing", stacklevel=2)
     if space.dimension != 1:
         return False
     phi = space.basis[0]

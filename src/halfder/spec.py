@@ -1,8 +1,9 @@
 """AlgebraSpec, one algebra's index vocabulary and lazy structure
 constants, and multilinear, the extension of a basis rule to Elements.
 
-Structure constants are exact rationals, stored once per algebra as
-packed int entries (core.pack) and read in int arithmetic.
+Structure constants are exact rationals, stored as packed int entries
+(core.pack) and read in int arithmetic: in the algebra's own memo, or in
+a BracketTable that lives only as long as the solve that reads it.
 """
 
 from __future__ import annotations
@@ -89,12 +90,17 @@ class AlgebraSpec:
             if not self.valid_index(i):
                 raise ValueError(f"index {i.token} is not valid in algebra {self.name}")
 
+    def _bracket_entry(self, idxs: tuple) -> tuple:
+        """The packed structure constants of a basis tuple, computed: the
+        one miss path of the algebra's memo and of every BracketTable."""
+        self._check(idxs)
+        return pack(self.bracket_fn(idxs))
+
     def bracket_ints(self, idxs: tuple) -> tuple:
         """Structure constants on a basis tuple as a packed entry, memoized."""
         out = self._bcache.get(idxs)
         if out is None:
-            self._check(idxs)
-            out = self._bcache[idxs] = pack(self.bracket_fn(idxs))
+            out = self._bcache[idxs] = self._bracket_entry(idxs)
         return out
 
     def bracket_basis(self, idxs: tuple) -> Element:
@@ -120,6 +126,24 @@ class AlgebraSpec:
     def assoc(self, x: Element, y: Element) -> Element:
         """Bilinear extension of the associative product."""
         return multilinear((x, y), lambda xy: [(1, 1, self.assoc_ints(*xy))])
+
+
+class BracketTable(dict):
+    """A bracket table apart from the algebra's memo: table[idxs] is the
+    packed entry of alg.bracket_ints, computed on a miss through the same
+    path, AlgebraSpec._bracket_entry.  The table refers to the algebra and
+    not the other way round, so it is freed with the last reference to
+    it, and its entries with it."""
+
+    __slots__ = ("_miss",)
+
+    def __init__(self, alg: AlgebraSpec):
+        super().__init__()
+        self._miss = alg._bracket_entry
+
+    def __missing__(self, idxs: tuple) -> tuple:
+        out = self[idxs] = self._miss(idxs)
+        return out
 
 
 def multilinear(args, rule) -> Element:

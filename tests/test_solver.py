@@ -1,5 +1,9 @@
+import gc
+import hashlib
+import json
 import random
 import re
+import warnings
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
@@ -486,6 +490,49 @@ def test_solve_stabilized_builds_each_window_once(monkeypatch):
     assert space.dimension == 3
     assert space.contains(identity_map(witt, 4))
     assert built == [7, 4]
+
+
+def _digest(space) -> str:
+    return hashlib.sha256(json.dumps(space_to_jsonable(space), sort_keys=True).encode()).hexdigest()
+
+
+def test_solves_leave_the_algebra_memo_empty():
+    # a solve reads its structure constants through a table of its own, so
+    # the W + S + 2 scaffolding window's constants are not kept on the
+    # algebra after the solve; the digests pin the JSON of both answers
+    wab = make_algebra("wab", {"a": "1/2", "b": "-1"})
+    space = solve_stabilized(wab, HALF, 6, 2)
+    assert wab._bcache == {}
+    gens = [closed_form_map(fam, {t: 1}, wab, 6) for fam in ("wab_even", "wab_odd") for t in range(-2, 3)]
+    assert space.dimension == 10 and all(space.contains(phi) for phi in gens)
+    assert _digest(space) == "f1cddce5164a11bcaae56c6b107a19e958273666ab2b839094f5066b5cfe5f09"
+    sl2 = make_algebra("sl2")
+    space = solve_delta_derivations(sl2, HALF)
+    assert sl2._bcache == {}
+    assert _digest(space) == "ce730c39dfc19fb63c6ae73af326aa5242630bdd86a621c2dc3b5d0899e73805"
+
+
+def test_solve_frees_its_table_by_reference_counting():
+    # no reference cycle holds the solve's table: with the cyclic collector
+    # off during the solve, a collection afterwards finds nothing to free
+    gc.collect()
+    gc.disable()
+    try:
+        space = solve_stabilized(make_algebra("wab", {"a": "1/2", "b": "-1"}), HALF, 4, 2)
+        del space
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
+
+
+def test_empty_space_warns_only_where_the_identity_belongs():
+    # the identity is a delta-derivation only when delta * arity = 1, so an
+    # empty space at delta 0 is no anomaly
+    witt = make_algebra("witt")
+    space = solve_stabilized(witt, 0, 3, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert space.dimension == 0 and not is_trivial_space(space)
 
 
 # ---------------------------------------------------------------------------
