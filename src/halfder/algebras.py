@@ -11,7 +11,8 @@ from data live in `halfder.tables`.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
+from itertools import combinations
 
 from .core import Element, ONE, as_scalar, combine
 from .spec import AlgebraSpec, multilinear
@@ -64,39 +65,18 @@ def _ungraded(idx) -> int:
     return 0
 
 
-def _skew_rule(basis, table: dict) -> Callable:
-    """Bracket rule from its values {increasing position tuple: Element}.
+def _skew(rule: Callable) -> Callable:
+    """The bracket rule on every ordering from rule, which is read only on
+    ascending tuples (BasisIndex order).  Sorting takes one swap of
+    neighbours per out-of-order pair, and each swap scales the bracket by
+    -1, or by +1 when both are odd."""
 
-    Other orderings of distinct positions follow by full skew-symmetry;
-    every other tuple brackets to zero.
-    """
-    pos = {idx: k for k, idx in enumerate(basis)}
+    def skew(idxs):
+        out = rule(tuple(sorted(idxs)))
+        swaps = sum(y < x and not (x.parity and y.parity) for x, y in combinations(idxs, 2))
+        return out.scale(-1) if swaps % 2 else out
 
-    def rule(idxs):
-        ps = [pos[i] for i in idxs]
-        out = table.get(tuple(sorted(ps)))
-        if out is None:
-            return Element.zero()
-        return out.scale(_perm_sign(sorted(range(len(ps)), key=ps.__getitem__)))
-
-    return rule
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return skew
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ ONE = Fraction(1)
 
 
 def as_scalar(value) -> Fraction:
-    """Coerce an int, a "p/q" string, or a Fraction to an exact scalar."""
+    """Coerce an int, a "p/q" string, or a Fraction to an exact scalar; a bool is no scalar."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

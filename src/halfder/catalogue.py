@@ -1,6 +1,8 @@
 """The built-in algebras of the paper, and the registry that names them.
 
-One rule (the bracket on basis indices) and one builder per algebra.
+One rule (the bracket on basis indices) and one builder per algebra; a
+rule wrapped in `halfder.algebras._skew` is written on ascending tuples
+only, and the wrapper derives every other ordering.
 This module holds the Witt-type families: the Witt, Laurent and W(a,b)
 algebras, the thin and solvable algebras and the extended Laurent
 ambient.  The Virasoro, super-Virasoro and N=2 superconformal builders
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebras import AlgebraSpec
+from .algebras import AlgebraSpec, _skew
 from .core import Element, Family, bidx
 from .finite import _make_heisenberg, _make_nary_simple, _make_schrodinger, _make_sl2
 from .superconformal import _make_n2sca, _make_svir, _make_virasoro
@@ -64,15 +66,13 @@ def _make_wab(params) -> AlgebraSpec:
             return Element.single(bidx(_L, x.degree2 + y.degree2), m - n)
         if fx is _L and fy is _I:
             return Element.single(bidx(_I, x.degree2 + y.degree2), -(n + a + b * m))
-        if fx is _I and fy is _L:
-            return Element.single(bidx(_I, x.degree2 + y.degree2), m + a + b * n)
         return Element.zero()
 
     return AlgebraSpec(
         name="wab",
         params={"a": a, "b": b},
         patterns=((_L, 0, None), (_I, 0, None)),
-        bracket_fn=rule,
+        bracket_fn=_skew(rule),
         display=f"wab(a={a}, b={b})",
     )
 
@@ -83,11 +83,9 @@ def _make_thin(params) -> AlgebraSpec:
         i, j = x.degree2 // 2, y.degree2 // 2
         if i == 1 and j > 1:
             return Element.basis(bidx(_E, y.degree2 + 2))
-        if j == 1 and i > 1:
-            return Element.single(bidx(_E, x.degree2 + 2), -1)
         return Element.zero()
 
-    return AlgebraSpec(name="thin", patterns=((_E, 0, 2),), bracket_fn=rule)
+    return AlgebraSpec(name="thin", patterns=((_E, 0, 2),), bracket_fn=_skew(rule))
 
 
 def _solvable_grade2(idx) -> int:
@@ -100,14 +98,12 @@ def _make_solvable(params) -> AlgebraSpec:
         i, j = x.degree2 // 2, y.degree2 // 2
         if i == 1 and j >= 2:
             return Element.basis(y)
-        if j == 1 and i >= 2:
-            return Element.single(x, -1)
         return Element.zero()
 
     return AlgebraSpec(
         name="solvable",
         patterns=((_E, 0, 2),),
-        bracket_fn=rule,
+        bracket_fn=_skew(rule),
         grade2_fn=_solvable_grade2,
     )
 

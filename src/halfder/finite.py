@@ -1,10 +1,11 @@
 """The finite built-in algebras: sl2, Heisenberg, Schrodinger and the
-simple n-ary algebra, each from a skew-symmetric table of its brackets.
+simple n-ary algebra, each from a table of its brackets on ascending
+tuples, read through `halfder.algebras._skew`.
 `halfder.catalogue` registers their builders."""
 
 from __future__ import annotations
 
-from .algebras import AlgebraSpec, _el, _skew_rule, _ungraded
+from .algebras import AlgebraSpec, _el, _skew, _ungraded
 from .core import C_INDEX, Element, Family, bidx
 
 _E, _I = Family.E, Family.I
@@ -12,8 +13,8 @@ _E, _I = Family.E, Family.I
 
 def _finite_from_table(name, basis, table) -> AlgebraSpec:
     """Binary finite algebra from an upper table {(i,j): [(k, coeff)...]}, i < j positions."""
-    values = {key: _el((basis[k], c) for k, c in terms) for key, terms in table.items()}
-    return AlgebraSpec(name=name, basis_list=tuple(basis), bracket_fn=_skew_rule(basis, values))
+    values = {(basis[i], basis[j]): _el((basis[k], c) for k, c in terms) for (i, j), terms in table.items()}
+    return AlgebraSpec(name=name, basis_list=basis, bracket_fn=_skew(lambda idxs: values.get(idxs, Element.zero())))
 
 
 def _make_sl2(params) -> AlgebraSpec:
@@ -56,7 +57,7 @@ def _make_nary_simple(params) -> AlgebraSpec:
     basis = tuple(bidx(_E, 2 * k) for k in range(1, n + 2))
     # [e_1,..,e_{i-1},e_{i+1},..,e_{n+1}] = (-1)^{n+1-i} e_i, i = m + 1
     table = {
-        tuple(k for k in range(n + 1) if k != m): Element.single(basis[m], (-1) ** (n - m))
+        basis[:m] + basis[m + 1 :]: Element.single(basis[m], (-1) ** (n - m))
         for m in range(n + 1)
     }
     return AlgebraSpec(
@@ -64,7 +65,7 @@ def _make_nary_simple(params) -> AlgebraSpec:
         arity=n,
         params={"n": n},
         basis_list=basis,
-        bracket_fn=_skew_rule(basis, table),
+        bracket_fn=_skew(lambda idxs: table.get(idxs, Element.zero())),
         grade2_fn=_ungraded,
         display=f"nary_simple (n={n}, dim {n + 1})",
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 
-from .algebras import AlgebraSpec, _el, _skew_rule, _ungraded
+from .algebras import AlgebraSpec, _el, _skew, _ungraded
 from .core import C_INDEX, Element, Family, as_scalar, bidx, unpack
 
 _E, _L, _I, _J, _C = Family.E, Family.L, Family.I, Family.J, Family.C
@@ -95,7 +95,7 @@ def algebra_from_structure_json(data: dict, name: str = "custom") -> AlgebraSpec
     """Finite algebra from a JSON structure table (positions label e_0..e_{dim-1}).
 
     Only the entries with strictly increasing index tuples are read; the
-    other orderings are generated by full skew-symmetry.  No grading is
+    other orderings follow by skew-symmetry, through algebras._skew.  No grading is
     assumed for imported tables.
     """
     try:
@@ -122,14 +122,15 @@ def algebra_from_structure_json(data: dict, name: str = "custom") -> AlgebraSpec
             raise ValueError(f"entry {entry!r} repeats an output position")
         if sorted(set(combo)) != list(combo):
             raise ValueError(f"entry {entry!r} must use a strictly increasing tuple")
-        if combo in table:
+        key = tuple(basis[k] for k in combo)
+        if key in table:
             raise ValueError(f"entry {entry!r} repeats the tuple {list(combo)}")
-        table[combo] = _el((basis[k], c) for k, c in terms)
+        table[key] = _el((basis[k], c) for k, c in terms)
     return AlgebraSpec(
         name=name,
         arity=arity,
         basis_list=basis,
-        bracket_fn=_skew_rule(basis, table),
+        bracket_fn=_skew(lambda idxs: table.get(idxs, Element.zero())),
         grade2_fn=_ungraded,
         display=f"{name} (imported, dim {dim})",
     )

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import prod
@@ -233,6 +234,54 @@ def _window_instances(window_only_infinite=False):
             (make_algebra("schrodinger"), None),
         ]
     return insts
+
+
+# an imported ternary table with no identity to satisfy: only its skew-symmetry is read
+_TERNARY_TABLE = {
+    "dim": 4,
+    "arity": 3,
+    "brackets": [[0, 1, 2, [[3, "1/2"]]], [0, 1, 3, [[2, "-1"], [0, "2"]]], [1, 2, 3, [[1, "3"]]]],
+}
+
+# sha256 of every structure constant on the window-3 tuples, in every
+# ordering, taken before the rules were written on ascending tuples only
+_BRACKET_DIGESTS = {
+    "witt": "6d3b236142c5912f924cde402bd8dd237520ff9032d3920b8a18c7d9a4a195dc",
+    "laurent": "f5aa874b8f6ca24739625f8afeb7040bb18ec8e2dedb4de9c50a86e2a72331fa",
+    "wab a=1 b=2": "d7199dcb56314e68fea8ed37101e420983bd042351f5e144e9ddcceae8fc0b50",
+    "wab a=-1/2 b=-1": "69337abe929dafa8308ba581137adf4329d0d30b181ffd14e15917cf06b33f63",
+    "virasoro": "b36c480fe4701211e076043ee39a7ac65dd3637a3df1688016d088cd0e12577b",
+    "svir sector=ramond": "9a373d27038147f5c968efd5146ffafef908c85f17709b56151b6c57de72e168",
+    "svir sector=neveu_schwarz": "6f70b4089eddf6573a04fafef7d69a5ac1d2e38724ef2526b72d15709f6f21d4",
+    "n2sca sector=ramond": "2da6d3a47bbbb46888fd02a3e6e4f4ab9513138fc7335bb86d0d5fda79f58bed",
+    "n2sca sector=neveu_schwarz": "fc073413ab28878df99cd451b0d0e7d08789a3532f2e178822d4a95d1bf3a35a",
+    "thin": "2f9f7ebc3f178885f0ef14249f51157f1f101150bba3d6042dde9d24a2eeea2f",
+    "solvable": "43a9a4ad03375abcc2cd67deae85f1c27e9dcfbd198a8b0d2064d3aace06fafc",
+    "extended_laurent": "d7e01dde51883f7ea7e440d02c411af2d87dfa3bc4f07bec3f1c6a267f24ac5a",
+    "sl2": "73e26e1b7dd536e6c3725e53647aece4391939b9f9d05d44c2db4a5a08d82b7c",
+    "heisenberg": "d74c68ba35abeefe36e78d50e3372963753c055ae92374788679cb3aa8e29c20",
+    "schrodinger": "e26c5c1dad592be53fc0da3c804e9f3c7e96282d252be55fb4754b4c5686cf0f",
+    "nary_simple n=3": "410471003007c18ae8a3a5cbf9019b99346c38ced4b8c324da2b61f8260bb2f0",
+    "nary_simple n=4": "70aca5b6d5bf82aee6b57803173ccd1ea03c521c5c1d4a7b0a17262d5b6fb546",
+    "sl2+heisenberg": "10968806fcb67ff252e417ae99255295767e9dded56341ef0bd974f09a7e6410",
+    "ternary table": "eef6aca530edcd1e5d8b2fbb15ae53b18a951ced40d42ffddaed7506c6c5ab4d",
+}
+
+
+def _digest_instance(name):
+    if name == "sl2+heisenberg":
+        return direct_sum(make_algebra("sl2"), make_algebra("heisenberg"))
+    if name == "ternary table":
+        return algebra_from_structure_json(_TERNARY_TABLE, "ternary")
+    algebra, *params = name.split()
+    return make_algebra(algebra, dict(p.split("=") for p in params))
+
+
+@pytest.mark.parametrize("name", list(_BRACKET_DIGESTS))
+def test_structure_constants_digest(name):
+    alg = _digest_instance(name)
+    table = [(args, alg.bracket_ints(args)) for args in product(alg.window_indices(3), repeat=alg.arity)]
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == _BRACKET_DIGESTS[name]
 
 
 def test_antisymmetry_on_window():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfder.algebras import make_algebra
 from halfder.core import (
     BasisIndex,
     Element,
@@ -20,6 +21,7 @@ from halfder.core import (
     render,
     unpack,
 )
+from halfder.solver import solve_delta_derivations
 
 
 class _NaiveRational:
@@ -58,6 +60,18 @@ def test_scalar_lowest_terms_invariant():
         as_scalar("1/0")
     with pytest.raises(TypeError):
         as_scalar(1.5)
+
+
+def test_scalar_rejects_bool():
+    # bool is an int subclass; read as an int, wab(a=True, b=False) would
+    # build W(1, 0) and a solve at delta=True would solve at delta 1
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            as_scalar(flag)
+    with pytest.raises(TypeError):
+        make_algebra("wab", a=True, b=False)
+    with pytest.raises(TypeError):
+        solve_delta_derivations(make_algebra("sl2"), True)
 
 
 def test_basis_index_invariants():
