@@ -3,10 +3,9 @@
 Each AlgebraSpec bundles lazy structure constants (bracket on basis
 indices), an optional commutative associative product for the ambient
 function algebras, and enough index bookkeeping to enumerate degree
-windows.  AlgebraSpec and multilinear live in `halfder.spec`, and this
-module re-exports them.  The built-in algebras live in
-`halfder.catalogue`; `make_algebra` builds them by name.  Algebras built
-from data live in `halfder.tables`.
+windows.  AlgebraSpec and multilinear live in `halfder.spec`.  The
+built-in algebras live in `halfder.catalogue`; `make_algebra` builds them
+by name.  Algebras built from data live in `halfder.tables`.
 """
 
 from __future__ import annotations
@@ -14,8 +13,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from itertools import combinations
 
-from .core import Element, ONE, as_scalar, combine
-from .spec import AlgebraSpec, multilinear
+from .basis import ONE, as_scalar
+from .element import Element, combine
+from .spec import AlgebraSpec
 
 ALGEBRA_NAMES = (
     "witt",
@@ -33,27 +33,14 @@ ALGEBRA_NAMES = (
     "nary_simple",
 )
 
-__all__ = [
-    "ALGEBRA_NAMES",
-    "AlgebraSpec",
-    "algebra_from_structure_json",
-    "algebra_params",
-    "direct_sum",
-    "finite_structure_json",
-    "identity_residual",
-    "leibniz_parts",
-    "make_algebra",
-    "multilinear",
-    "same_algebra",
-]
-
 
 def __getattr__(name):
-    """The algebras built from data, from halfder.tables on first use, so a solve never compiles them."""
-    if name not in ("algebra_from_structure_json", "direct_sum", "finite_structure_json"):
+    """tables.direct_sum on first use, so a solve never compiles halfder.tables;
+    perfbench/ask.py reads it as algebras.direct_sum."""
+    if name != "direct_sum":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import tables
-    return getattr(tables, name)
+    from .tables import direct_sum
+    return direct_sum
 
 
 def _el(pairs) -> Element:
@@ -85,7 +72,7 @@ def _skew(rule: Callable) -> Callable:
 
 def _builder(name: str) -> tuple:
     """(builder, parameter names) of a built-in algebra."""
-    # imported here: the catalogue imports AlgebraSpec from this module
+    # imported here: the catalogue imports _skew from this module
     from .catalogue import BUILDERS
 
     if name not in BUILDERS:
@@ -144,9 +131,9 @@ def same_algebra(a: AlgebraSpec, b: AlgebraSpec) -> bool:
 
 def leibniz_parts(alg: AlgebraSpec, args: tuple, image: Callable, a=ONE, b=ONE) -> list:
     """a.f([x_1..x_n]) - b.sum_i (sign) [x_1,..,f(x_i),..,x_n] on basis args,
-    as the core.combine parts (num, den, packed entry) that sum to it.
+    as the element.combine parts (num, den, packed entry) that sum to it.
 
-    image(x) gives the packed entry (core.pack) of f(x) on a basis index x;
+    image(x) gives the packed entry (element.pack) of f(x) on a basis index x;
     a term t of f(x_i) takes the sign
     (-1)^{(|t|+|x_i|)(|x_1|+..+|x_{i-1}|)}.  f = ad_x gives the defining
     identity, f = phi with b = delta the delta-derivation equation, and

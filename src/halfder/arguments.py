@@ -7,8 +7,8 @@ from __future__ import annotations
 import argparse
 from functools import cache
 
+from .basis import as_scalar
 from .cli import UsageError
-from .core import as_scalar
 
 
 @cache

@@ -1,12 +1,13 @@
-"""The paper's closed-form candidate maps, as named families on a window,
-which `halfder.solver` serves by name on first use."""
+"""The paper's closed-form candidate maps, as named families on a window;
+`halfder.solver` serves `closed_form_map` on first use."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Element, Family, ZERO, as_scalar, bidx
-from .solver import LinMapWindow
+from .basis import Family, ZERO, as_scalar, bidx
+from .element import Element
+from .maps import LinMapWindow
 
 CLOSED_FORM_FAMILIES = (
     "witt_shift_family",
@@ -26,7 +27,7 @@ def closed_form_map(family: str, coeffs: dict, alg, window: int) -> LinMapWindow
     thin_candidate: {"alpha": {i: a_i}, "beta": {i: b_i}} with
         phi(e_1) = sum a_i e_i, phi(e_2) = sum b_i e_i and
         phi(e_n) = (1 - 2^{2-n}) a_1 e_n + 2^{2-n} L^{n-2} phi(e_2), n >= 3,
-        where L is left bracket by e_1.
+        where L is left bracket by e_1; any other key raises ValueError.
     solvable_candidate: {i: c_i}, phi(e_1) = sum c_i e_i and
         phi(e_n) = c_1 e_n for n >= 2.
     Keys are ints or integer strings; a float or bool key raises ValueError.
@@ -64,6 +65,8 @@ def closed_form_map(family: str, coeffs: dict, alg, window: int) -> LinMapWindow
     if family == "thin_candidate":
         if alg.name != "thin":
             raise ValueError("thin_candidate lives on the thin algebra")
+        if unknown := [k for k in coeffs if k not in ("alpha", "beta")]:
+            raise ValueError(f"thin_candidate keys are 'alpha' and 'beta', not {', '.join(map(repr, unknown))}")
         alpha = _sc(coeffs.get("alpha", {}))
         beta = _sc(coeffs.get("beta", {}))
         if any(i < 1 for i in alpha) or any(i < 1 for i in beta):

@@ -9,16 +9,18 @@ ambient.  The Virasoro, super-Virasoro and N=2 superconformal builders
 live in `halfder.superconformal`, and the finite classics and the simple
 n-ary family in `halfder.finite`.  `halfder.algebras.make_algebra` looks
 names up in `BUILDERS`; it imports this module on first use, since the
-builders import `AlgebraSpec` from it.
+builders import `_skew` from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebras import AlgebraSpec, _skew
-from .core import Element, Family, bidx
+from .algebras import _skew
+from .basis import Family, bidx
+from .element import Element
 from .finite import _make_heisenberg, _make_nary_simple, _make_schrodinger, _make_sl2
+from .spec import AlgebraSpec
 from .superconformal import _make_n2sca, _make_svir, _make_virasoro
 
 _E, _L, _I = Family.E, Family.L, Family.I

@@ -19,32 +19,22 @@ import time
 from itertools import combinations_with_replacement
 
 from .algebras import ALGEBRA_NAMES, algebra_params, identity_residual, make_algebra
-from .core import as_scalar, combine, render
+from .basis import as_scalar
+from .core import render
+from .element import combine
+from .maps import delta_residual
 from .report import Report, emit_report
-from .solver import (
-    bounded_tuples,
-    delta_residual,
-    is_trivial_space,
-    solve_delta_derivations,
-    solve_stabilized,
-    space_to_jsonable,
-)
+from .solver import bounded_tuples, is_trivial_space, solve_delta_derivations, solve_stabilized, space_to_jsonable
 
-__all__ = ["Report", "emit_report", "main", "run_command"]
-
-# bound from halfder.poisson by __getattr__ on first use, so a solve never compiles it
-_POISSON = ("check_tpa_window", "find_poisson_witness", "mutation_closure_check", "parse_product_literal",
-            "poisson_residual", "product_eval", "tpa_residual")
-# served from halfder.arguments, which the first command imports
-_ARGUMENTS = ("_build_parser", "_parse_params")
+# bound from halfder.poisson by __getattr__ on first use, so a solve never
+# compiles it; the Poisson verbs call them as cli.<name>, and perfbench's
+# tracer wraps them here
+_POISSON = ("check_tpa_window", "find_poisson_witness", "mutation_closure_check", "poisson_residual", "tpa_residual")
 
 
 def __getattr__(name):
-    """Serve the argument grammar's names, and bind the Poisson names;
-    setdefault keeps one already set, such as a tracer's wrapper."""
-    if name in _ARGUMENTS:
-        from . import arguments
-        return getattr(arguments, name)
+    """Bind the Poisson names; setdefault keeps one already set, such as a
+    tracer's wrapper."""
     if name not in _POISSON:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import poisson

@@ -1,34 +1,14 @@
-"""Exact scalars, graded basis indices, finitely supported elements, and
-the element grammar.
+"""The element grammar: the text form of an element (`render`,
+`parse_element`, `ParseError`).
 
 The scalars and indices live in `halfder.basis`, `Element` and the sum
-kernel in `halfder.element`; this module re-exports both and holds the
-text form of an element (`render`, `parse_element`).
+kernel in `halfder.element`.
 """
 
 from __future__ import annotations
 
-from .basis import BasisIndex, C_INDEX, Family, ONE, Scalar, ZERO, _FAMILY_TOKEN, _ODD_FAMILIES, as_scalar, bidx
-from .element import _ZERO_ELEMENT, Element, combine, element_combine, pack, unpack
-
-__all__ = [
-    "BasisIndex",
-    "C_INDEX",
-    "Element",
-    "Family",
-    "ONE",
-    "ParseError",
-    "Scalar",
-    "ZERO",
-    "as_scalar",
-    "bidx",
-    "combine",
-    "element_combine",
-    "pack",
-    "parse_element",
-    "render",
-    "unpack",
-]
+from .basis import BasisIndex, C_INDEX, Family, _FAMILY_TOKEN, _ODD_FAMILIES, bidx
+from .element import _ZERO_ELEMENT, Element, combine
 
 # "G" is accepted on input as an alias for "G+" (single-G superalgebras).
 _TOKEN_FAMILY = {tok: fam for fam, tok in _FAMILY_TOKEN.items()}

@@ -8,7 +8,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import ONE, ZERO, as_scalar
+from .basis import ONE, ZERO, as_scalar
 
 
 def _cut(v: dict, d: int, w: dict, dw: int) -> None:

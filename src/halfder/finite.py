@@ -5,8 +5,10 @@ tuples, read through `halfder.algebras._skew`.
 
 from __future__ import annotations
 
-from .algebras import AlgebraSpec, _el, _skew, _ungraded
-from .core import C_INDEX, Element, Family, bidx
+from .algebras import _el, _skew, _ungraded
+from .basis import C_INDEX, Family, bidx
+from .element import Element
+from .spec import AlgebraSpec
 
 _E, _I = Family.E, Family.I
 

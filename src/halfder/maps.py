@@ -13,7 +13,8 @@ from collections.abc import Sequence
 from math import lcm
 
 from .algebras import leibniz_parts
-from .core import Element, as_scalar, combine, pack, unpack
+from .basis import as_scalar
+from .element import Element, combine, pack, unpack
 
 
 class WindowEscapeError(ValueError):
@@ -22,7 +23,7 @@ class WindowEscapeError(ValueError):
 
 class LinMapWindow:
     """A linear map given by explicit images on a finite set of sources,
-    each nonzero image stored once as a packed entry (core.pack)."""
+    each nonzero image stored once as a packed entry (element.pack)."""
 
     __slots__ = ("alg", "sources", "source_set", "packed")
 

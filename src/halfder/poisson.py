@@ -5,8 +5,8 @@ associative ambient algebra, or a finite table rule on the basis.  The
 module evaluates products bilinearly and measures the residuals of the
 compatibility law n.z*[x1..xn] = sum_i [x1,..,z*xi,..,xn], the classical
 Poisson Leibniz rule, associativity, and commutativity, all exactly.
-The products themselves live in `halfder.products`; this module
-re-exports them and holds the residuals and the window checks.
+The products themselves live in `halfder.products`; this module holds
+the residuals and the window checks.
 """
 
 from __future__ import annotations
@@ -14,37 +14,11 @@ from __future__ import annotations
 from functools import partial
 from itertools import combinations_with_replacement, product as iproduct
 
-from .algebras import AlgebraSpec, leibniz_parts, multilinear
-from .core import Element, combine
-from .products import (
-    NORMAL_FORM_FAMILIES,
-    ProductSpec,
-    _as_element,
-    ambient_for,
-    assoc_comm_residuals,
-    mutation_product,
-    normal_form_product,
-    parse_product_literal,
-    product_eval,
-)
-from .solver import LinMapWindow
-
-__all__ = [
-    "NORMAL_FORM_FAMILIES",
-    "ProductSpec",
-    "ambient_for",
-    "assoc_comm_residuals",
-    "check_tpa_window",
-    "find_poisson_witness",
-    "mutation_closure_check",
-    "mutation_product",
-    "normal_form_product",
-    "parse_product_literal",
-    "poisson_residual",
-    "product_eval",
-    "right_mult_map",
-    "tpa_residual",
-]
+from .algebras import leibniz_parts
+from .element import Element, combine
+from .maps import LinMapWindow
+from .products import ProductSpec, _as_element, mutation_product
+from .spec import AlgebraSpec, multilinear
 
 
 def tpa_residual(alg: AlgebraSpec, p: ProductSpec, z, args: tuple) -> Element:

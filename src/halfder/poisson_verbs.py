@@ -14,11 +14,13 @@ from .algebras import make_algebra
 from .arguments import _parse_params
 from .cli import UsageError, _make_algebra, _window_sources
 from .core import ParseError, parse_element, render
+from .products import normal_form_product, parse_product_literal, product_eval
 
 
-def _product_for(literal, alg):
+def _product(build, *args):
+    """build(*args), a product constructor, with its errors as usage errors."""
     try:
-        return cli.parse_product_literal(literal, alg)
+        return build(*args)
     except ParseError as e:
         raise UsageError(f"bad element in product literal: {e}") from None
     except ValueError as e:
@@ -27,7 +29,7 @@ def _product_for(literal, alg):
 
 def _verb_tpa_verify(ns):
     alg = _make_algebra(ns)
-    p = _product_for(ns.product, alg)
+    p = _product(parse_product_literal, ns.product, alg)
     _window_sources(alg, ns.window)
     witness, checked = cli.check_tpa_window(alg, p, ns.window)
     base = {"product": p.name, "window": ns.window, "tuples_checked": checked}
@@ -43,7 +45,7 @@ def _verb_tpa_witness(ns):
     alg = _make_algebra(ns)
     if alg.arity != 2:
         raise UsageError("the Poisson Leibniz check needs a binary bracket")
-    p = _product_for(ns.product, alg)
+    p = _product(parse_product_literal, ns.product, alg)
     _window_sources(alg, ns.window)
     triple = cli.find_poisson_witness(alg, p, ns.window)
     base = {"product": p.name, "window": ns.window}
@@ -59,20 +61,20 @@ def _verb_tpa_normal_form(ns):
     if ns.algebra == "thin":
         if set(params) != {"k"}:
             raise UsageError("tpa-normal-form on thin takes exactly --param k=<int>")
-        literal = f"table:thin_k:{params['k']}"
+        family = "thin_k"
     elif ns.algebra == "solvable":
-        if set(params) != {"variant"}:
+        if set(params) != {"variant"} or params["variant"] not in (1, 2, 3):
             raise UsageError("tpa-normal-form on solvable takes exactly --param variant=<1|2|3>")
-        literal = f"table:solvable:{params['variant']}"
+        family, params = f"solvable_{params['variant']}", None
     else:
         raise UsageError("tpa-normal-form applies to the thin and solvable algebras")
     alg = make_algebra(ns.algebra)
-    p = _product_for(literal, alg)
+    p = _product(normal_form_product, family, params)
     srcs = _window_sources(alg, ns.window)
     table = []
     for i, x in enumerate(srcs):
         for y in srcs[i:]:
-            v = cli.product_eval(p, x, y)
+            v = product_eval(p, x, y)
             if not v.is_zero():
                 table.append({"x": x.token, "y": y.token, "value": render(v)})
     witness, checked = cli.check_tpa_window(alg, p, ns.window)
@@ -86,7 +88,7 @@ def _verb_tpa_normal_form(ns):
 
 def _verb_closure_check(ns):
     alg = _make_algebra(ns)
-    p = _product_for(ns.product, alg)
+    p = _product(parse_product_literal, ns.product, alg)
     if p.kind != "mutation":
         raise UsageError("closure-check needs a mutation product")
     try:

@@ -3,14 +3,16 @@ their bilinear evaluation.
 
 A product here is either a mutation x*y = x.w.y inside a commutative
 associative ambient algebra, or a finite table rule on the basis.
-`halfder.poisson` re-exports every public name and holds the checks
-that tie a product to a bracket.
+`halfder.poisson` holds the checks that tie a product to a bracket.
 """
 
 from __future__ import annotations
 
-from .algebras import AlgebraSpec, make_algebra, multilinear
-from .core import BasisIndex, Element, Family, ONE, bidx, pack, parse_element, render
+from .algebras import make_algebra
+from .basis import BasisIndex, Family, ONE, bidx
+from .core import parse_element, render
+from .element import Element, pack
+from .spec import AlgebraSpec, multilinear
 
 NORMAL_FORM_FAMILIES = ("thin_k", "solvable_1", "solvable_2", "solvable_3")
 
@@ -45,7 +47,7 @@ class ProductSpec:
         self._cache = {}
 
     def product_ints(self, x: BasisIndex, y: BasisIndex) -> tuple:
-        """The product of two basis indices as a packed entry (core.pack), memoized."""
+        """The product of two basis indices as a packed entry (element.pack), memoized."""
         out = self._cache.get((x, y))
         if out is None:
             out = self._cache[(x, y)] = pack(self.rule(x, y))

@@ -15,7 +15,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import solver
-from .solver import _bounded_entries, _cut, _row_dict, _Window
+from .elimination import _cut
+from .maps import _Window
+from .solver import _bounded_entries, _row_dict
 from .spec import BracketTable
 
 
@@ -94,8 +96,8 @@ class _Class:
     explicit vectors in null use no free column.  A row that N annihilates
     is in the Q-span of the rows before it and is dropped.  Otherwise a w
     in N with a nonzero dot product dw leaves N, and every other v with
-    dot d is cut to dw*v - d*w (solver._cut), so N spans the nullspace of
-    every row so far; the class is at full rank when N is empty.
+    dot d is cut to dw*v - d*w (elimination._cut), so N spans the nullspace
+    of every row so far; the class is at full rank when N is empty.
     """
 
     __slots__ = ("free", "null")
@@ -142,7 +144,7 @@ def select_rows(rows: Iterable[tuple], cols: dict, full: set) -> list[dict]:
     free columns, since a column is free when it is the largest unknown of
     some nullspace vector.
     """
-    of: list = [None] * sum(map(len, cols.values()))
+    of = [None] * sum(map(len, cols.values()))
     for k, us in cols.items():
         for u in us:
             of[u] = k
@@ -152,5 +154,6 @@ def select_rows(rows: Iterable[tuple], cols: dict, full: set) -> list[dict]:
         if k in live and live[k].add(row):
             del live[k]
             full.add(k)
+    # through solver, where perfbench's tracer wraps _rref
     pivots = solver._rref({~u: x for u, x in v.items()} for c in live.values() for v in c.vectors())
     return [{~u: Fraction(x, p[lead]) for u, x in p.items()} for lead, p in sorted(pivots.items(), reverse=True)]

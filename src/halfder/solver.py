@@ -9,7 +9,7 @@ nullspace.  Windowed artifacts near the boundary are removed by solving a
 strictly larger window and keeping only restrictions of its solutions.
 
 The window maps live in `halfder.maps` and the exact elimination in
-`halfder.elimination`; this module re-exports their public names.
+`halfder.elimination`.
 """
 
 from __future__ import annotations
@@ -21,32 +21,20 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .algebras import same_algebra
-from .core import Element, ZERO, as_scalar, render
-from .elimination import _cut, _rref, nullspace
-from .maps import LinMapWindow, WindowEscapeError, _check_bounds, _Window, delta_residual, identity_map
-
-__all__ = [
-    "LinMapWindow",
-    "SolutionSpace",
-    "WindowEscapeError",
-    "bounded_tuples",
-    "closed_form_map",
-    "delta_residual",
-    "identity_map",
-    "is_trivial_space",
-    "nullspace",
-    "solve_delta_derivations",
-    "solve_stabilized",
-    "stabilize",
-]
+from .basis import ZERO, as_scalar
+from .core import render
+from .element import Element
+from .elimination import _cut, _rref
+from .maps import LinMapWindow, _check_bounds, _Window
 
 
 def __getattr__(name):
-    """The closed-form maps, from halfder.candidates on first use, so a solve never compiles them."""
-    if name not in ("CLOSED_FORM_FAMILIES", "closed_form_map"):
+    """candidates.closed_form_map on first use, so a solve never compiles
+    halfder.candidates; perfbench/ask.py reads it as solver.closed_form_map."""
+    if name != "closed_form_map":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import candidates
-    return getattr(candidates, name)
+    from .candidates import closed_form_map
+    return closed_form_map
 
 
 def _bounded_entries(alg, sources: Sequence, bracket):

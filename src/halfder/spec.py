@@ -2,13 +2,14 @@
 constants, and multilinear, the extension of a basis rule to Elements.
 
 Structure constants are exact rationals, stored as packed int entries
-(core.pack) and read in int arithmetic: in the algebra's own memo, or in
+(element.pack) and read in int arithmetic: in the algebra's own memo, or in
 a BracketTable that lives only as long as the solve that reads it.
 """
 
 from __future__ import annotations
 
-from .core import C_INDEX, Element, Family, ONE, bidx, combine, pack, unpack
+from .basis import C_INDEX, Family, ONE, bidx
+from .element import Element, combine, pack, unpack
 
 _C = Family.C
 
@@ -148,7 +149,7 @@ class BracketTable(dict):
 
 def multilinear(args, rule) -> Element:
     """Multilinear extension of rule to Element args: rule maps a basis
-    tuple to core.combine parts (num, den, packed entry), and one combine
+    tuple to element.combine parts (num, den, packed entry), and one combine
     sums them all, scaled by the product of the tuple's coefficients."""
     stack = [((), ONE)]
     for a in args:

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebras import AlgebraSpec, _skew
-from .core import C_INDEX, Element, Family, ONE, bidx
+from .algebras import _skew
+from .basis import C_INDEX, Family, ONE, bidx
+from .element import Element
+from .spec import AlgebraSpec
 
 _L, _J, _C = Family.L, Family.J, Family.C
 _GP, _GM = Family.GPLUS, Family.GMINUS

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 
-from .algebras import AlgebraSpec, _el, _skew, _ungraded
-from .core import C_INDEX, Element, Family, as_scalar, bidx, unpack
+from .algebras import _el, _skew, _ungraded
+from .basis import C_INDEX, Family, as_scalar, bidx
+from .element import Element, unpack
+from .spec import AlgebraSpec
 
 _E, _L, _I, _J, _C = Family.E, Family.L, Family.I, Family.J, Family.C
 

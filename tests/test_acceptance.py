@@ -43,28 +43,24 @@ from itertools import combinations_with_replacement as cwr
 
 import pytest
 
-from halfder.algebras import ALGEBRA_NAMES, direct_sum, identity_residual, make_algebra
-from halfder.cli import emit_report, run_command
-from halfder.core import Element, Family, bidx, render
+from halfder.algebras import ALGEBRA_NAMES, identity_residual, make_algebra
+from halfder.basis import Family, bidx
+from halfder.candidates import closed_form_map
+from halfder.cli import run_command
+from halfder.core import render
+from halfder.element import Element
+from halfder.maps import LinMapWindow, delta_residual
 from halfder.poisson import (
-    ambient_for,
     check_tpa_window,
     find_poisson_witness,
     mutation_closure_check,
-    mutation_product,
-    normal_form_product,
     poisson_residual,
     right_mult_map,
 )
-from halfder.solver import (
-    LinMapWindow,
-    closed_form_map,
-    delta_residual,
-    is_trivial_space,
-    solve_delta_derivations,
-    solve_stabilized,
-    space_to_jsonable,
-)
+from halfder.products import ambient_for, mutation_product, normal_form_product
+from halfder.report import emit_report
+from halfder.solver import is_trivial_space, solve_delta_derivations, solve_stabilized, space_to_jsonable
+from halfder.tables import direct_sum
 
 HALF = Fraction(1, 2)
 

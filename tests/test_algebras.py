@@ -7,20 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfder.algebras import (
-    ALGEBRA_NAMES,
-    AlgebraSpec,
-    algebra_from_structure_json,
-    algebra_params,
-    direct_sum,
-    finite_structure_json,
-    identity_residual,
-    make_algebra,
-)
+from halfder.algebras import ALGEBRA_NAMES, algebra_params, identity_residual, make_algebra
+from halfder.basis import Family, bidx
 from halfder.catalogue import BUILDERS
-from halfder.core import Element, Family, bidx, parse_element, render
-from halfder.poisson import ProductSpec, mutation_product, poisson_residual, product_eval, tpa_residual
-from halfder.solver import LinMapWindow, delta_residual
+from halfder.core import parse_element, render
+from halfder.element import Element
+from halfder.maps import LinMapWindow, delta_residual
+from halfder.poisson import poisson_residual, tpa_residual
+from halfder.products import ProductSpec, mutation_product, product_eval
+from halfder.spec import AlgebraSpec
+from halfder.tables import algebra_from_structure_json, direct_sum, finite_structure_json
 from test_solver import finite_structures
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from halfder.cli import emit_report, main, run_command
+from halfder.cli import main, run_command
+from halfder.report import emit_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -125,6 +126,18 @@ def test_tpa_normal_form():
         ["tpa-normal-form", "--algebra", "solvable", "--param", "variant=2", "--window", "6"]
     )
     assert code == 0 and report.status == "pass"
+
+
+def test_tpa_normal_form_usage_errors_name_the_param(capsys):
+    for param, message in (
+        ("variant=9", "tpa-normal-form on solvable takes exactly --param variant=<1|2|3>"),
+        ("variant=0", "tpa-normal-form on solvable takes exactly --param variant=<1|2|3>"),
+        ("k=1", "thin_k needs an integer k >= 2"),
+    ):
+        algebra = "thin" if param.startswith("k") else "solvable"
+        code, report = run(["tpa-normal-form", "--algebra", algebra, "--param", param])
+        assert (code, report) == (2, None)
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_closure_check():
@@ -297,9 +310,9 @@ def test_module_entry_point_reports_usage_errors(argv, message):
 def test_structure_tables_hold_only_packed_entries(monkeypatch):
     # every structure constant a scan computes is stored once, as a packed
     # int entry (den, o_1, n_1, ...); no Element cache sits beside it
-    from halfder.algebras import AlgebraSpec
-    from halfder.core import BasisIndex
-    from halfder.poisson import ProductSpec
+    from halfder.basis import BasisIndex
+    from halfder.products import ProductSpec
+    from halfder.spec import AlgebraSpec
 
     made = []
     for cls, attr in ((AlgebraSpec, "__post_init__"), (ProductSpec, "__init__")):
@@ -332,8 +345,9 @@ def test_structure_tables_hold_only_packed_entries(monkeypatch):
 
 def test_algebra_check_compares_packed_brackets(monkeypatch):
     from halfder import cli
-    from halfder.algebras import AlgebraSpec
-    from halfder.core import ONE, Element, Family, bidx
+    from halfder.basis import ONE, Family, bidx
+    from halfder.element import Element
+    from halfder.spec import AlgebraSpec
 
     basis = (bidx(Family.E, 0), bidx(Family.E, 2))
 

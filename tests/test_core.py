@@ -7,20 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfder.algebras import make_algebra
-from halfder.core import (
-    BasisIndex,
-    Element,
-    Family,
-    ParseError,
-    as_scalar,
-    bidx,
-    combine,
-    element_combine,
-    pack,
-    parse_element,
-    render,
-    unpack,
-)
+from halfder.basis import BasisIndex, Family, as_scalar, bidx
+from halfder.core import ParseError, parse_element, render
+from halfder.element import Element, combine, element_combine, pack, unpack
 from halfder.solver import solve_delta_derivations
 
 

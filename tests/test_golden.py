@@ -17,9 +17,11 @@ from fractions import Fraction
 
 import pytest
 
-from halfder.algebras import direct_sum, finite_structure_json, make_algebra
-from halfder.cli import emit_report, run_command
+from halfder.algebras import make_algebra
+from halfder.cli import run_command
+from halfder.report import emit_report
 from halfder.solver import is_trivial_space, solve_stabilized, space_to_jsonable
+from halfder.tables import direct_sum, finite_structure_json
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden.json"
 

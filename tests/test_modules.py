@@ -12,7 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# just above cli.py, the largest module (1,415)
+# just above rows.py, the largest module (1,408)
 MAX_CODE_TOKENS = 1500
 
 
@@ -70,16 +70,13 @@ _FOOTPRINT = """
 import sys
 from halfder import cli
 print(sorted(m for m in {modules!r} if m in sys.modules))
-print(cli.run_command(["algebra-list", "--format", "json"])[0], cli._build_parser.cache_info().currsize)
+code = cli.run_command(["algebra-list", "--format", "json"])[0]
+from halfder.arguments import _build_parser
+print(code, _build_parser.cache_info().currsize)
 print(cli.run_command(["derive-solve", "--algebra", "sl2", "--format", "json"])[0],
       sorted(m for m in {poisson_or_data!r} if m in sys.modules))
 print(cli.run_command(["tpa-verify", "--algebra", "witt", "--product=mutation:w=e_0", "--window", "2"])[0],
       all(m in sys.modules for m in ("halfder.poisson", "halfder.products", "halfder.poisson_verbs")))
-from halfder import poisson
-print([n for n in cli._POISSON if getattr(cli, n) is not getattr(poisson, n)])
-from halfder import algebras, candidates, solver, tables
-print(solver.closed_form_map is candidates.closed_form_map, algebras.direct_sum is tables.direct_sum,
-      hasattr(solver, "no_such_name"), hasattr(algebras, "no_such_name"))
 """
 
 # pulled in by dataclass code generation or by typing, or compiled only on first use
@@ -96,46 +93,85 @@ def test_import_builds_nothing():
     code = _FOOTPRINT.format(modules=_NOT_AT_IMPORT, poisson_or_data=_NOT_IN_A_SOLVE)
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded, listed, solved, verified, unbound, served = proc.stdout.splitlines()[-6:]
+    loaded, listed, solved, verified = proc.stdout.splitlines()[-4:]
     # halfder.arguments among them: the argument parser is not even compiled at import
     assert loaded == "[]", f"import halfder.cli loaded {loaded}"
     assert listed == "0 1", "algebra-list should exit 0 after building the parser once"
     assert solved == "0 []", f"derive-solve should exit 0 without importing these: {solved}"
     assert verified == "0 True", "tpa-verify should exit 0 after importing the Poisson modules"
-    # the same objects, so a wrapper on either binding fires once per call
-    assert unbound == "[]", f"cli names that are not the halfder.poisson objects: {unbound}"
-    # the moved objects themselves, and no other name served
-    assert served == "True True False False", f"solver/algebras names on first use: {served}"
 
 
-# the names tests, the README and perfbench/ask.py read from each module
-# before it was split, besides its __all__
-_READ_FROM = {
-    "core": ("BasisIndex", "Element", "Family", "ONE", "ParseError", "as_scalar", "bidx", "combine",
-             "element_combine", "pack", "parse_element", "render", "unpack"),
-    "solver": ("LinMapWindow", "SolutionSpace", "WindowEscapeError", "_Window", "_row_dict", "_rref",
-               "_system_rows", "closed_form_map", "delta_residual", "identity_map", "is_trivial_space",
-               "nullspace", "solve_delta_derivations", "solve_stabilized", "space_to_jsonable", "stabilize"),
-    "algebras": ("ALGEBRA_NAMES", "AlgebraSpec", "algebra_from_structure_json", "algebra_params", "direct_sum",
-                 "finite_structure_json", "identity_residual", "make_algebra"),
-    "poisson": ("ProductSpec", "ambient_for", "assoc_comm_residuals", "check_tpa_window", "find_poisson_witness",
-                "mutation_closure_check", "mutation_product", "normal_form_product", "parse_product_literal",
-                "poisson_residual", "product_eval", "right_mult_map", "tpa_residual"),
-    "cli": ("_POISSON", "_build_parser", "_make_algebra", "check_tpa_window", "emit_report", "main",
-            "run_command"),
-    "catalogue": ("BUILDERS",),
+def _defined(tree) -> set:
+    """Names a module binds at top level other than by import."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def _readme_library() -> str:
+    library = (SRC.parent / "README.md").read_text().split("\n## Library\n", 1)[1]
+    return library.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_imports_name_the_defining_module():
+    """Each `from .X import n` in src/halfder, and each `from halfder.X
+    import n` in tests/ and the README's library example, names a module X
+    that defines n.  The exceptions are the names a module serves on first
+    use through its `__getattr__`.  No module but halfder/__init__ has an
+    `__all__`."""
+    trees = _trees()
+    defined = {name[:-3]: _defined(tree) for name, tree in trees.items()}
+    from halfder import cli
+
+    served = {("algebras", "direct_sum"), ("solver", "closed_form_map"), *(("cli", n) for n in cli._POISSON)}
+    sources = {f"src/halfder/{name}": tree for name, tree in trees.items()}
+    sources.update({f"tests/{p.name}": ast.parse(p.read_text()) for p in sorted(Path(__file__).parent.glob("*.py"))})
+    sources["README.md"] = ast.parse(_readme_library())
+    wrong = []
+    for where, tree in sources.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 1 and module and where.startswith("src/"):
+                home = module
+            elif node.level == 0 and module.startswith("halfder."):
+                home = module[len("halfder."):]
+            else:
+                continue
+            wrong += [f"{where}:{node.lineno}: {home}.{a.name}" for a in node.names
+                      if a.name not in defined[home] and (home, a.name) not in served]
+    assert not wrong, f"imports through a module that does not define the name: {wrong}"
+    with_all = [name for name, names in defined.items() if "__all__" in names and name != "__init__"]
+    assert not with_all, f"only halfder/__init__ lists the public names: {with_all}"
+
+
+# the bindings perfbench/spans.py and perfbench/ask.py read, or the Poisson
+# verbs call, through a module that does not define them, with the module
+# that does
+_READ_THROUGH = {
+    "algebras": {"AlgebraSpec": "spec", "direct_sum": "tables"},
+    "cli": {"delta_residual": "maps", "emit_report": "report", "identity_residual": "algebras",
+            "solve_delta_derivations": "solver", "solve_stabilized": "solver",
+            **dict.fromkeys(("check_tpa_window", "find_poisson_witness", "mutation_closure_check",
+                             "poisson_residual", "tpa_residual"), "poisson")},
+    "poisson": {"ProductSpec": "products"},
+    "solver": {"_rref": "elimination", "closed_form_map": "candidates"},
 }
 
 
-@pytest.mark.parametrize("name", sorted(_READ_FROM))
-def test_split_modules_keep_their_names(name):
+@pytest.mark.parametrize("name", sorted(_READ_THROUGH))
+def test_kept_bindings_are_the_defining_objects(name):
+    # the same objects, so a tracer's wrapper on either binding fires once per call
     module = importlib.import_module(f"halfder.{name}")
-    for attr in sorted({*_READ_FROM[name], *getattr(module, "__all__", ())}):
-        obj = getattr(module, attr)
-        home = getattr(obj, "__module__", "") if callable(obj) else ""
-        if home.startswith("halfder."):
-            # a function or class is the object of the module that defines it
-            assert getattr(importlib.import_module(home), obj.__name__) is obj, f"{name}.{attr}"
+    for attr, home in _READ_THROUGH[name].items():
+        assert getattr(module, attr) is getattr(importlib.import_module(f"halfder.{home}"), attr), attr
+    assert not hasattr(module, "no_such_name")
 
 
 def _trees() -> dict:
@@ -204,10 +240,8 @@ def test_no_typing_or_dataclasses_imports():
 
 
 def test_readme_library_example_runs():
-    """The README's library example, in a fresh process: its import of
-    closed_form_map from halfder.solver takes the first-use path."""
-    library = (SRC.parent / "README.md").read_text().split("\n## Library\n", 1)[1]
-    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    """The README's library example, in a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _readme_library()], capture_output=True, text=True, env=env,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -6,23 +6,29 @@ import pytest
 from hypothesis import given, strategies as st
 
 from halfder.algebras import make_algebra
-from halfder.core import Element, Family, bidx, parse_element
+from halfder.basis import Family, bidx
+from halfder.candidates import closed_form_map
+from halfder.core import parse_element
+from halfder.element import Element
+from halfder.maps import delta_residual
 from halfder.poisson import (
-    ProductSpec,
-    ambient_for,
-    assoc_comm_residuals,
     check_tpa_window,
     find_poisson_witness,
     mutation_closure_check,
-    mutation_product,
-    normal_form_product,
-    parse_product_literal,
     poisson_residual,
-    product_eval,
     right_mult_map,
     tpa_residual,
 )
-from halfder.solver import closed_form_map, delta_residual, is_trivial_space, solve_stabilized
+from halfder.products import (
+    ProductSpec,
+    ambient_for,
+    assoc_comm_residuals,
+    mutation_product,
+    normal_form_product,
+    parse_product_literal,
+    product_eval,
+)
+from halfder.solver import is_trivial_space, solve_stabilized
 
 HALF = Fraction(1, 2)
 

@@ -14,27 +14,25 @@ from hypothesis import strategies as st
 
 from halfder import rows as rows_module
 from halfder import solver
-from halfder.algebras import AlgebraSpec, algebra_from_structure_json, direct_sum, make_algebra
-from halfder.core import Element, Family, bidx
+from halfder.algebras import make_algebra
+from halfder.basis import Family, bidx
+from halfder.candidates import closed_form_map
+from halfder.element import Element
+from halfder.elimination import _rref, nullspace
+from halfder.maps import LinMapWindow, WindowEscapeError, _Window, delta_residual, identity_map
 from halfder.rows import residual_rows, select_rows
 from halfder.solver import (
-    LinMapWindow,
     SolutionSpace,
-    WindowEscapeError,
     _row_dict,
-    _rref,
     _system_rows,
-    _Window,
-    closed_form_map,
-    delta_residual,
-    identity_map,
     is_trivial_space,
-    nullspace,
     solve_delta_derivations,
     solve_stabilized,
     space_to_jsonable,
     stabilize,
 )
+from halfder.spec import AlgebraSpec
+from halfder.tables import algebra_from_structure_json, direct_sum
 
 HALF = Fraction(1, 2)
 
@@ -431,6 +429,15 @@ def test_closed_form_keys_are_never_truncated():
     shift2 = closed_form_map("witt_shift_family", {"2": 1}, witt, 4)
     assert shift2.images == closed_form_map("witt_shift_family", {2: 1}, witt, 4).images
     assert shift2.images == {E(i): Element.basis(E(i + 2)) for i in range(-4, 5)}
+
+
+def test_thin_candidate_rejects_unknown_keys():
+    # a misspelt key used to be dropped, giving the zero map
+    thin = make_algebra("thin")
+    for coeffs, named in (({"alpah": {1: 1}}, "'alpah'"), ({"alpha": {1: 1}, 1: {2: 1}}, "not 1")):
+        with pytest.raises(ValueError, match=named):
+            closed_form_map("thin_candidate", coeffs, thin, 3)
+    assert closed_form_map("thin_candidate", {"beta": {2: 1}}, thin, 3).images[E(2)] == Element.basis(E(2))
 
 
 def test_contains_requires_matching_window():
