@@ -153,6 +153,16 @@ def leibniz_parts(alg: AlgebraSpec, args: tuple, image: Callable, a=ONE, b=ONE) 
     return parts
 
 
+def first_defect(cases, residual: Callable) -> tuple:
+    """((first case with a nonzero residual(*case), that residual) or None,
+    cases tried): the one window scan.  cases is never advanced past the hit."""
+    tried = 0
+    for tried, case in enumerate(cases, 1):
+        if res := residual(*case):
+            return (case, res), tried
+    return None, tried
+
+
 def identity_residual(alg: AlgebraSpec, args: tuple) -> Element:
     """Defining-identity residual on a basis tuple; zero iff it holds there.
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 import os
 import sys
 import time
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
-from .algebras import ALGEBRA_NAMES, algebra_params, identity_residual, make_algebra
+from .algebras import ALGEBRA_NAMES, algebra_params, first_defect, identity_residual, make_algebra
 from .basis import as_scalar
 from .core import render
 from .element import combine
@@ -89,27 +89,23 @@ def _verb_algebra_check(ns):
     alg = _make_algebra(ns)
     srcs = _window_sources(alg, ns.window)
     n = alg.arity
-    anti_checked = 0
-    for t in combinations_with_replacement(srcs, n):
-        for i in range(n - 1):
-            swapped = t[:i] + (t[i + 1], t[i]) + t[i + 2 :]
-            sign = -1 if (t[i].parity and t[i + 1].parity) else 1
-            res = combine([(1, 1, alg.bracket_ints(t)), (sign, 1, alg.bracket_ints(swapped))])
-            anti_checked += 1
-            if res:
-                return "fail", {"check": "antisymmetry", "tuple": [i.token for i in t], "residual": render(res)}
-    id_checked = 0
-    for xblock in combinations_with_replacement(srcs, n - 1):
-        for yblock in combinations_with_replacement(srcs, n):
-            args = xblock + yblock
-            res = identity_residual(alg, args)
-            id_checked += 1
-            if not res.is_zero():
-                return "fail", {
-                    "check": "defining identity",
-                    "tuple": [i.token for i in args],
-                    "residual": render(res),
-                }
+
+    def swap_residual(t, i):
+        swapped = t[:i] + (t[i + 1], t[i]) + t[i + 2 :]
+        sign = -1 if (t[i].parity and t[i + 1].parity) else 1
+        return combine([(1, 1, alg.bracket_ints(t)), (sign, 1, alg.bracket_ints(swapped))])
+
+    hit, anti_checked = first_defect(product(combinations_with_replacement(srcs, n), range(n - 1)), swap_residual)
+    if hit:
+        (t, _), res = hit
+        return "fail", {"check": "antisymmetry", "tuple": [i.token for i in t], "residual": render(res)}
+    hit, id_checked = first_defect(
+        product(combinations_with_replacement(srcs, n - 1), combinations_with_replacement(srcs, n)),
+        lambda x, y: identity_residual(alg, x + y),
+    )
+    if hit:
+        (x, y), res = hit
+        return "fail", {"check": "defining identity", "tuple": [i.token for i in x + y], "residual": render(res)}
     return "pass", {
         "algebra": alg.name,
         "params": {k: str(v) for k, v in sorted(alg.params.items())},
@@ -133,16 +129,12 @@ def _verb_derive_solve(ns):
         except ValueError as e:
             raise UsageError(str(e)) from None
     trivial = is_trivial_space(space)
-    tuples = list(bounded_tuples(alg, _window_sources(alg, ns.window)))
-    checked = 0
-    for phi in space.basis:
-        for args in tuples:
-            checked += 1
-            if not delta_residual(alg, phi, delta, args).is_zero():
-                return "fail", {
-                    "error": "solution fails its defining equations",
-                    "tuple": [i.token for i in args],
-                }
+    hit, checked = first_defect(
+        product(space.basis, bounded_tuples(alg, _window_sources(alg, ns.window))),
+        lambda phi, args: delta_residual(alg, phi, delta, args),
+    )
+    if hit:
+        return "fail", {"error": "solution fails its defining equations", "tuple": [i.token for i in hit[0][1]]}
     payload = space_to_jsonable(space, trivial)
     payload["residuals_checked"] = checked
     return "pass", payload

@@ -12,9 +12,9 @@ the residuals and the window checks.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations_with_replacement, product as iproduct
+from itertools import combinations_with_replacement, groupby, product as iproduct
 
-from .algebras import leibniz_parts
+from .algebras import first_defect, leibniz_parts
 from .element import Element, combine
 from .maps import LinMapWindow
 from .products import ProductSpec, _as_element, mutation_product
@@ -68,14 +68,12 @@ def find_poisson_witness(alg: AlgebraSpec, p: ProductSpec, window: int) -> tuple
     """
     if alg.arity != 2:
         raise ValueError("the Poisson Leibniz rule is a binary-bracket check")
-    levels: dict = {}
-    for s in _scan_order(alg, window):
-        levels.setdefault(s.degree2, []).append(s)
-    for xs, ys, zs in iproduct(levels.values(), repeat=3):
-        for x, y, z in iproduct(xs, ys, zs):
-            if not poisson_residual(alg, p, x, y, z).is_zero():
-                return (x, y, z)
-    return None
+    levels = [list(level) for _, level in groupby(_scan_order(alg, window), lambda s: s.degree2)]
+    hit, _ = first_defect(
+        (t for blocks in iproduct(levels, repeat=3) for t in iproduct(*blocks)),
+        lambda x, y, z: poisson_residual(alg, p, x, y, z),
+    )
+    return hit and hit[0]
 
 
 def check_tpa_window(alg: AlgebraSpec, p: ProductSpec, window: int) -> tuple[tuple | None, int]:
@@ -85,14 +83,12 @@ def check_tpa_window(alg: AlgebraSpec, p: ProductSpec, window: int) -> tuple[tup
     sorted tuples decide the identity for all ordered ones.
     """
     srcs = _scan_order(alg, window)
-    checked = 0
-    for z in srcs:
-        image = partial(p.product_ints, z)
-        for args in combinations_with_replacement(srcs, alg.arity):
-            checked += 1
-            if combine(leibniz_parts(alg, args, image, alg.arity)):
-                return (z, args), checked
-    return None, checked
+    images = {z: partial(p.product_ints, z) for z in srcs}
+    hit, checked = first_defect(
+        iproduct(srcs, combinations_with_replacement(srcs, alg.arity)),
+        lambda z, args: combine(leibniz_parts(alg, args, images[z], alg.arity)),
+    )
+    return hit and hit[0], checked
 
 
 def right_mult_map(p: ProductSpec, z, alg: AlgebraSpec, window: int) -> LinMapWindow:

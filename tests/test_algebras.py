@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfder.algebras import ALGEBRA_NAMES, algebra_params, identity_residual, make_algebra
+from halfder.algebras import ALGEBRA_NAMES, algebra_params, first_defect, identity_residual, make_algebra
 from halfder.basis import Family, bidx
 from halfder.catalogue import BUILDERS
 from halfder.core import parse_element, render
@@ -467,6 +467,23 @@ def test_identity_residual_arity_check():
     a4 = make_algebra("nary_simple", n=3)
     with pytest.raises(ValueError):
         identity_residual(a4, (E(1), E(2), E(3)))
+
+
+def test_first_defect_counts_and_stops():
+    def cases(values):
+        # 1-tuples that raise if the scan asks for one past a nonzero value
+        for v in values:
+            yield (v,)
+            if v:
+                raise AssertionError("first_defect advanced past the first defect")
+
+    assert first_defect(cases([0, 0, 3, 4]), lambda v: v) == (((3,), 3), 3)
+    assert first_defect(cases([5, 0]), lambda v: v) == (((5,), 5), 1)
+    assert first_defect(cases([0, 0, 0]), lambda v: v) == (None, 3)
+    assert first_defect(cases([]), lambda v: v) == (None, 0)
+    # residual takes the case's parts as arguments; a nonzero Element is a defect
+    x = Element.basis(E(1))
+    assert first_defect(iter([(x, 0), (x, -1)]), lambda e, c: e.scale(c)) == (((x, -1), x.scale(-1)), 2)
 
 
 def test_centrality():

@@ -365,6 +365,37 @@ def test_algebra_check_compares_packed_brackets(monkeypatch):
     assert report.payload == {"check": "antisymmetry", "tuple": ["e_0", "e_1"], "residual": "e_0 + e_1"}
 
 
+def test_algebra_check_reports_a_defining_identity_failure(monkeypatch):
+    from halfder import cli
+    from halfder.tables import algebra_from_structure_json
+
+    # antisymmetric, but [e_0, [e_1, e_2]] = 0 while [[e_0, e_1], e_2] + [e_1, [e_0, e_2]] = e_1
+    alg = algebra_from_structure_json({"dim": 3, "brackets": [[0, 1, [[0, "1"]]], [0, 2, [[1, "1"]]]]})
+    monkeypatch.setattr(cli, "_make_algebra", lambda ns: alg)
+    code, report = run(["algebra-check", "--algebra", "sl2"])
+    assert code == 1 and report.status == "fail"
+    assert report.payload == {"check": "defining identity", "tuple": ["e_0", "e_1", "e_2"], "residual": "-e_1"}
+
+
+def test_derive_solve_rechecks_the_maps_it_reports(monkeypatch):
+    from halfder import cli
+    from halfder.basis import Family, bidx
+    from halfder.element import Element
+    from halfder.maps import LinMapWindow
+    from halfder.solver import SolutionSpace
+
+    def solve_stabilized(alg, delta, window, shift):
+        # a "stable" space whose one map, e_1 -> e_1, is no delta-derivation
+        e1 = bidx(Family.E, 2)
+        phi = LinMapWindow(alg, window + shift, {e1: Element.basis(e1)})
+        return SolutionSpace(alg, delta, window, shift, [phi], True)
+
+    monkeypatch.setattr(cli, "solve_stabilized", solve_stabilized)
+    code, report = run(["derive-solve", "--algebra", "witt", "--window", "2", "--shift", "1"])
+    assert code == 1 and report.status == "fail"
+    assert report.payload == {"error": "solution fails its defining equations", "tuple": ["e_-2", "e_1"]}
+
+
 def test_poisson_names_bind_on_first_use(monkeypatch):
     # cli binds the halfder.poisson names on first use; a name set on cli
     # before the first Poisson verb, as a tracer sets its wrappers, is the
