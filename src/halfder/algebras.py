@@ -129,17 +129,18 @@ def same_algebra(a: AlgebraSpec, b: AlgebraSpec) -> bool:
 # operations
 
 
-def leibniz_parts(alg: AlgebraSpec, args: tuple, image: Callable, a=ONE, b=ONE) -> list:
+def leibniz_parts(bracket: Callable, args: tuple, image: Callable, a=ONE, b=ONE) -> list:
     """a.f([x_1..x_n]) - b.sum_i (sign) [x_1,..,f(x_i),..,x_n] on basis args,
     as the element.combine parts (num, den, packed entry) that sum to it.
 
-    image(x) gives the packed entry (element.pack) of f(x) on a basis index x;
-    a term t of f(x_i) takes the sign
-    (-1)^{(|t|+|x_i|)(|x_1|+..+|x_{i-1}|)}.  f = ad_x gives the defining
-    identity, f = phi with b = delta the delta-derivation equation, and
-    f = z*- with a = n the transposed Poisson law.
+    bracket(args) and image(x) give packed entries (element.pack) of the
+    bracket on a basis tuple and of f(x) on a basis index x; a term t of
+    f(x_i) takes the sign (-1)^{(|t|+|x_i|)(|x_1|+..+|x_{i-1}|)}.  With
+    alg.bracket_ints as the bracket, f = ad_x gives the defining identity,
+    f = phi with b = delta the delta-derivation equation, and f = z*- with
+    a = n the transposed Poisson law; with the opposite product as the
+    bracket, on (y, x), f = [-, z] gives the classical Poisson rule.
     """
-    bracket = alg.bracket_ints
     top = bracket(args)
     parts = [(a.numerator * n, a.denominator * top[0], image(o)) for o, n in zip(top[1::2], top[2::2])]
     prefix = 0
@@ -175,4 +176,4 @@ def identity_residual(alg: AlgebraSpec, args: tuple) -> Element:
     if len(args) != 2 * n - 1:
         raise ValueError(f"identity residual needs {2 * n - 1} indices, got {len(args)}")
     xs, ys = args[: n - 1], args[n - 1 :]
-    return combine(leibniz_parts(alg, ys, lambda y: alg.bracket_ints(xs + (y,))))
+    return combine(leibniz_parts(alg.bracket_ints, ys, lambda y: alg.bracket_ints(xs + (y,))))

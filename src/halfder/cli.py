@@ -29,7 +29,7 @@ from .solver import bounded_tuples, is_trivial_space, solve_delta_derivations, s
 # bound from halfder.poisson by __getattr__ on first use, so a solve never
 # compiles it; the Poisson verbs call them as cli.<name>, and perfbench's
 # tracer wraps them here
-_POISSON = ("check_tpa_window", "find_poisson_witness", "mutation_closure_check", "poisson_residual", "tpa_residual")
+_POISSON = ("check_tpa_window", "find_poisson_witness", "mutation_closure_check")
 
 
 def __getattr__(name):

@@ -82,7 +82,7 @@ def delta_residual(alg, phi: LinMapWindow, delta, args: tuple) -> Element:
     if len(args) != alg.arity:
         raise ValueError(f"expected {alg.arity} arguments, got {len(args)}")
     try:
-        return combine(leibniz_parts(alg, args, phi.ints, b=as_scalar(delta)))
+        return combine(leibniz_parts(alg.bracket_ints, args, phi.ints, b=as_scalar(delta)))
     except WindowEscapeError as e:
         raise WindowEscapeError(f"{e}, for tuple ({', '.join(a.token for a in args)})") from None
 

@@ -34,25 +34,24 @@ def tpa_residual(alg: AlgebraSpec, p: ProductSpec, z, args: tuple) -> Element:
         raise ValueError(f"expected {alg.arity} bracket arguments, got {len(args)}")
     return multilinear(
         [*map(_as_element, (z, *args))],
-        lambda zx: leibniz_parts(alg, zx[1:], partial(p.product_ints, zx[0]), alg.arity),
+        lambda zx: leibniz_parts(alg.bracket_ints, zx[1:], partial(p.product_ints, zx[0]), alg.arity),
     )
 
 
 def poisson_residual(alg: AlgebraSpec, p: ProductSpec, x, y, z) -> Element:
-    """[x*y, z] - x*[y,z] - y*[x,z], the classical Leibniz defect."""
+    """[x*y, z] - x*[y,z] - (-1)^{|y||z|} [x,z]*y, the classical Leibniz defect.
+
+    The leibniz_parts form of f = [-, z] over the opposite product
+    (u, v) -> v*u on (y, x); its Koszul sign is the graded Poisson rule's.
+    """
     if alg.arity != 2:
         raise ValueError("the Poisson Leibniz rule is a binary-bracket check")
-
-    def kernel(xyz):
-        x, y, z = xyz
-        xy = p.product_ints(x, y)
-        parts = [(n, xy[0], alg.bracket_ints((t, z))) for t, n in zip(xy[1::2], xy[2::2])]
-        for u, v in ((x, y), (y, x)):  # u*[v,z]
-            vz = alg.bracket_ints((v, z))
-            parts += [(-n, vz[0], p.product_ints(u, t)) for t, n in zip(vz[1::2], vz[2::2])]
-        return parts
-
-    return multilinear([*map(_as_element, (x, y, z))], kernel)
+    return multilinear(
+        [*map(_as_element, (x, y, z))],
+        lambda xyz: leibniz_parts(
+            lambda vu: p.product_ints(vu[1], vu[0]), xyz[1::-1], lambda u: alg.bracket_ints((u, xyz[2]))
+        ),
+    )
 
 
 def _scan_order(alg: AlgebraSpec, window: int) -> list:
@@ -60,7 +59,8 @@ def _scan_order(alg: AlgebraSpec, window: int) -> list:
 
 
 def find_poisson_witness(alg: AlgebraSpec, p: ProductSpec, window: int) -> tuple | None:
-    """First window triple (x, y, z) with a nonzero Leibniz defect, or None.
+    """((x, y, z), its Leibniz defect) for the first window triple whose
+    defect is nonzero, or None.
 
     Triples are ordered by degree triple first, family triple second, so
     reports are deterministic.  They are generated in that order, degree
@@ -69,26 +69,25 @@ def find_poisson_witness(alg: AlgebraSpec, p: ProductSpec, window: int) -> tuple
     if alg.arity != 2:
         raise ValueError("the Poisson Leibniz rule is a binary-bracket check")
     levels = [list(level) for _, level in groupby(_scan_order(alg, window), lambda s: s.degree2)]
-    hit, _ = first_defect(
+    return first_defect(
         (t for blocks in iproduct(levels, repeat=3) for t in iproduct(*blocks)),
         lambda x, y, z: poisson_residual(alg, p, x, y, z),
-    )
-    return hit and hit[0]
+    )[0]
 
 
 def check_tpa_window(alg: AlgebraSpec, p: ProductSpec, window: int) -> tuple[tuple | None, int]:
-    """Scan z against sorted argument tuples; (first failing (z, args), count).
+    """Scan z against sorted argument tuples: (((z, args), residual) for the
+    first failing pair or None, pairs checked).
 
     Swapping two bracket arguments rescales the residual by a sign, so the
     sorted tuples decide the identity for all ordered ones.
     """
     srcs = _scan_order(alg, window)
     images = {z: partial(p.product_ints, z) for z in srcs}
-    hit, checked = first_defect(
+    return first_defect(
         iproduct(srcs, combinations_with_replacement(srcs, alg.arity)),
-        lambda z, args: combine(leibniz_parts(alg, args, images[z], alg.arity)),
+        lambda z, args: combine(leibniz_parts(alg.bracket_ints, args, images[z], alg.arity)),
     )
-    return hit and hit[0], checked
 
 
 def right_mult_map(p: ProductSpec, z, alg: AlgebraSpec, window: int) -> LinMapWindow:
@@ -107,9 +106,9 @@ def mutation_closure_check(alg: AlgebraSpec, p: ProductSpec, q_elem, window: int
     """
     if p.kind != "mutation":
         raise ValueError("closure is defined for mutation products")
-    base_witness, _ = check_tpa_window(alg, p, window)
-    if base_witness is not None:
-        z, args = base_witness
+    hit, _ = check_tpa_window(alg, p, window)
+    if hit is not None:
+        (z, args), _ = hit
         raise ValueError(
             "base product fails the compatibility law at "
             f"z={z.token}, ({', '.join(a.token for a in args)})"
@@ -118,5 +117,4 @@ def mutation_closure_check(alg: AlgebraSpec, p: ProductSpec, q_elem, window: int
     qe = _as_element(q_elem)
     w_new = amb.assoc(amb.assoc(p.w, qe), p.w)
     p_new = mutation_product(amb, w_new)
-    witness, _ = check_tpa_window(alg, p_new, window)
-    return witness is None
+    return check_tpa_window(alg, p_new, window)[0] is None

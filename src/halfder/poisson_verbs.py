@@ -31,13 +31,12 @@ def _verb_tpa_verify(ns):
     alg = _make_algebra(ns)
     p = _product(parse_product_literal, ns.product, alg)
     _window_sources(alg, ns.window)
-    witness, checked = cli.check_tpa_window(alg, p, ns.window)
+    hit, checked = cli.check_tpa_window(alg, p, ns.window)
     base = {"product": p.name, "window": ns.window, "tuples_checked": checked}
-    if witness is None:
+    if hit is None:
         return "pass", base
-    z, args = witness
-    res = render(cli.tpa_residual(alg, p, z, args))
-    base["witness"] = {"z": z.token, "args": [i.token for i in args], "residual": res}
+    (z, args), res = hit
+    base["witness"] = {"z": z.token, "args": [i.token for i in args], "residual": render(res)}
     return "fail", base
 
 
@@ -47,11 +46,11 @@ def _verb_tpa_witness(ns):
         raise UsageError("the Poisson Leibniz check needs a binary bracket")
     p = _product(parse_product_literal, ns.product, alg)
     _window_sources(alg, ns.window)
-    triple = cli.find_poisson_witness(alg, p, ns.window)
+    hit = cli.find_poisson_witness(alg, p, ns.window)
     base = {"product": p.name, "window": ns.window}
-    if triple is None:
+    if hit is None:
         return "none", base
-    res = cli.poisson_residual(alg, p, *triple)
+    triple, res = hit
     base["witness"] = {"triple": [i.token for i in triple], "residual": render(res)}
     return "witness-found", base
 
@@ -77,11 +76,11 @@ def _verb_tpa_normal_form(ns):
             v = product_eval(p, x, y)
             if not v.is_zero():
                 table.append({"x": x.token, "y": y.token, "value": render(v)})
-    witness, checked = cli.check_tpa_window(alg, p, ns.window)
+    hit, checked = cli.check_tpa_window(alg, p, ns.window)
     base = {"product": p.name, "window": ns.window, "tuples_checked": checked, "table": table}
-    if witness is None:
+    if hit is None:
         return "pass", base
-    z, args = witness
+    (z, args), _ = hit
     base["witness"] = {"z": z.token, "args": [i.token for i in args]}
     return "fail", base
 

@@ -123,29 +123,24 @@ def solve_delta_derivations(alg, delta, window=None, shift=None) -> SolutionSpac
     return SolutionSpace(alg=alg, delta=d, window=win.window, shift=win.shift, basis=basis, stable=alg.is_finite)
 
 
-def stabilize(space_small: SolutionSpace, space_large: SolutionSpace) -> SolutionSpace:
-    """Restrict the large-window space to the small space's window.
-
-    The small space's basis is not read: each equation of its window is one
-    of the large window, on the same unknowns, so the restrictions solve it.
-    """
-    if space_small.alg.is_finite:
+def stabilize(space: SolutionSpace, window: int) -> SolutionSpace:
+    """Restrict the solutions of space to a window smaller by at least
+    max(shift, 1): each equation of that window is one of space's window,
+    on the same unknowns, so the restrictions solve it."""
+    if space.alg.is_finite:
         raise ValueError("finite-dimensional spaces are already stable")
-    if not same_algebra(space_small.alg, space_large.alg):
-        raise ValueError("stabilize needs solution spaces for the same algebra")
-    if space_small.delta != space_large.delta or space_small.shift != space_large.shift:
-        raise ValueError("stabilize needs matching delta and shift bound")
-    gap = space_large.window - space_small.window
-    if gap < max(space_small.shift, 1):
+    win = _Window(space.alg, window, space.shift)  # checks the bounds first
+    gap = space.window - window
+    if gap < max(space.shift, 1):
         raise ValueError(
-            f"window gap {gap} is too small; it must be at least max(shift, 1) = "
-            f"{max(space_small.shift, 1)}"
+            f"window gap {gap} is too small; it must be at least max(shift, 1) = {max(space.shift, 1)}"
         )
-    win = space_small._window
-    pivots = _rref(v for b in space_large.basis if (v := win.vector_of(b)))
+    pivots = _rref(v for b in space.basis if (v := win.vector_of(b)))
     basis = tuple(win.map_of({u: Fraction(x, p[lead]) for u, x in p.items()}) for lead, p in sorted(pivots.items()))
-    out = SolutionSpace(space_small.alg, space_small.delta, space_small.window, space_small.shift, basis, True)
-    out._window = win  # the same window, so contains() does not build it again
+    out = SolutionSpace(space.alg, space.delta, window, space.shift, basis, True)
+    # the window and pivots the basis was built from, so contains() does
+    # not build the window or eliminate the basis again
+    out._window, out._pivots = win, pivots
     return out
 
 
@@ -156,8 +151,7 @@ def solve_stabilized(alg, delta, window=None, shift=None) -> SolutionSpace:
     # the bounds only: stabilize builds the small window once, after the
     # large solve, so the window does not add to the solve's peak memory
     _check_bounds(window, shift)
-    small = SolutionSpace(alg, as_scalar(delta), window, shift, basis=(), stable=False)
-    return stabilize(small, solve_delta_derivations(alg, small.delta, window + shift + 2, shift))
+    return stabilize(solve_delta_derivations(alg, delta, window + shift + 2, shift), window)
 
 
 def is_trivial_space(space: SolutionSpace) -> bool:

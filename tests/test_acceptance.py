@@ -252,10 +252,10 @@ def test_criterion_08_poisson_witnesses(seeded_products):
     for alg, product, _, nonzero in seeded_products:
         if not nonzero:
             continue
-        witness = find_poisson_witness(alg, product, 6)
-        assert witness is not None, (alg.display, product.name)
-        x, y, z = witness
-        residual = poisson_residual(alg, product, x, y, z)
+        hit = find_poisson_witness(alg, product, 6)
+        assert hit is not None, (alg.display, product.name)
+        (x, y, z), residual = hit
+        assert residual == poisson_residual(alg, product, x, y, z)
         assert not residual.is_zero(), (x.token, y.token, z.token)
         found += 1
     assert found > 0

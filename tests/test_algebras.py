@@ -330,7 +330,7 @@ _BROKEN_TABLES = {
 def leibniz_oracle(br, image, args, a=1, b=1):
     """a.f(br(args)) - b.sum_i br(args with x_i -> f(x_i)) over plain dicts.
 
-    The Fraction reference of core.combine(algebras.leibniz_parts(...))
+    The Fraction reference of element.combine(algebras.leibniz_parts(...))
     for even bases: br maps a tuple of plain keys, and image one key, to
     {key: Fraction}.
     """

@@ -419,9 +419,43 @@ def test_poisson_names_bind_on_first_use(monkeypatch):
     assert [n for n in cli._POISSON if getattr(cli, n) is not getattr(poisson, n)] == ["check_tpa_window"]
 
 
+@pytest.mark.parametrize(
+    "argv, spied, case",
+    [
+        (["tpa-witness", "--algebra", "witt", "--product=mutation:w=e_0", "--window", "2"],
+         "poisson_residual", ("e_-2", "e_-2", "e_-2")),
+        (["tpa-verify", "--algebra", "wab", "--param", "a=0", "--param", "b=2", "--product=mutation:w=L_0",
+          "--window", "3"], "leibniz_parts", ("L_-3", "I_-3")),
+    ],
+    ids=["tpa-witness", "tpa-verify"],
+)
+def test_failing_poisson_verb_evaluates_its_case_once(monkeypatch, argv, spied, case):
+    # the scan hands its residual to the verb, which reports it without
+    # evaluating the law again
+    from halfder import cli, poisson
+
+    for name in cli._POISSON:
+        monkeypatch.delitem(vars(cli), name, raising=False)
+    seen = []
+    original = getattr(poisson, spied)
+
+    def count(*args):
+        # poisson_residual(alg, p, x, y, z) and leibniz_parts(bracket, args, ...)
+        seen.append(tuple(i.token for i in (args[2:] if spied == "poisson_residual" else args[1])))
+        return original(*args)
+
+    monkeypatch.setattr(poisson, spied, count)
+    code, report = run(argv)
+    assert code == 1 and report.status in ("witness-found", "fail")
+    assert seen.count(case) == 1, seen
+
+
 def test_poisson_names_import_from_cli_in_a_fresh_process():
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = "from halfder.cli import tpa_residual\nfrom halfder import poisson\nprint(tpa_residual is poisson.tpa_residual)"
+    code = (
+        "from halfder.cli import find_poisson_witness\nfrom halfder import poisson\n"
+        "print(find_poisson_witness is poisson.find_poisson_witness)"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"

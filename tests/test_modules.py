@@ -158,8 +158,7 @@ _READ_THROUGH = {
     "algebras": {"AlgebraSpec": "spec", "direct_sum": "tables"},
     "cli": {"delta_residual": "maps", "emit_report": "report", "identity_residual": "algebras",
             "solve_delta_derivations": "solver", "solve_stabilized": "solver",
-            **dict.fromkeys(("check_tpa_window", "find_poisson_witness", "mutation_closure_check",
-                             "poisson_residual", "tpa_residual"), "poisson")},
+            **dict.fromkeys(("check_tpa_window", "find_poisson_witness", "mutation_closure_check"), "poisson")},
     "poisson": {"ProductSpec": "products"},
     "solver": {"_rref": "elimination", "closed_form_map": "candidates"},
 }

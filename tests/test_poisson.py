@@ -208,8 +208,10 @@ def test_wab_mutation_fails_off_the_critical_parameter():
     p = extended_mutation("L_0")
     res = tpa_residual(wab, p, L(1), (L(1), I(0)))
     assert res == Element.single(I(2), 3)
-    witness, _ = check_tpa_window(wab, p, 3)
-    assert witness is not None
+    hit, _ = check_tpa_window(wab, p, 3)
+    assert hit is not None
+    (z, args), residual = hit
+    assert residual == tpa_residual(wab, p, z, args) and not residual.is_zero()
 
 
 def test_mutations_pass_on_windows():
@@ -303,6 +305,30 @@ def test_super_residual_swap_law():
     assert hit_sign_branch
 
 
+@pytest.mark.parametrize("sector", ["neveu_schwarz", "ramond"])
+def test_super_poisson_residual_is_the_graded_rule(sector):
+    # the right-handed graded Poisson rule, whose sign is (-1)^{|y||z|};
+    # the product has G*G = L, so odd x, y and z reach every sign
+    def rule(u, v):
+        if Family.C in (u.family, v.family):
+            return Element.zero()
+        return Element.basis(bidx(Family.GPLUS if u.parity ^ v.parity else Family.L, u.degree2 + v.degree2))
+
+    sv = make_algebra("svir", sector=sector)
+    p = ProductSpec(kind="table", name="graded", rule=rule)
+    signed = 0
+    for x, y, z in iproduct(sv.window_indices(2), repeat=3):
+        xz_y = product_eval(p, sv.bracket_basis((x, z)), y)
+        graded = (
+            sv.bracket(product_eval(p, x, y), Element.basis(z))
+            - product_eval(p, x, sv.bracket_basis((y, z)))
+            - xz_y.scale((-1) ** (y.parity * z.parity))
+        )
+        assert poisson_residual(sv, p, x, y, z) == graded, (x, y, z)
+        signed += bool(y.parity and z.parity and not xz_y.is_zero())
+    assert signed
+
+
 @pytest.mark.parametrize("case", ["wab-fails", "svir-theta"])
 def test_tpa_residual_is_multilinear_on_elements(case):
     if case == "wab-fails":
@@ -370,9 +396,11 @@ def test_poisson_residual_frozen_examples():
 def test_find_poisson_witness_order_and_existence():
     witt = make_algebra("witt")
     p = laurent_mutation("e_0")
-    witness = find_poisson_witness(witt, p, 3)
-    assert witness is not None
-    assert not poisson_residual(witt, p, *witness).is_zero()
+    hit = find_poisson_witness(witt, p, 3)
+    assert hit is not None
+    witness, residual = hit
+    assert residual == poisson_residual(witt, p, *witness)
+    assert not residual.is_zero()
     # first-ness in the declared scan order
     for t in _sorted_triples(witt, 3):
         if t == witness:
@@ -398,8 +426,8 @@ def _sorted_triples(alg, window):
 
 def _reference_witness(alg, p, window):
     for t in _sorted_triples(alg, window):
-        if not poisson_residual(alg, p, *t).is_zero():
-            return t
+        if not (residual := poisson_residual(alg, p, *t)).is_zero():
+            return t, residual
     return None
 
 

@@ -311,7 +311,7 @@ def test_stabilized_dimension_is_monotone_in_window():
 def test_one_solve_stabilization_matches_two_solves(name, params, delta, window, shift):
     alg = make_algebra(name, params)
     small = solve_delta_derivations(alg, delta, window, shift)
-    reference = stabilize(small, solve_delta_derivations(alg, delta, window + shift + 2, shift))
+    reference = stabilize(solve_delta_derivations(alg, delta, window + shift + 2, shift), window)
     space = solve_stabilized(alg, delta, window, shift)
     assert space_to_jsonable(space) == space_to_jsonable(reference)
     # the restrictions of the large solutions already lie in the small space
@@ -341,22 +341,32 @@ def test_stabilized_solve_checks_bounds_then_solves_once(monkeypatch):
         solve_stabilized(witt, HALF)
 
 
+def test_stabilized_space_keeps_its_pivots(monkeypatch):
+    # contains() on a stabilized space reduces against the pivots the
+    # basis was built from, without eliminating the basis again
+    witt = make_algebra("witt")
+    space = solve_stabilized(witt, HALF, 5, 2)
+    calls, original = [], solver._rref
+    monkeypatch.setattr(solver, "_rref", lambda rows: calls.append(1) or original(rows))
+    assert all(space.contains(b) for b in space.basis)
+    assert not space.contains(LinMapWindow(witt, 5, {E(0): Element.basis(E(1))}))
+    assert calls == []
+
+
 def test_stabilize_preconditions():
     witt = make_algebra("witt")
     small = solve_delta_derivations(witt, HALF, window=6, shift=2)
     with pytest.raises(ValueError):
-        stabilize(small, small)  # zero window gap
-    other_shift = solve_delta_derivations(witt, HALF, window=10, shift=3)
-    with pytest.raises(ValueError):
-        stabilize(small, other_shift)
-    vir_large = solve_delta_derivations(make_algebra("virasoro"), HALF, window=10, shift=2)
-    with pytest.raises(ValueError):
-        stabilize(small, vir_large)
+        stabilize(small, 6)  # zero window gap
+    with pytest.raises(ValueError, match="must be at least max"):
+        stabilize(small, 5)  # a gap below the shift bound
+    with pytest.raises(ValueError, match="window and shift bounds"):
+        stabilize(small, None)
     with pytest.raises(ValueError):
         is_trivial_space(small)  # not stabilized
     fin = solve_delta_derivations(make_algebra("sl2"), HALF)
     with pytest.raises(ValueError):
-        stabilize(fin, fin)
+        stabilize(fin, None)
 
 
 def test_solver_window_validation():
