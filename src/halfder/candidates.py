@@ -9,13 +9,20 @@ from .basis import Family, ZERO, as_scalar, bidx
 from .element import Element
 from .maps import LinMapWindow
 
-CLOSED_FORM_FAMILIES = (
-    "witt_shift_family",
-    "wab_even",
-    "wab_odd",
-    "thin_candidate",
-    "solvable_candidate",
-)
+# each family and the algebra it lives on
+_HOMES = {
+    "witt_shift_family": "witt",
+    "wab_even": "wab",
+    "wab_odd": "wab",
+    "thin_candidate": "thin",
+    "solvable_candidate": "solvable",
+}
+CLOSED_FORM_FAMILIES = tuple(_HOMES)
+
+
+def _shift(cs: dict, family: Family, degree2: int) -> Element:
+    """sum_t c_t x_{m+t} in `family`, where degree2 = 2m."""
+    return Element({bidx(family, degree2 + 2 * t): c for t, c in cs.items()})
 
 
 def closed_form_map(family: str, coeffs: dict, alg, window: int) -> LinMapWindow:
@@ -32,7 +39,11 @@ def closed_form_map(family: str, coeffs: dict, alg, window: int) -> LinMapWindow
         phi(e_n) = c_1 e_n for n >= 2.
     Keys are ints or integer strings; a float or bool key raises ValueError.
     """
-    E = Family.E
+    home = _HOMES.get(family)
+    if home is None:
+        raise ValueError(f"unknown closed-form family {family!r}; known: {CLOSED_FORM_FAMILIES}")
+    if alg.name != home:
+        raise ValueError(f"{family} lives on the {home} algebra")
 
     def _sc(d):
         for k in d:
@@ -40,64 +51,31 @@ def closed_form_map(family: str, coeffs: dict, alg, window: int) -> LinMapWindow
                 raise ValueError(f"{family} keys are integers, not {k!r}")
         return {int(k): as_scalar(v) for k, v in d.items()}
 
-    if family == "witt_shift_family":
-        if alg.name != "witt":
-            raise ValueError("witt_shift_family lives on the witt algebra")
-        cs = _sc(coeffs)
-        images = {}
-        for s in alg.window_indices(window):
-            i = s.degree2 // 2
-            images[s] = Element({bidx(E, 2 * (i + j)): c for j, c in cs.items()})
-        return LinMapWindow(alg, window, images)
-    if family in ("wab_even", "wab_odd"):
-        if alg.name != "wab":
-            raise ValueError(f"{family} lives on the wab algebras")
-        cs = _sc(coeffs)
-        images = {}
-        for s in alg.window_indices(window):
-            if family == "wab_even":
-                images[s] = Element({bidx(s.family, s.degree2 + 2 * t): c for t, c in cs.items()})
-            elif s.family is Family.L:
-                images[s] = Element({bidx(Family.I, s.degree2 + 2 * t): c for t, c in cs.items()})
-            else:
-                images[s] = Element.zero()
-        return LinMapWindow(alg, window, images)
     if family == "thin_candidate":
-        if alg.name != "thin":
-            raise ValueError("thin_candidate lives on the thin algebra")
         if unknown := [k for k in coeffs if k not in ("alpha", "beta")]:
             raise ValueError(f"thin_candidate keys are 'alpha' and 'beta', not {', '.join(map(repr, unknown))}")
-        alpha = _sc(coeffs.get("alpha", {}))
-        beta = _sc(coeffs.get("beta", {}))
-        if any(i < 1 for i in alpha) or any(i < 1 for i in beta):
-            raise ValueError("thin indices start at 1")
-        a1 = alpha.get(1, ZERO)
-        images = {}
-        for s in alg.window_indices(window):
-            n = s.degree2 // 2
-            if n == 1:
-                images[s] = Element({bidx(E, 2 * i): c for i, c in alpha.items()})
-            elif n == 2:
-                images[s] = Element({bidx(E, 2 * i): c for i, c in beta.items()})
-            else:
-                shift = Fraction(4, 2**n)  # 2^{2-n}
-                # L^{n-2} kills e_1 and shifts e_i (i >= 2) to e_{i+n-2}
-                shifted = Element({bidx(E, 2 * (i + n - 2)): shift * c for i, c in beta.items() if i >= 2})
-                images[s] = Element.single(bidx(E, 2 * n), (1 - shift) * a1) + shifted
-        return LinMapWindow(alg, window, images)
-    if family == "solvable_candidate":
-        if alg.name != "solvable":
-            raise ValueError("solvable_candidate lives on the solvable algebra")
-        cs = _sc(coeffs)
-        if any(i < 1 for i in cs):
-            raise ValueError("solvable indices start at 1")
-        c1 = cs.get(1, ZERO)
-        images = {}
-        for s in alg.window_indices(window):
-            n = s.degree2 // 2
-            if n == 1:
-                images[s] = Element({bidx(E, 2 * i): c for i, c in cs.items()})
-            else:
-                images[s] = Element.single(s, c1)
-        return LinMapWindow(alg, window, images)
-    raise ValueError(f"unknown closed-form family {family!r}; known: {CLOSED_FORM_FAMILIES}")
+        alpha, beta = _sc(coeffs.get("alpha", {})), _sc(coeffs.get("beta", {}))
+    else:
+        alpha = beta = _sc(coeffs)
+    if home in ("thin", "solvable") and min((*alpha, *beta), default=1) < 1:
+        raise ValueError(f"{home} indices start at 1")
+    a1 = alpha.get(1, ZERO)
+
+    def image(s) -> Element:
+        if family in ("witt_shift_family", "wab_even"):
+            return _shift(alpha, s.family, s.degree2)
+        if family == "wab_odd":
+            return _shift(alpha, Family.I, s.degree2) if s.family is Family.L else Element.zero()
+        n = s.degree2 // 2
+        if n == 1:
+            return _shift(alpha, Family.E, 0)
+        if family == "solvable_candidate":
+            return Element.single(s, a1)
+        if n == 2:
+            return _shift(beta, Family.E, 0)
+        scale = Fraction(4, 2**n)  # 2^{2-n}
+        # L^{n-2} kills e_1 and shifts e_i (i >= 2) to e_{i+n-2}
+        shifted = _shift({i: scale * c for i, c in beta.items() if i >= 2}, Family.E, 2 * n - 4)
+        return Element.single(s, (1 - scale) * a1) + shifted
+
+    return LinMapWindow(alg, window, {s: image(s) for s in alg.window_indices(window)})

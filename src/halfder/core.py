@@ -13,6 +13,8 @@ from .element import _ZERO_ELEMENT, Element, combine
 # "G" is accepted on input as an alias for "G+" (single-G superalgebras).
 _TOKEN_FAMILY = {tok: fam for fam, tok in _FAMILY_TOKEN.items()}
 _TOKEN_FAMILY["G"] = Family.GPLUS
+# str.isdigit also takes '²' and other scripts' digits; the grammar is ASCII
+_DIGITS = frozenset("0123456789")
 
 
 def render(element: Element) -> str:
@@ -68,7 +70,7 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)
@@ -131,7 +133,7 @@ def parse_element(text: str, alg=None) -> Element:
     while True:
         sc.skip_ws()
         num = den = 1
-        if sc.peek().isdigit():
+        if sc.peek() in _DIGITS:
             num = sc.integer()
             if sc.take("/"):
                 dpos = sc.pos

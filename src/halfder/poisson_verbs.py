@@ -14,13 +14,13 @@ from .algebras import make_algebra
 from .arguments import _parse_params
 from .cli import UsageError, _make_algebra, _window_sources
 from .core import ParseError, parse_element, render
-from .products import normal_form_product, parse_product_literal, product_eval
+from .products import parse_product_literal, product_eval
 
 
-def _product(build, *args):
-    """build(*args), a product constructor, with its errors as usage errors."""
+def _product(text, alg):
+    """parse_product_literal(text, alg), with its errors as usage errors."""
     try:
-        return build(*args)
+        return parse_product_literal(text, alg)
     except ParseError as e:
         raise UsageError(f"bad element in product literal: {e}") from None
     except ValueError as e:
@@ -29,7 +29,7 @@ def _product(build, *args):
 
 def _verb_tpa_verify(ns):
     alg = _make_algebra(ns)
-    p = _product(parse_product_literal, ns.product, alg)
+    p = _product(ns.product, alg)
     _window_sources(alg, ns.window)
     hit, checked = cli.check_tpa_window(alg, p, ns.window)
     base = {"product": p.name, "window": ns.window, "tuples_checked": checked}
@@ -44,7 +44,7 @@ def _verb_tpa_witness(ns):
     alg = _make_algebra(ns)
     if alg.arity != 2:
         raise UsageError("the Poisson Leibniz check needs a binary bracket")
-    p = _product(parse_product_literal, ns.product, alg)
+    p = _product(ns.product, alg)
     _window_sources(alg, ns.window)
     hit = cli.find_poisson_witness(alg, p, ns.window)
     base = {"product": p.name, "window": ns.window}
@@ -55,20 +55,19 @@ def _verb_tpa_witness(ns):
     return "witness-found", base
 
 
+# algebra -> (its one --param, the table family it names, the values it takes)
+_NORMAL_FORMS = {"thin": ("k", "thin_k", "<int>"), "solvable": ("variant", "solvable", "<1|2|3>")}
+
+
 def _verb_tpa_normal_form(ns):
     params = _parse_params(ns.param)
-    if ns.algebra == "thin":
-        if set(params) != {"k"}:
-            raise UsageError("tpa-normal-form on thin takes exactly --param k=<int>")
-        family = "thin_k"
-    elif ns.algebra == "solvable":
-        if set(params) != {"variant"} or params["variant"] not in (1, 2, 3):
-            raise UsageError("tpa-normal-form on solvable takes exactly --param variant=<1|2|3>")
-        family, params = f"solvable_{params['variant']}", None
-    else:
+    if ns.algebra not in _NORMAL_FORMS:
         raise UsageError("tpa-normal-form applies to the thin and solvable algebras")
+    key, family, values = _NORMAL_FORMS[ns.algebra]
+    if set(params) != {key}:
+        raise UsageError(f"tpa-normal-form on {ns.algebra} takes exactly --param {key}={values}")
     alg = make_algebra(ns.algebra)
-    p = _product(normal_form_product, family, params)
+    p = _product(f"table:{family}:{params[key]}", alg)
     srcs = _window_sources(alg, ns.window)
     table = []
     for i, x in enumerate(srcs):
@@ -87,7 +86,7 @@ def _verb_tpa_normal_form(ns):
 
 def _verb_closure_check(ns):
     alg = _make_algebra(ns)
-    p = _product(parse_product_literal, ns.product, alg)
+    p = _product(ns.product, alg)
     if p.kind != "mutation":
         raise UsageError("closure-check needs a mutation product")
     try:

@@ -130,8 +130,8 @@ def test_tpa_normal_form():
 
 def test_tpa_normal_form_usage_errors_name_the_param(capsys):
     for param, message in (
-        ("variant=9", "tpa-normal-form on solvable takes exactly --param variant=<1|2|3>"),
-        ("variant=0", "tpa-normal-form on solvable takes exactly --param variant=<1|2|3>"),
+        ("variant=9", "solvable variant must be 1, 2 or 3: '9'"),
+        ("variant=0", "solvable variant must be 1, 2 or 3: '0'"),
         ("k=1", "thin_k needs an integer k >= 2"),
     ):
         algebra = "thin" if param.startswith("k") else "solvable"
@@ -186,6 +186,8 @@ def test_usage_errors_exit_2():
         ["tpa-normal-form", "--algebra", "solvable", "--param", "variant=9"],
         ["closure-check", "--algebra", "thin", "--product", "table:thin_k:2", "--q", "e_1"],
         ["closure-check", "--algebra", "witt", "--product", "mutation:w=e_0", "--q", "L_1"],
+        # '²' passed str.isdigit, and int() then raised past the usage check
+        ["closure-check", "--algebra", "witt", "--product", "mutation:w=e_0", "--q", "²*e_1", "--window", "2"],
     ):
         code, report = run(args)
         assert code == 2 and report is None, args

@@ -131,6 +131,12 @@ def test_parse_errors_carry_positions():
         parse_element("L_1/2")  # half-integer outside the G families
     with pytest.raises(ParseError):
         parse_element("e_1/3")
+    # digits are ASCII: str.isdigit takes these, and int() then raised a
+    # bare ValueError on '²' or read '٣' as 3
+    for text, position in (("²*e_1", 0), ("e_²", 2), ("e_1/²", 4), ("٣*e_1", 0)):
+        with pytest.raises(ParseError) as err:
+            parse_element(text)
+        assert err.value.position == position
 
 
 scalars = st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 10**3))

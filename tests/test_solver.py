@@ -17,6 +17,7 @@ from halfder import solver
 from halfder.algebras import make_algebra
 from halfder.basis import Family, bidx
 from halfder.candidates import closed_form_map
+from halfder.core import render
 from halfder.element import Element
 from halfder.elimination import _rref, nullspace
 from halfder.maps import LinMapWindow, WindowEscapeError, _Window, delta_residual, identity_map
@@ -448,6 +449,60 @@ def test_thin_candidate_rejects_unknown_keys():
         with pytest.raises(ValueError, match=named):
             closed_form_map("thin_candidate", coeffs, thin, 3)
     assert closed_form_map("thin_candidate", {"beta": {2: 1}}, thin, 3).images[E(2)] == Element.basis(E(2))
+
+
+# each family on its home algebra and on one other, with int, integer-string,
+# float and bool keys, thin alpha/beta (beta reaching i >= 2) and a bool value
+_CLOSED_FORM_CASES = (
+    ("witt_shift_family", ("witt", "laurent")),
+    ("wab_even", ("wab a=1 b=2", "wab a=0 b=-1", "witt")),
+    ("wab_odd", ("wab a=1 b=2", "wab a=0 b=-1", "witt")),
+    ("thin_candidate", ("thin", "solvable")),
+    ("solvable_candidate", ("solvable", "thin")),
+    ("no_such_family", ("witt",)),
+)
+_CLOSED_FORM_COEFFS = (
+    {},
+    {0: 1, 1: Fraction(1, 2), -2: 3},
+    {1: 1, 2: Fraction(2, 3), 3: -1},
+    {"1": 2, "-1": "1/3", "3": 1},
+    {"1": "1/3", "2": 1},
+    {1.5: 1},
+    {1.0: 1},
+    {True: 1},
+    {"1.5": 1},
+    {1: True},
+    {"alpha": {1: 1}, "beta": {2: 1, 3: 2}},
+    {"alpha": {"1": 2, 2: -1}, "beta": {1: 1, 2: Fraction(1, 3), "4": 5}},
+    {"alpha": {}, "beta": {1: 1}},
+    {"beta": {2: 1}},
+    {"alpha": {1.9: 1}},
+    {"beta": {True: 1}},
+    {"alpha": {0: 1}},
+    {"alpah": {1: 1}},
+    {"alpha": {1: 1}, 1: {2: 1}},
+)
+# sha256 of every case's images and sources (or exception type), taken
+# before the families were built through one path
+_CLOSED_FORM_DIGEST = "ffce7ec3576c7788c96d089f6edd0cf0ba6ff96d76f64e71a932164e80f9fb4c"
+
+
+def test_closed_form_map_digest():
+    out = []
+    for family, names in _CLOSED_FORM_CASES:
+        for name in names:
+            algebra, *params = name.split()
+            alg = make_algebra(algebra, dict(p.split("=") for p in params))
+            for coeffs in _CLOSED_FORM_COEFFS:
+                for window in (3, 6):
+                    try:
+                        phi = closed_form_map(family, coeffs, alg, window)
+                    except (ValueError, TypeError) as exc:
+                        out.append((family, name, window, type(exc).__name__))
+                        continue
+                    images = sorted((s.token, render(img)) for s, img in phi.images.items())
+                    out.append((family, name, window, [s.token for s in phi.sources], images))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == _CLOSED_FORM_DIGEST
 
 
 def test_contains_requires_matching_window():
