@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from itertools import combinations
 
-from .basis import ONE, as_scalar
+from .basis import ONE, as_int, as_scalar
 from .element import Element, combine
 from .spec import AlgebraSpec
 
@@ -85,6 +85,16 @@ def algebra_params(name: str) -> tuple:
     return _builder(name)[1]
 
 
+def _sector(value: str) -> str:
+    if value not in ("ramond", "neveu_schwarz"):
+        raise ValueError(f"not 'ramond' or 'neveu_schwarz': {value!r}")
+    return value
+
+
+# how make_algebra reads each parameter
+_READERS = {"a": as_scalar, "b": as_scalar, "n": as_int, "sector": _sector}
+
+
 def make_algebra(name: str, params: dict | None = None, **kw) -> AlgebraSpec:
     """Instantiate one of the built-in algebras by name.
 
@@ -102,17 +112,10 @@ def make_algebra(name: str, params: dict | None = None, **kw) -> AlgebraSpec:
         raise ValueError(f"algebra {name} does not take parameter(s): {', '.join(extra)}")
     clean = {}
     for k in wanted:
-        v = given[k]
-        if k in ("a", "b"):
-            clean[k] = as_scalar(v)
-        elif k == "n":
-            if isinstance(v, bool) or not isinstance(v, (int, str)):
-                raise ValueError(f"nary_simple needs an integer arity n, not {v!r}")
-            clean[k] = int(v)
-        elif k == "sector":
-            if v not in ("ramond", "neveu_schwarz"):
-                raise ValueError("sector must be 'ramond' or 'neveu_schwarz'")
-            clean[k] = v
+        try:
+            clean[k] = _READERS[k](given[k])
+        except ValueError as e:
+            raise ValueError(f"parameter {k}: {e}") from None
     return builder(clean)
 
 

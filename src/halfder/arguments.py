@@ -7,7 +7,7 @@ from __future__ import annotations
 import argparse
 from functools import cache
 
-from .basis import as_scalar
+from .basis import as_int, as_scalar
 from .cli import UsageError
 
 
@@ -29,10 +29,10 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="algebra or product parameter (a, b, k, n, sector, variant); repeatable",
         )
-        p.add_argument("--window", type=int, default=8, help="degree window bound (default 8)")
+        p.add_argument("--window", type=as_int, default=8, help="degree window bound (default 8)")
         if solve:
-            p.add_argument("--delta", default="1/2", help="derivation parameter (default 1/2)")
-            p.add_argument("--shift", type=int, default=2, help="image shift bound (default 2)")
+            p.add_argument("--delta", type=as_scalar, default="1/2", help="derivation parameter (default 1/2)")
+            p.add_argument("--shift", type=as_int, default=2, help="image shift bound (default 2)")
         if product:
             p.add_argument(
                 "--product",
@@ -48,11 +48,11 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="treat a found witness as the successful outcome",
             )
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0, help="seed echo for scripted runs")
+        p.add_argument("--seed", type=as_int, default=0, help="seed echo for scripted runs")
 
     p = sub.add_parser("algebra-list", help="list the built-in algebras")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=as_int, default=0)
 
     common(sub.add_parser("algebra-check", help="verify bracket identities on a window"))
     common(sub.add_parser("derive-solve", help="solve for delta-derivations"), solve=True)
@@ -71,11 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INT_PARAMS = ("k", "n", "variant")
-_RATIONAL_PARAMS = ("a", "b")
+_PARAMS = ("a", "b", "k", "n", "sector", "variant")
 
 
 def _parse_params(pairs) -> dict:
+    """{key: value text} from KEY=VALUE items; the verb that uses a value reads it."""
     out = {}
     for item in pairs:
         key, sep, value = item.partition("=")
@@ -83,18 +83,7 @@ def _parse_params(pairs) -> dict:
             raise UsageError(f"--param needs KEY=VALUE, got {item!r}")
         if key in out:
             raise UsageError(f"--param {key} given twice")
-        if key in _INT_PARAMS:
-            try:
-                out[key] = int(value)
-            except ValueError:
-                raise UsageError(f"parameter {key} must be an integer, got {value!r}") from None
-        elif key in _RATIONAL_PARAMS:
-            try:
-                out[key] = as_scalar(value)
-            except (ValueError, TypeError):
-                raise UsageError(f"parameter {key} must be rational, got {value!r}") from None
-        elif key == "sector":
-            out[key] = value
-        else:
-            raise UsageError(f"unknown parameter {key!r} (known: a, b, k, n, sector, variant)")
+        if key not in _PARAMS:
+            raise UsageError(f"unknown parameter {key!r} (known: {', '.join(_PARAMS)})")
+        out[key] = value
     return out

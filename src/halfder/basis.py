@@ -8,6 +8,7 @@ Neveu-Schwarz G generators) inside plain ints.
 
 from __future__ import annotations
 
+import re
 from enum import IntEnum
 from fractions import Fraction
 
@@ -16,19 +17,36 @@ Scalar = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# The one grammar of every number read from text (flags, --param values,
+# product literals, JSON coefficients, closed_form_map keys and element
+# coefficients): ASCII digits with an optional '-' sign.  int() and
+# Fraction(str) would also take '٣', '+3' and '1_0'.
+INTEGER = "-?[0-9]+"
+
 
 def as_scalar(value) -> Fraction:
-    """Coerce an int, a "p/q" string, or a Fraction to an exact scalar; a bool is no scalar."""
+    """Coerce an int, a Fraction, or text "p" or "p/q" (p on INTEGER, q a
+    positive integer, surrounding whitespace stripped) to an exact scalar;
+    a bool is no scalar."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        try:
+        if re.fullmatch(f"{INTEGER}(/0*[1-9][0-9]*)?", value.strip()):
             return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not an exact rational: {value!r}") from exc
+        raise ValueError(f"not an exact rational: {value!r}")
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
+
+
+def as_int(value) -> int:
+    """An int, or text on INTEGER with surrounding whitespace stripped; a
+    bool, a float or any other value raises ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(INTEGER, value.strip()):
+        return int(value)
+    raise ValueError(f"not an integer: {value!r}")
 
 
 class Family(IntEnum):

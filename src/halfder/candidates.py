@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .basis import Family, ZERO, as_scalar, bidx
+from .basis import Family, ZERO, as_int, as_scalar, bidx
 from .element import Element
 from .maps import LinMapWindow
 
@@ -46,10 +46,7 @@ def closed_form_map(family: str, coeffs: dict, alg, window: int) -> LinMapWindow
         raise ValueError(f"{family} lives on the {home} algebra")
 
     def _sc(d):
-        for k in d:
-            if isinstance(k, bool) or not isinstance(k, (int, str)):
-                raise ValueError(f"{family} keys are integers, not {k!r}")
-        return {int(k): as_scalar(v) for k, v in d.items()}
+        return {as_int(k): as_scalar(v) for k, v in d.items()}
 
     if family == "thin_candidate":
         if unknown := [k for k in coeffs if k not in ("alpha", "beta")]:

@@ -19,7 +19,6 @@ import time
 from itertools import combinations_with_replacement, product
 
 from .algebras import ALGEBRA_NAMES, algebra_params, first_defect, identity_residual, make_algebra
-from .basis import as_scalar
 from .core import render
 from .element import combine
 from .maps import delta_residual
@@ -117,21 +116,17 @@ def _verb_algebra_check(ns):
 
 def _verb_derive_solve(ns):
     alg = _make_algebra(ns)
-    try:
-        delta = as_scalar(ns.delta)
-    except (ValueError, TypeError):
-        raise UsageError(f"delta must be rational, got {ns.delta!r}") from None
     if alg.is_finite:
-        space = solve_delta_derivations(alg, delta)
+        space = solve_delta_derivations(alg, ns.delta)
     else:
         try:
-            space = solve_stabilized(alg, delta, ns.window, ns.shift)
+            space = solve_stabilized(alg, ns.delta, ns.window, ns.shift)
         except ValueError as e:
             raise UsageError(str(e)) from None
     trivial = is_trivial_space(space)
     hit, checked = first_defect(
         product(space.basis, bounded_tuples(alg, _window_sources(alg, ns.window))),
-        lambda phi, args: delta_residual(alg, phi, delta, args),
+        lambda phi, args: delta_residual(alg, phi, ns.delta, args),
     )
     if hit:
         return "fail", {"error": "solution fails its defining equations", "tuple": [i.token for i in hit[0][1]]}

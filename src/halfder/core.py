@@ -7,14 +7,14 @@ kernel in `halfder.element`.
 
 from __future__ import annotations
 
-from .basis import BasisIndex, C_INDEX, Family, _FAMILY_TOKEN, _ODD_FAMILIES, bidx
+import re
+
+from .basis import INTEGER, BasisIndex, C_INDEX, Family, _FAMILY_TOKEN, _ODD_FAMILIES, bidx
 from .element import _ZERO_ELEMENT, Element, combine
 
 # "G" is accepted on input as an alias for "G+" (single-G superalgebras).
 _TOKEN_FAMILY = {tok: fam for fam, tok in _FAMILY_TOKEN.items()}
 _TOKEN_FAMILY["G"] = Family.GPLUS
-# str.isdigit also takes '²' and other scripts' digits; the grammar is ASCII
-_DIGITS = frozenset("0123456789")
 
 
 def render(element: Element) -> str:
@@ -66,15 +66,11 @@ class _Scanner:
 
     def integer(self) -> int:
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == digits:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        m = re.compile(INTEGER).match(self.text, self.pos)
+        if m is None:
+            raise ParseError("expected an integer", self.pos)
+        self.pos = m.end()
+        return int(m[0])
 
 
 def _parse_basis_token(sc: _Scanner, alg) -> BasisIndex:
@@ -133,7 +129,8 @@ def parse_element(text: str, alg=None) -> Element:
     while True:
         sc.skip_ws()
         num = den = 1
-        if sc.peek() in _DIGITS:
+        # a coefficient starts with a digit: the term's sign is read above
+        if re.match(INTEGER, sc.peek()):
             num = sc.integer()
             if sc.take("/"):
                 dpos = sc.pos

@@ -54,8 +54,8 @@ def _make_schrodinger(params) -> AlgebraSpec:
 
 def _make_nary_simple(params) -> AlgebraSpec:
     n = params["n"]
-    if not isinstance(n, int) or n < 3:
-        raise ValueError("nary_simple needs an integer arity n >= 3")
+    if n < 3:
+        raise ValueError(f"nary_simple needs arity n >= 3, not {n}")
     basis = tuple(bidx(_E, 2 * k) for k in range(1, n + 2))
     # [e_1,..,e_{i-1},e_{i+1},..,e_{n+1}] = (-1)^{n+1-i} e_i, i = m + 1
     table = {

@@ -9,7 +9,7 @@ associative ambient algebra, or a finite table rule on the basis.
 from __future__ import annotations
 
 from .algebras import make_algebra
-from .basis import BasisIndex, Family, ONE, bidx
+from .basis import BasisIndex, Family, ONE, as_int, bidx
 from .core import parse_element, render
 from .element import Element, pack
 from .spec import AlgebraSpec, multilinear
@@ -168,7 +168,7 @@ def parse_product_literal(text: str, alg: AlgebraSpec) -> ProductSpec:
             if alg.name != "thin":
                 raise ValueError("table:thin_k products pair with the thin algebra")
             try:
-                k = int(arg)
+                k = as_int(arg)
             except ValueError:
                 raise ValueError(f"thin_k parameter must be an integer: {arg!r}") from None
             return normal_form_product("thin_k", {"k": k})

@@ -609,6 +609,43 @@ def test_structure_json_rejects_bad_entries():
         finite_structure_json(make_algebra("witt"))
 
 
+def _mostly(good, bad):
+    """good, and one draw in six bad."""
+    return st.sampled_from((good,) * 5 + (bad,)).flatmap(lambda strategy: strategy)
+
+
+# JSON values for a structure table's fields, entries and coefficients; the
+# bad coefficients include the number grammar's rejects
+_JSON_INTS = _mostly(st.integers(0, 3), st.sampled_from([-1, 4, 2.0, True, "1", None]))
+_JSON_COEFFS = _mostly(
+    st.sampled_from(["1", "-1", "1/2", "-3/2", "0", " 6/4 ", 3, 0]),
+    st.sampled_from(["1/0", "0.5", "1_0", "+1", "١", 0.5, True]),
+)
+
+
+@st.composite
+def _structure_tables(draw):
+    combo = _mostly(st.lists(st.integers(0, 3), min_size=2, max_size=3, unique=True).map(sorted),
+                    st.lists(_JSON_INTS, max_size=3))
+    term = _mostly(st.tuples(_JSON_INTS, _JSON_COEFFS).map(list), st.lists(_JSON_COEFFS, max_size=3))
+    entry = _mostly(st.tuples(combo, st.lists(term, max_size=2)).map(lambda ct: [*ct[0], ct[1]]), _JSON_INTS)
+    table = {"dim": draw(_mostly(st.integers(1, 4), _JSON_INTS)), "brackets": draw(st.lists(entry, max_size=4))}
+    if draw(st.booleans()):
+        table["arity"] = draw(_mostly(st.integers(2, 3), _JSON_INTS))
+    return draw(_mostly(st.just(table), st.sampled_from([[table], None, "table"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_structure_tables())
+def test_structure_json_builds_or_raises_value_error(data):
+    try:
+        alg = algebra_from_structure_json(data)
+    except ValueError:
+        return
+    table = finite_structure_json(alg)
+    assert finite_structure_json(algebra_from_structure_json(table)) == table
+
+
 def test_make_algebra_validation():
     with pytest.raises(ValueError):
         make_algebra("nope")

@@ -5,7 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from halfder.algebras import ALGEBRA_NAMES, algebra_params
 from halfder.cli import main, run_command
 from halfder.report import emit_report
 
@@ -188,6 +191,15 @@ def test_usage_errors_exit_2():
         ["closure-check", "--algebra", "witt", "--product", "mutation:w=e_0", "--q", "L_1"],
         # '²' passed str.isdigit, and int() then raised past the usage check
         ["closure-check", "--algebra", "witt", "--product", "mutation:w=e_0", "--q", "²*e_1", "--window", "2"],
+        # int() and Fraction(str) read these as 3, 10, 1/2 and 1
+        ["tpa-normal-form", "--algebra", "thin", "--param", "k=٣"],
+        ["tpa-verify", "--algebra", "thin", "--product=table:thin_k:1_0"],
+        ["derive-solve", "--algebra", "witt", "--delta=١/٢"],
+        ["derive-solve", "--algebra", "wab", "--param", "a=١/٢", "--param", "b=-1"],
+        ["derive-solve", "--algebra", "nary_simple", "--param", "n=٣"],
+        ["algebra-check", "--algebra", "witt", "--window", "1_0"],
+        ["algebra-check", "--algebra", "witt", "--window", "٣"],
+        ["tpa-normal-form", "--algebra", "solvable", "--param", "variant=+1"],
     ):
         code, report = run(args)
         assert code == 2 and report is None, args
@@ -195,6 +207,84 @@ def test_usage_errors_exit_2():
     assert code == 2 and report is None
     code, report = run([])
     assert code == 2 and report is None
+
+
+# (good, bad) text for each value of a command line.  No window or shift
+# is above 4: no work budget bounds a solve or a scan yet
+_PARAM_VALUES = {
+    "a": (("0", "1", "1/2", "-3/2"), ("١/٢", "0.5", "1/0", "x")),
+    "b": (("-1", "0", "2", "-02"), ("1_0", "+1")),
+    "k": (("2", "3", "02", " 5"), ("1", "-1", "٣", "1_0", "3/2")),
+    "n": (("3", "4"), ("2", "٣", "+3", "3/1")),
+    "variant": (("1", "2", "3"), ("0", "9", "+1", "01")),
+    "sector": (("ramond", "neveu_schwarz"), ("x",)),
+    "junk": ((), ("1",)),
+}
+_FLAG_VALUES = {
+    "--window": (("1", "2", "3", "4", " 2"), ("-1", "0", "1_0", "٣", "x")),
+    "--shift": (("1", "2"), ("-1", "0", "3", "4", "1_0", "٣")),
+    "--delta": (("1/2", "1", "-1", "0", "1/3", " 6/4 "), ("١/٢", "0.5", "1/0", "x")),
+    "--product": ((), ("mutation:w=e_²", "mutation:e_0", "table:thin_k:1_0", "table:solvable:+1", "table:x:1", "bogus")),
+    "--q": ((), ("²*e_1", "G+_1/2", "0", "", "L_1")),
+    "--seed": (("0", "7"), ("٣",)),
+    "--format": (("text", "json"), ()),
+}
+# the good products and --q elements of each algebra a Poisson verb takes
+_FITS = {
+    "witt": {"--product": ("mutation:w=e_0", "mutation:w=e_1 - 1/2*e_-1"), "--q": ("e_1", "1/2*e_2 - e_0")},
+    "wab": {"--product": ("mutation:w=L_0", "mutation:w=L_1 + 2*I_-1"), "--q": ("L_1", "L_-1 + I_0")},
+    "thin": {"--product": ("table:thin_k:2", "table:thin_k:3")},
+    "solvable": {"--product": ("table:solvable:1", "table:solvable:3")},
+}
+# the flags each verb takes beside --algebra, --param, --window, --seed and --format
+_VERB_FLAGS = {
+    "algebra-check": (),
+    "derive-solve": ("--delta", "--shift"),
+    "tpa-verify": ("--product",),
+    "tpa-witness": ("--product",),
+    "tpa-normal-form": (),
+    "closure-check": ("--product", "--q"),
+}
+
+
+@st.composite
+def _command_lines(draw):
+    def value(name):
+        good, bad = {**_PARAM_VALUES, **_FLAG_VALUES}[name]
+        good = _FITS.get(algebra, {}).get(name, good)
+        # about one value in five is bad
+        return draw(st.sampled_from(good * 4 + bad if good else bad))
+
+    verb = draw(st.sampled_from((*_VERB_FLAGS, *_VERB_FLAGS, "algebra-list", "no-such-verb")))
+    algebra = draw(st.sampled_from((*_FITS, *_FITS, *ALGEBRA_NAMES, "bogus")))
+    # mostly the parameters the algebra and the verb need, sometimes any
+    needed = [*algebra_params(algebra)] if algebra in ALGEBRA_NAMES else []
+    if verb == "tpa-normal-form":
+        needed += {"thin": ["k"], "solvable": ["variant"]}.get(algebra, [])
+    keys = draw(st.sampled_from((needed,) * 4 + ([],)) | st.lists(st.sampled_from(tuple(_PARAM_VALUES)), max_size=2))
+    argv = [verb]
+    if verb != "algebra-list":
+        argv += ["--algebra", algebra, "--window", value("--window")]
+    for key in keys:
+        argv += ["--param", f"{key}={value(key)}"]
+    flags = ["--seed", "--format", *_VERB_FLAGS.get(verb, ())]
+    # now and then a flag this verb does not take
+    flags += draw(st.lists(st.sampled_from(tuple(_FLAG_VALUES)), max_size=1))
+    for flag in flags:
+        if flag in ("--product", "--q") or draw(st.booleans()):
+            argv += [flag, value(flag)]
+    if verb == "tpa-witness" and draw(st.booleans()):
+        argv.append("--expect-witness")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command_lines())
+def test_any_command_line_exits_0_1_or_2(argv):
+    code, report = run(argv)
+    assert code in (0, 1, 2) and (report is None) == (code == 2)
+    if report is not None:
+        assert emit_report(report, "text") and json.loads(emit_report(report, "json"))["status"] == report.status
 
 
 def test_json_round_trip_and_determinism():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfder.algebras import make_algebra
-from halfder.basis import BasisIndex, Family, as_scalar, bidx
+from halfder.basis import BasisIndex, Family, as_int, as_scalar, bidx
 from halfder.core import ParseError, parse_element, render
 from halfder.element import Element, combine, element_combine, pack, unpack
 from halfder.solver import solve_delta_derivations
@@ -44,11 +44,19 @@ def test_scalar_lowest_terms_invariant():
     s = as_scalar("6/4")
     assert (s.numerator, s.denominator) == (3, 2)
     assert as_scalar("-2/8") == Fraction(-1, 4)
+    assert as_scalar(" 6/4 ") == Fraction(3, 2)
     assert as_scalar(5) == Fraction(5)
-    with pytest.raises(ValueError):
-        as_scalar("1/0")
+    # the element grammar's coefficient; Fraction(str) also takes each of these
+    for text in ("1/0", "0.5", "1_0", "+1", "١", "1/-2"):
+        with pytest.raises(ValueError):
+            as_scalar(text)
     with pytest.raises(TypeError):
         as_scalar(1.5)
+    assert as_int(" 6 ") == 6 and as_int("-02") == -2 and as_int(7) == 7
+    # int() also takes "1_0", "+1" and "١"
+    for value in ("0.5", "1_0", "+1", "١", "1/-2", " 6/4 ", "1/2", 1.0, True, Fraction(2)):
+        with pytest.raises(ValueError):
+            as_int(value)
 
 
 def test_scalar_rejects_bool():
