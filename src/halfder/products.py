@@ -175,8 +175,9 @@ def parse_product_literal(text: str, alg: AlgebraSpec) -> ProductSpec:
         if fam == "solvable":
             if alg.name != "solvable":
                 raise ValueError("table:solvable products pair with the solvable algebra")
-            if arg not in ("1", "2", "3"):
-                raise ValueError(f"solvable variant must be 1, 2 or 3: {arg!r}")
-            return normal_form_product(f"solvable_{arg}")
+            try:  # text off the number grammar, or a variant with no family
+                return normal_form_product(f"solvable_{as_int(arg)}")
+            except ValueError:
+                raise ValueError(f"solvable variant must be 1, 2 or 3: {arg!r}") from None
         raise ValueError(f"unknown table family {fam!r}")
     raise ValueError(f"unknown product literal {text!r}; use mutation:w=... or table:...")

@@ -3,89 +3,90 @@
 The unknown (s, t), the coefficient of t in phi(s), has the class
 (grade2(t) - grade2(s), parity of t xor parity of s), and every residual
 row of a graded algebra lies inside one class; a finite algebra has one
-class.  Each class keeps an exact integer basis of the nullspace of its
-rows so far, so it stores no row.  solver._system_rows imports this module
-on the first solve.
+class.  A solve finishes one class before it starts the next, and each
+class keeps an exact integer basis of the nullspace of its rows so far,
+so it stores no row.  solver._system_rows imports this module on the
+first solve.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
 
 from . import solver
 from .elimination import _cut
 from .maps import _Window
-from .solver import _bounded_entries, _row_dict
+from .solver import _bounded_entries
 from .spec import BracketTable
 
 
-def class_split(win: _Window) -> tuple[dict, dict]:
-    """(targets, cols): targets[x][k] lists the targets t of source x with
-    (x, t) in class k, and cols[k] the unknowns of class k, ascending."""
+def class_split(win: _Window) -> dict:
+    """{k: (targets, cols)} per class k: targets[x] lists the targets t of
+    source x with (x, t) in class k, and cols the unknowns of k, ascending."""
     alg = win.alg
-    targets, cols = {}, {}
+    split: dict = {}
     for u, (s, t) in enumerate(win.unknowns):
         k = 0 if alg.is_finite else (alg.grade2(t) - alg.grade2(s), t.parity ^ s.parity)
-        targets.setdefault(s, {}).setdefault(k, []).append(t)
-        cols.setdefault(k, []).append(u)
-    return targets, cols
+        targets, cols = split.setdefault(k, ({}, []))
+        targets.setdefault(s, []).append(t)
+        cols.append(u)
+    return split
 
 
-def residual_rows(win: _Window, delta: Fraction, full=frozenset(), targets=None):
-    """Yield the residual rows per (sorted tuple, class, output index),
-    skipping the classes in full, which the caller may grow meanwhile.
+def residual_rows(win: _Window, delta: Fraction, k, targets: dict, table: BracketTable):
+    """Yield the residual rows of class k per (sorted tuple, output index),
+    with targets the class's map from class_split.
 
     A row is the flat tuple (u_1..u_k, c_1..c_k) of a primitive integer row
     (ascending unknowns, coprime coefficients, c_1 > 0), so rows that are
     rational multiples of each other coincide; rows repeat.  Brackets are
-    read from a BracketTable of the call's own, not from the algebra's
-    memo, so the window's constants are freed with the stream.  Raises
-    ValueError when a row leaves its class, that is when a bracket met is
-    not homogeneous for grade2 and parity.
+    read from table, the solve's own, shared by its classes, not from the
+    algebra's memo, so the window's constants are freed with the solve.
+    Raises ValueError when a row leaves its class, that is when a bracket
+    met is not homogeneous for grade2 and parity.
     """
     alg = win.alg
     graded = not alg.is_finite
-    targets = targets or class_split(win)[0]
-    classes = sorted({k for by_class in targets.values() for k in by_class})
-    table = BracketTable(alg)
     dn, dd = delta.numerator, delta.denominator
     for args, b in _bounded_entries(alg, win.sources, table.__getitem__):
         grade = sum(map(alg.grade2, args))
         parity = sum(x.parity for x in args) % 2
-        for k in classes:
-            if k in full:
-                continue
-            # phi of the bracket, minus delta times the bracket with phi in slot i
-            inner = []
-            prefix = 0
-            for i, xi in enumerate(args):
-                for t in targets[xi].get(k, ()):
-                    n = dn if (t.parity ^ xi.parity) and prefix % 2 else -dn
-                    if bi := table[args[:i] + (t,) + args[i + 1 :]]:
-                        inner.append((win.uid[(xi, t)], n, bi))
-                prefix += xi.parity
-            scale = dd * lcm(*b[:1], *(bi[0] for _, _, bi in inner))
-            acc: dict = {}
-            for o, c in zip(b[1::2], b[2::2]):
-                f = c * (scale // b[0])
-                for t in targets[o].get(k, ()):
-                    d = acc.setdefault(t, {})
-                    u = win.uid[(o, t)]
-                    d[u] = d.get(u, 0) + f
-            for u, n, bi in inner:
-                f = n * (scale // (dd * bi[0]))
-                for o, c in zip(bi[1::2], bi[2::2]):
-                    d = acc.setdefault(o, {})
-                    d[u] = d.get(u, 0) + f * c
-            for y, d in acc.items():
-                if graded and k != (alg.grade2(y) - grade, y.parity ^ parity):
-                    tokens = ", ".join(x.token for x in args)
-                    raise ValueError(f"the row of {y.token} for ({tokens}) leaves its class: {alg.name} is not graded")
-                if row := sorted((u, c) for u, c in d.items() if c):
-                    g = gcd(*[c for _, c in row]) * (1 if row[0][1] > 0 else -1)
-                    yield (*[u for u, _ in row], *[c // g for _, c in row])
+        # phi of the bracket, minus delta times the bracket with phi in slot i
+        inner = []
+        prefix = 0
+        for i, xi in enumerate(args):
+            for t in targets.get(xi, ()):
+                n = dn if (t.parity ^ xi.parity) and prefix % 2 else -dn
+                if bi := table[args[:i] + (t,) + args[i + 1 :]]:
+                    inner.append((win.uid[(xi, t)], n, bi))
+            prefix += xi.parity
+        scale = dd * lcm(*b[:1], *(bi[0] for _, _, bi in inner))
+        acc: dict = {}
+        for o, c in zip(b[1::2], b[2::2]):
+            f = c * (scale // b[0])
+            for t in targets.get(o, ()):
+                d = acc.setdefault(t, {})
+                u = win.uid[(o, t)]
+                d[u] = d.get(u, 0) + f
+        for u, n, bi in inner:
+            f = n * (scale // (dd * bi[0]))
+            for o, c in zip(bi[1::2], bi[2::2]):
+                d = acc.setdefault(o, {})
+                d[u] = d.get(u, 0) + f * c
+        for y, d in acc.items():
+            if graded and k != (alg.grade2(y) - grade, y.parity ^ parity):
+                tokens = ", ".join(x.token for x in args)
+                raise ValueError(f"the row of {y.token} for ({tokens}) leaves its class: {alg.name} is not graded")
+            if row := sorted((u, c) for u, c in d.items() if c):
+                g = gcd(*[c for _, c in row]) * (1 if row[0][1] > 0 else -1)
+                yield (*[u for u, _ in row], *[c // g for _, c in row])
+
+
+def _row_dict(row: tuple) -> dict:
+    """{unknown: coefficient} of a flat integer row."""
+    k = len(row) // 2
+    return dict(zip(row[:k], row[k:]))
 
 
 class _Class:
@@ -131,29 +132,25 @@ class _Class:
         return not (free or null)
 
 
-def select_rows(rows: Iterable[tuple], cols: dict, full: set) -> list[dict]:
-    """The canonical nullspace basis of the stream, one vector per free
-    column f, ascending: 1 at f and 0 at the other free columns, as a
+def select_rows(win: _Window, delta: Fraction) -> list[dict]:
+    """The canonical nullspace basis of the window's system, one vector per
+    free column f, ascending: 1 at f and 0 at the other free columns, as a
     full elimination reads it off its reduced row echelon form.
 
-    cols maps each class to its unknowns, and a row belongs to the class of
-    its first one.  A class at full rank has nullspace {0}: its state is
-    dropped at once and it goes into full, so residual_rows assembles none
-    of its rows again.  At the end one solver._rref of every N left, keyed
-    by ~u, leads each vector with its largest unknown; those leads are the
-    free columns, since a column is free when it is the largest unknown of
-    some nullspace vector.
+    Each class's stream feeds one _Class and closes at the row that
+    completes the class's rank: its nullspace is {0}, so neither the rest
+    of its rows nor the brackets only they read are assembled.  The N of
+    every class below full rank is kept, and one solver._rref of them
+    all, keyed by ~u, leads each vector with its largest unknown; those
+    leads are the free columns, since a column is free when it is the
+    largest unknown of some nullspace vector.
     """
-    of = [None] * sum(map(len, cols.values()))
-    for k, us in cols.items():
-        for u in us:
-            of[u] = k
-    live = {k: _Class(us) for k, us in cols.items()}
-    for row in rows:
-        k = of[row[0]]
-        if k in live and live[k].add(row):
-            del live[k]
-            full.add(k)
+    table = BracketTable(win.alg)
+    null: list = []
+    for k, (targets, cols) in class_split(win).items():
+        c = _Class(cols)
+        if not any(map(c.add, residual_rows(win, delta, k, targets, table))):
+            null += c.vectors()
     # through solver, where perfbench's tracer wraps _rref
-    pivots = solver._rref({~u: x for u, x in v.items()} for c in live.values() for v in c.vectors())
+    pivots = solver._rref({~u: x for u, x in v.items()} for v in null)
     return [{~u: Fraction(x, p[lead]) for u, x in p.items()} for lead, p in sorted(pivots.items(), reverse=True)]

@@ -55,20 +55,12 @@ def bounded_tuples(alg, sources: Sequence):
 
 def _system_rows(win: _Window, delta: Fraction) -> list[dict]:
     """The canonical nullspace basis of the residual rows, ascending by
-    free column, from rows.select_rows over rows.residual_rows.  The import
-    runs on the first solve, so processes that never solve (the scans)
-    never compile that module."""
-    from .rows import class_split, residual_rows, select_rows
+    free column, from rows.select_rows.  The import runs on the first
+    solve, so processes that never solve (the scans) never compile that
+    module."""
+    from .rows import select_rows
 
-    targets, cols = class_split(win)
-    full: set = set()
-    return select_rows(residual_rows(win, delta, full, targets), cols, full)
-
-
-def _row_dict(row: tuple) -> dict:
-    """{unknown: coefficient} of a flat integer row."""
-    k = len(row) // 2
-    return dict(zip(row[:k], row[k:]))
+    return select_rows(win, delta)
 
 
 class SolutionSpace:

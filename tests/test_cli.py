@@ -216,7 +216,7 @@ _PARAM_VALUES = {
     "b": (("-1", "0", "2", "-02"), ("1_0", "+1")),
     "k": (("2", "3", "02", " 5"), ("1", "-1", "٣", "1_0", "3/2")),
     "n": (("3", "4"), ("2", "٣", "+3", "3/1")),
-    "variant": (("1", "2", "3"), ("0", "9", "+1", "01")),
+    "variant": (("1", "2", "3", "01"), ("0", "9", "+1", "٣")),
     "sector": (("ramond", "neveu_schwarz"), ("x",)),
     "junk": ((), ("1",)),
 }

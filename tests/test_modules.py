@@ -12,8 +12,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# just above rows.py, the largest module (1,408)
-MAX_CODE_TOKENS = 1500
+# just above cli.py, the largest module (1,353)
+MAX_CODE_TOKENS = 1400
 
 
 def code_tokens(path: Path) -> int:

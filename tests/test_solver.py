@@ -21,10 +21,9 @@ from halfder.core import render
 from halfder.element import Element
 from halfder.elimination import _rref, nullspace
 from halfder.maps import LinMapWindow, WindowEscapeError, _Window, delta_residual, identity_map
-from halfder.rows import residual_rows, select_rows
+from halfder.rows import _row_dict, class_split, residual_rows
 from halfder.solver import (
     SolutionSpace,
-    _row_dict,
     _system_rows,
     is_trivial_space,
     solve_delta_derivations,
@@ -32,7 +31,7 @@ from halfder.solver import (
     space_to_jsonable,
     stabilize,
 )
-from halfder.spec import AlgebraSpec
+from halfder.spec import AlgebraSpec, BracketTable
 from halfder.tables import algebra_from_structure_json, direct_sum
 
 HALF = Fraction(1, 2)
@@ -611,12 +610,19 @@ def test_empty_space_warns_only_where_the_identity_belongs():
 # integer rows and the per-class integer nullspace
 
 
+def _every_row(win, delta=HALF) -> list:
+    """Every residual row of the window, each class's stream in full, one
+    class after another, as a solve would read them were none at full rank."""
+    table = BracketTable(win.alg)
+    return [row for k, (targets, _) in class_split(win).items() for row in residual_rows(win, delta, k, targets, table)]
+
+
 @pytest.mark.parametrize(
     "name, params, window, shift, count",
     [("witt", {}, 8, 2, 514), ("n2sca", {"sector": "ramond"}, 3, 1, 3440)],
 )
 def test_system_rows_are_primitive_and_pairwise_independent(name, params, window, shift, count):
-    rows = sorted(set(residual_rows(_Window(make_algebra(name, params), window, shift), HALF)))
+    rows = sorted(set(_every_row(_Window(make_algebra(name, params), window, shift))))
     assert len(rows) == count  # as with lead-1 Fraction rows
     lead_one = set()
     for row in rows:
@@ -680,8 +686,12 @@ def _reference_nullspace(rows, cols):
 
 
 def _one_class(rows, ncols):
-    """select_rows over a stream whose unknowns all form one class."""
-    return select_rows(rows, {0: list(range(ncols))}, set())
+    """The canonical basis of rows fed to one _Class, read off its N as
+    select_rows reads it: one _rref keyed by ~u, each pivot over its lead."""
+    c = rows_module._Class(list(range(ncols)))
+    any(map(c.add, rows))
+    pivots = _rref({~u: x for u, x in v.items()} for v in c.vectors())
+    return [{~u: Fraction(x, p[lead]) for u, x in p.items()} for lead, p in sorted(pivots.items(), reverse=True)]
 
 
 class _ClassSpy:
@@ -722,27 +732,32 @@ def _check_null(c, rows):
 
 @pytest.mark.parametrize(
     "name, params, window, shift, classes, below, rank",
-    [("n2sca", {"sector": "ramond"}, 3, 1, 6, 1, 60), ("virasoro", {}, 6, 2, 5, 1, 15)],
+    [
+        ("n2sca", {"sector": "ramond"}, 3, 1, 6, 1, 60),
+        ("virasoro", {}, 6, 2, 5, 1, 15),
+        ("wab", {"a": "1/2", "b": "-1"}, 6, 1, 3, 3, 150),  # no class reaches full rank
+        ("svir", {"sector": "neveu_schwarz"}, 4, 1, 5, 1, 19),
+    ],
 )
 def test_system_rows_keep_a_spanning_selection(monkeypatch, name, params, window, shift, classes, below, rank):
     win = _Window(make_algebra(name, params), window, shift)
-    full = list(residual_rows(win, HALF))
+    stream = _every_row(win)
     spy = _ClassSpy(monkeypatch)
     vectors = _system_rows(win, HALF)
     live = [c for c in spy.made if c.vectors()]
     assert len(spy.made) == classes and len(live) == below
     assert sum(len(c.cols) - len(c.vectors()) for c in live) == rank
     for c in spy.made:
-        assert set(c.fed) <= set(full)
-        _check_null(c, [row for row in full if row[0] in c.cols])
-    assert vectors == _reference_nullspace(full, range(len(win.unknowns)))
+        assert set(c.fed) <= set(stream)
+        _check_null(c, [row for row in stream if row[0] in c.cols])
+    assert vectors == _reference_nullspace(stream, range(len(win.unknowns)))
 
 
 def test_witt_classes_stay_below_full_rank(monkeypatch):
     # no class of witt (8, 2) reaches full rank: each of the five classes
     # of 17 columns is fed its whole stream and comes back at nullity 1
     win = _Window(make_algebra("witt"), 8, 2)
-    stream = list(residual_rows(win, HALF))
+    stream = _every_row(win)
     spy = _ClassSpy(monkeypatch)
     vectors = _system_rows(win, HALF)
     assert [(len(c.cols), len(c.vectors())) for c in spy.made] == [(17, 1)] * 5
@@ -752,7 +767,7 @@ def test_witt_classes_stay_below_full_rank(monkeypatch):
 
 def test_solve_stores_no_held_rows(monkeypatch):
     alg = make_algebra("n2sca", {"sector": "ramond"})
-    streamed = sum(1 for _ in residual_rows(_Window(alg, 6, 1), HALF))
+    streamed = len(_every_row(_Window(alg, 6, 1)))
     spy = _ClassSpy(monkeypatch)
     assembled = 0
     original = rows_module.residual_rows
@@ -770,7 +785,9 @@ def test_solve_stores_no_held_rows(monkeypatch):
     assert sorted(len(c.vectors()) for c in spy.made) == [0] * 5 + [1]
     for c in spy.made:
         _check_null(c, [])
-    assert (assembled, streamed) == (2775, 12973)
+    # a class's stream closes at the row that completes its rank, so the
+    # rest of that tuple's rows are never built
+    assert (assembled, streamed) == (2773, 12973)
 
 
 def test_solve_eliminates_once_per_component(monkeypatch):
@@ -918,7 +935,7 @@ def finite_structures(draw):
 def test_finite_solve_matches_full_elimination(data, delta):
     alg = algebra_from_structure_json(data)
     win = _Window(alg, None, None)
-    rows = list(residual_rows(win, delta))
+    rows = _every_row(win, delta)
     expected = sorted(_reference_nullspace(rows, range(len(win.unknowns))), key=min)
     space = solve_delta_derivations(alg, delta)
     assert [b.images for b in space.basis] == [win.map_of(v).images for v in expected]
@@ -994,11 +1011,11 @@ def _oracle_rows(win, delta):
 )
 def test_integer_rows_match_delta_residual(name, params, window, shift, delta):
     win = _Window(make_algebra(name, params), window, shift)
-    assert set(residual_rows(win, delta)) == _oracle_rows(win, delta)
+    assert set(_every_row(win, delta)) == _oracle_rows(win, delta)
 
 
 @settings(max_examples=40, deadline=None)
 @given(finite_structures(), st.sampled_from([HALF, Fraction(1), Fraction(-1, 3), Fraction(0)]))
 def test_integer_rows_match_delta_residual_on_random_tables(data, delta):
     win = _Window(algebra_from_structure_json(data), None, None)
-    assert set(residual_rows(win, delta)) == _oracle_rows(win, delta)
+    assert set(_every_row(win, delta)) == _oracle_rows(win, delta)
