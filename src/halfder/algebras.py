@@ -47,11 +47,6 @@ def _el(pairs) -> Element:
     return Element({i: as_scalar(c) for i, c in pairs})
 
 
-def _ungraded(idx) -> int:
-    """grade2 of a table with no grading: every index has grade 0."""
-    return 0
-
-
 def _skew(rule: Callable) -> Callable:
     """The bracket rule on every ordering from rule, which is read only on
     ascending tuples (BasisIndex order).  Sorting takes one swap of

@@ -11,6 +11,22 @@ from .basis import as_int, as_scalar
 from .cli import UsageError
 
 
+def _grammar(read):
+    """read as an argparse type whose usage error quotes read's message
+    ('not an integer: ...'), not read's name ('invalid as_int value')."""
+
+    def typed(text):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return typed
+
+
+_INT, _SCALAR = _grammar(as_int), _grammar(as_scalar)
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first command rather than at import."""
@@ -29,10 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="algebra or product parameter (a, b, k, n, sector, variant); repeatable",
         )
-        p.add_argument("--window", type=as_int, default=8, help="degree window bound (default 8)")
+        p.add_argument("--window", type=_INT, default=8, help="degree window bound (default 8)")
         if solve:
-            p.add_argument("--delta", type=as_scalar, default="1/2", help="derivation parameter (default 1/2)")
-            p.add_argument("--shift", type=as_int, default=2, help="image shift bound (default 2)")
+            p.add_argument("--delta", type=_SCALAR, default="1/2", help="derivation parameter (default 1/2)")
+            p.add_argument("--shift", type=_INT, default=2, help="image shift bound (default 2)")
         if product:
             p.add_argument(
                 "--product",
@@ -48,11 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="treat a found witness as the successful outcome",
             )
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=as_int, default=0, help="seed echo for scripted runs")
+        p.add_argument("--seed", type=_INT, default=0, help="seed echo for scripted runs")
 
     p = sub.add_parser("algebra-list", help="list the built-in algebras")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=as_int, default=0)
+    p.add_argument("--seed", type=_INT, default=0)
 
     common(sub.add_parser("algebra-check", help="verify bracket identities on a window"))
     common(sub.add_parser("derive-solve", help="solve for delta-derivations"), solve=True)

@@ -76,36 +76,27 @@ _ODD_FAMILIES = frozenset((Family.GPLUS, Family.GMINUS))
 _INDEX_CACHE: dict[tuple[int, int], "BasisIndex"] = {}
 
 
-class BasisIndex:
-    """Immutable label (family, degree2) for one basis vector.
+class BasisIndex(tuple):
+    """Immutable label for one basis vector: the tuple (family, degree2),
+    which gives the index its hash, equality and order.
 
     degree2 is twice the grading degree, always an int; parity is fixed by
     the family (G families odd, everything else even).  Family C is the
-    central label and must sit in degree 0.
+    central label and must sit in degree 0.  Copying or pickling an index
+    gives back the interned one.
     """
 
-    __slots__ = ("family", "degree2", "parity", "_key", "_hash")
-
-    def __init__(self, family: Family, degree2: int = 0):
+    def __new__(cls, family: Family, degree2: int = 0):
         if family is Family.C and degree2 != 0:
             raise ValueError("central index c must have degree2 = 0")
+        self = super().__new__(cls, (family, degree2))
         self.family = family
         self.degree2 = degree2
         self.parity = 1 if family in _ODD_FAMILIES else 0
-        self._key = (int(family), degree2)
-        self._hash = hash(self._key)
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BasisIndex) and self._key == other._key
-
-    def __lt__(self, other: "BasisIndex") -> bool:
-        return self._key < other._key
-
-    def __le__(self, other: "BasisIndex") -> bool:
-        return self._key <= other._key
+    def __reduce__(self):
+        return bidx, (self.family, self.degree2)
 
     @property
     def token(self) -> str:

@@ -86,8 +86,7 @@ class Element:
     def __eq__(self, other) -> bool:
         return isinstance(other, Element) and self.terms == other.terms
 
-    def __hash__(self):
-        raise TypeError("Element is not hashable")
+    __hash__ = None
 
     def __repr__(self) -> str:
         from .core import render  # the grammar imports this module

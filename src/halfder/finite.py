@@ -5,7 +5,7 @@ tuples, read through `halfder.algebras._skew`.
 
 from __future__ import annotations
 
-from .algebras import _el, _skew, _ungraded
+from .algebras import _el, _skew
 from .basis import C_INDEX, Family, bidx
 from .element import Element
 from .spec import AlgebraSpec
@@ -68,6 +68,5 @@ def _make_nary_simple(params) -> AlgebraSpec:
         params={"n": n},
         basis_list=basis,
         bracket_fn=_skew(lambda idxs: table.get(idxs, Element.zero())),
-        grade2_fn=_ungraded,
         display=f"nary_simple (n={n}, dim {n + 1})",
     )

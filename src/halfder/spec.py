@@ -19,7 +19,8 @@ class AlgebraSpec:
 
     patterns lists (family, degree2 mod 2, min degree2 or None) for the
     infinite families; finite algebras carry an explicit basis instead.
-    grade2 is the additive grading used for gradedness checks; it defaults
+    grade2 is the additive grading that splits a solve into classes, used
+    for infinite algebras only (a finite algebra is one class); it defaults
     to degree2 and only deviates where the index label is positional.
     bracket_fn maps a basis tuple to an Element; assoc_fn, when given, maps
     a basis pair to their commutative associative product.

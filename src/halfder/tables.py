@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 
-from .algebras import _el, _skew, _ungraded
+from .algebras import _el, _skew
 from .basis import C_INDEX, Family, as_scalar, bidx
 from .element import Element, unpack
 from .spec import AlgebraSpec
@@ -55,17 +55,11 @@ def direct_sum(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
             return unpack(e[:1] + tuple(chain.from_iterable((b_map[o], n) for o, n in zip(e[1::2], e[2::2]))))
         return Element.zero()
 
-    def grade2(idx):
-        if idx in a_set:
-            return a.grade2(idx)
-        return b.grade2(b_inv[idx])
-
     return AlgebraSpec(
         name=f"{a.name}+{b.name}",
         arity=a.arity,
         basis_list=basis,
         bracket_fn=rule,
-        grade2_fn=grade2,
         display=f"{a.display} (+) {b.display}",
     )
 
@@ -133,6 +127,5 @@ def algebra_from_structure_json(data: dict, name: str = "custom") -> AlgebraSpec
         arity=arity,
         basis_list=basis,
         bracket_fn=_skew(lambda idxs: table.get(idxs, Element.zero())),
-        grade2_fn=_ungraded,
         display=f"{name} (imported, dim {dim})",
     )

@@ -304,13 +304,10 @@ def test_nary_skew_symmetry():
 
 def test_gradedness():
     # every bracket is homogeneous for grade2 and parity: the solver splits
-    # the residual system into classes by both
-    insts = _window_instances() + [
-        (make_algebra("n2sca", sector="ramond"), 3),
-        (make_algebra("nary_simple", n=3), None),
-        (make_algebra("nary_simple", n=4), None),
-        (direct_sum(make_algebra("sl2"), make_algebra("sl2")), None),
-    ]
+    # an infinite algebra's residual system into classes by both.  A finite
+    # algebra is one class and its grade2 is never used, so nary_simple,
+    # direct sums and imported tables carry no grading to check.
+    insts = _window_instances() + [(make_algebra("n2sca", sector="ramond"), 3)]
     for alg, W in insts:
         idxs = alg.window_indices(W or 8)
         for args in combinations_with_replacement(idxs, alg.arity):

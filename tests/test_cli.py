@@ -170,7 +170,7 @@ def test_closure_check():
     assert "error" in report.payload
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     for args in (
         ["derive-solve", "--algebra", "bogus"],
         ["derive-solve", "--algebra", "witt", "--delta", "x"],
@@ -207,6 +207,14 @@ def test_usage_errors_exit_2():
     assert code == 2 and report is None
     code, report = run([])
     assert code == 2 and report is None
+    # the message names the number grammar, not the Python reader (as_int, as_scalar)
+    for args, line in (
+        (["algebra-check", "--algebra", "witt", "--window", "1_0"], "argument --window: not an integer: '1_0'"),
+        (["derive-solve", "--algebra", "witt", "--delta=١/٢"], "argument --delta: not an exact rational: '١/٢'"),
+    ):
+        capsys.readouterr()
+        assert run(args) == (2, None)
+        assert capsys.readouterr().err.endswith(f"error: {line}\n"), args
 
 
 # (good, bad) text for each value of a command line.  No window or shift

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -80,6 +82,20 @@ def test_basis_index_invariants():
     assert bidx(Family.E, 2) == bidx(Family.E, 2)
     assert bidx(Family.E, 2) < bidx(Family.L, -8)  # family order wins
     assert bidx(Family.L, -2) < bidx(Family.L, 0)
+    # an index hashes and orders as (int(family), degree2), so dict and set
+    # iteration orders, and every sort, follow that tuple
+    idxs = [bidx(f, d) for f in Family for d in range(-8, 9) if f is not Family.C or d == 0]
+    for idx in idxs:
+        assert hash(idx) == hash((int(idx.family), idx.degree2))
+    shuffled = idxs[:]
+    random.Random(0).shuffle(shuffled)
+    assert [(int(i.family), i.degree2) for i in sorted(shuffled)] == sorted((int(i.family), i.degree2) for i in idxs)
+    for idx in idxs:
+        for back in (copy.copy(idx), copy.deepcopy(idx), pickle.loads(pickle.dumps(idx))):
+            assert back == idx and hash(back) == hash(idx)
+            assert (back.family, back.degree2, back.parity) == (idx.family, idx.degree2, idx.parity)
+    with pytest.raises(TypeError):
+        hash(Element.zero())
 
 
 def e(i):
