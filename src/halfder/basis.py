@@ -112,7 +112,10 @@ class BasisIndex(tuple):
 
 
 def bidx(family: Family, degree2: int = 0) -> BasisIndex:
-    """Interned BasisIndex constructor (hot paths churn through many)."""
+    """Interned BasisIndex constructor (hot paths churn through many); a
+    degree2 that is not an int raises, since 2.0 == 2 would intern it."""
+    if type(degree2) is not int:
+        raise TypeError(f"degree2 must be an int, got {degree2!r}")
     key = (int(family), degree2)
     idx = _INDEX_CACHE.get(key)
     if idx is None:

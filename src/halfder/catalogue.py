@@ -5,23 +5,22 @@ rule wrapped in `halfder.algebras._skew` is written on ascending tuples
 only, and the wrapper derives every other ordering.
 This module holds the Witt-type families: the Witt, Laurent and W(a,b)
 algebras, the thin and solvable algebras and the extended Laurent
-ambient.  The Virasoro, super-Virasoro and N=2 superconformal builders
-live in `halfder.superconformal`, and the finite classics and the simple
-n-ary family in `halfder.finite`.  `halfder.algebras.make_algebra` looks
-names up in `BUILDERS`; it imports this module on first use, since the
-builders import `_skew` from it.
+ambient.  Witt and W(a,b) are built from the Witt bracket `_witt` and
+the density action `_density` of `halfder.superconformal`, which holds
+the Virasoro, super-Virasoro and N=2 superconformal builders; the finite
+classics and the simple n-ary family live in `halfder.finite`.
+`halfder.algebras.make_algebra` looks names up in `BUILDERS`; it imports
+this module on first use, since the builders import `_skew` from it.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .algebras import _skew
 from .basis import Family, bidx
 from .element import Element
 from .finite import _make_heisenberg, _make_nary_simple, _make_schrodinger, _make_sl2
 from .spec import AlgebraSpec
-from .superconformal import _make_n2sca, _make_svir, _make_virasoro
+from .superconformal import _density, _make_n2sca, _make_svir, _make_virasoro, _witt
 
 _E, _L, _I = Family.E, Family.L, Family.I
 
@@ -30,16 +29,8 @@ def _zero_rule(idxs) -> Element:
     return Element.zero()
 
 
-def _witt_rule(idxs) -> Element:
-    x, y = idxs
-    i, j = x.degree2 // 2, y.degree2 // 2
-    if i == j:
-        return Element.zero()
-    return Element.single(bidx(_E, x.degree2 + y.degree2), i - j)
-
-
 def _make_witt(params) -> AlgebraSpec:
-    return AlgebraSpec(name="witt", patterns=((_E, 0, None),), bracket_fn=_witt_rule)
+    return AlgebraSpec(name="witt", patterns=((_E, 0, None),), bracket_fn=_witt)
 
 
 def _make_laurent(params) -> AlgebraSpec:
@@ -60,15 +51,9 @@ def _make_wab(params) -> AlgebraSpec:
 
     def rule(idxs):
         x, y = idxs
-        fx, fy = x.family, y.family
-        m, n = Fraction(x.degree2, 2), Fraction(y.degree2, 2)
-        if fx is _L and fy is _L:
-            if m == n:
-                return Element.zero()
-            return Element.single(bidx(_L, x.degree2 + y.degree2), m - n)
-        if fx is _L and fy is _I:
-            return Element.single(bidx(_I, x.degree2 + y.degree2), -(n + a + b * m))
-        return Element.zero()
+        if x.family is not _L:
+            return Element.zero()
+        return _witt(idxs) if y.family is _L else _density(x, y, a, b)
 
     return AlgebraSpec(
         name="wab",

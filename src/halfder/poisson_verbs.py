@@ -27,17 +27,23 @@ def _product(text, alg):
         raise UsageError(str(e)) from None
 
 
-def _verb_tpa_verify(ns):
-    alg = _make_algebra(ns)
-    p = _product(ns.product, alg)
-    _window_sources(alg, ns.window)
-    hit, checked = cli.check_tpa_window(alg, p, ns.window)
-    base = {"product": p.name, "window": ns.window, "tuples_checked": checked}
+def _tpa_report(alg, p, window):
+    """(status, payload) of the compatibility scan, for tpa-verify and
+    tpa-normal-form: pass, or fail with the first witness and its residual."""
+    hit, checked = cli.check_tpa_window(alg, p, window)
+    base = {"product": p.name, "window": window, "tuples_checked": checked}
     if hit is None:
         return "pass", base
     (z, args), res = hit
     base["witness"] = {"z": z.token, "args": [i.token for i in args], "residual": render(res)}
     return "fail", base
+
+
+def _verb_tpa_verify(ns):
+    alg = _make_algebra(ns)
+    p = _product(ns.product, alg)
+    _window_sources(alg, ns.window)
+    return _tpa_report(alg, p, ns.window)
 
 
 def _verb_tpa_witness(ns):
@@ -75,13 +81,9 @@ def _verb_tpa_normal_form(ns):
             v = product_eval(p, x, y)
             if not v.is_zero():
                 table.append({"x": x.token, "y": y.token, "value": render(v)})
-    hit, checked = cli.check_tpa_window(alg, p, ns.window)
-    base = {"product": p.name, "window": ns.window, "tuples_checked": checked, "table": table}
-    if hit is None:
-        return "pass", base
-    (z, args), _ = hit
-    base["witness"] = {"z": z.token, "args": [i.token for i in args]}
-    return "fail", base
+    status, base = _tpa_report(alg, p, ns.window)
+    base["table"] = table
+    return status, base
 
 
 def _verb_closure_check(ns):

@@ -2,7 +2,13 @@
 (N=1) and N=2 superconformal algebras, in the Ramond or Neveu-Schwarz
 sector.  The super rules are written on ascending tuples only, and
 `halfder.algebras._skew` derives every other ordering.
-`halfder.catalogue` registers their builders."""
+`halfder.catalogue` registers their builders.
+
+Every Witt-type bracket is built from two laws: the Witt bracket `_witt`
+and the action `_density` of Witt on a density module F(a, b).  witt is
+`_witt`, W(a, b) adds I = F(a, b), Virasoro (`_vira_ll`) adds a cocycle
+to `_witt`, N=1 adds G = F(0, -1/2) to Virasoro, and N=2 adds J = F(0, 0)
+and G+, G- = F(0, -1/2).  A central term is computed only at degree 0."""
 
 from __future__ import annotations
 
@@ -15,18 +21,29 @@ from .spec import AlgebraSpec
 
 _L, _J, _C = Family.L, Family.J, Family.C
 _GP, _GM = Family.GPLUS, Family.GMINUS
+_G_B = Fraction(-1, 2)  # b of G = F(0, -1/2)
 
 
-def _vira_ll(x, y) -> Element:
-    m, n = x.degree2 // 2, y.degree2 // 2
-    out = {}
-    if m != n:
-        out[bidx(_L, x.degree2 + y.degree2)] = Fraction(m - n)
-    if m + n == 0:
-        cc = Fraction(m**3 - m, 12)
-        if cc:
-            out[C_INDEX] = cc
-    return Element(out)
+def _witt(idxs) -> Element:
+    """[x_m, x_n] = (m - n) x_{m+n}, in x's family."""
+    x, y = idxs
+    return Element({bidx(x.family, x.degree2 + y.degree2): Fraction((x.degree2 - y.degree2) // 2)})
+
+
+def _density(x, y, a, b) -> Element:
+    """[L_m, v_n] = -(n + a + b m) v_{m+n}, v in F(a, b): in doubled degrees
+    the coefficient is (n2 + 2a + b m2) / -2."""
+    d = y.degree2 + 2 * a + b * x.degree2
+    return Element({bidx(y.family, x.degree2 + y.degree2): Fraction(d, -2)})
+
+
+def _vira_ll(idxs) -> Element:
+    """`_witt` plus the cocycle (m^3 - m)/12 c where m + n = 0."""
+    x, y = idxs
+    if x.degree2 + y.degree2:
+        return _witt(idxs)
+    m = x.degree2 // 2
+    return Element({**_witt(idxs).terms, C_INDEX: Fraction(m**3 - m, 12)})
 
 
 def _make_virasoro(params) -> AlgebraSpec:
@@ -34,7 +51,7 @@ def _make_virasoro(params) -> AlgebraSpec:
         x, y = idxs
         if x.family is _C or y.family is _C:
             return Element.zero()
-        return _vira_ll(x, y)
+        return _vira_ll(idxs)
 
     return AlgebraSpec(
         name="virasoro", patterns=((_L, 0, None),), has_center=True, bracket_fn=rule
@@ -55,19 +72,12 @@ def _make_svir(params) -> AlgebraSpec:
         fx, fy = x.family, y.family
         if fy is _C:
             return Element.zero()
-        if fx is _L and fy is _L:
-            return _vira_ll(x, y)
         if fx is _L:
-            m = Fraction(x.degree2, 2)
-            r = Fraction(y.degree2, 2)
-            return Element.single(bidx(_GP, x.degree2 + y.degree2), m / 2 - r)
+            return _vira_ll(idxs) if fy is _L else _density(x, y, 0, _G_B)
         # the one ascending pair left: G, G
-        r = Fraction(x.degree2, 2)
         out = {bidx(_L, x.degree2 + y.degree2): Fraction(2)}
         if x.degree2 + y.degree2 == 0:
-            cc = (r * r - Fraction(1, 4)) / 3
-            if cc:
-                out[C_INDEX] = cc
+            out[C_INDEX] = (Fraction(x.degree2, 2) ** 2 - Fraction(1, 4)) / 3
         return Element(out)
 
     return AlgebraSpec(
@@ -89,37 +99,22 @@ def _make_n2sca(params) -> AlgebraSpec:
         fx, fy = x.family, y.family
         if fy is _C:
             return Element.zero()
-        if fx is _L and fy is _L:
-            return _vira_ll(x, y)
-        if fx is _L and fy is _J:
-            n = Fraction(y.degree2, 2)
-            return Element.single(bidx(_J, x.degree2 + y.degree2), -n)
-        if fx is _J and fy is _J:
-            if x.degree2 + y.degree2 == 0:
-                m = Fraction(x.degree2, 2)
-                return Element.single(C_INDEX, m / 3)
-            return Element.zero()
-        if fx is _L and fy in (_GP, _GM):
-            m = Fraction(x.degree2, 2)
-            r = Fraction(y.degree2, 2)
-            return Element.single(bidx(fy, x.degree2 + y.degree2), m / 2 - r)
+        if fx is _L:
+            return _vira_ll(idxs) if fy is _L else _density(x, y, 0, 0 if fy is _J else _G_B)
+        if fx is _J and fy is _J:  # m/3 c where m + n = 0
+            if x.degree2 + y.degree2:
+                return Element.zero()
+            return Element.single(C_INDEX, Fraction(x.degree2, 6))
         if fx is _J and fy in (_GP, _GM):
             # [J_m, G±_r] = ±G±_{m+r}
             sgn = 1 if fy is _GP else -1
             return Element.single(bidx(fy, x.degree2 + y.degree2), sgn)
         if fx is _GP and fy is _GM:
-            # both odd, so [G-_s, G+_r] = [G+_r, G-_s]
-            r = Fraction(x.degree2, 2)
-            s = Fraction(y.degree2, 2)
+            # L_{r+s} + (r - s)/2 J_{r+s}; both odd, so [G-_s, G+_r] = [G+_r, G-_s]
             d2 = x.degree2 + y.degree2
-            out = {bidx(_L, d2): ONE}
-            jc = (r - s) / 2
-            if jc:
-                out[bidx(_J, d2)] = jc
+            out = {bidx(_L, d2): ONE, bidx(_J, d2): Fraction(x.degree2 - y.degree2, 4)}
             if d2 == 0:
-                cc = (r * r - Fraction(1, 4)) / 6
-                if cc:
-                    out[C_INDEX] = cc
+                out[C_INDEX] = (Fraction(x.degree2, 2) ** 2 - Fraction(1, 4)) / 6
             return Element(out)
         return Element.zero()
 

@@ -540,6 +540,8 @@ def test_direct_sum_rejects_odd_operands():
     for a, b in ((make_algebra("sl2"), odd), (odd, make_algebra("sl2"))):
         with pytest.raises(ValueError, match=r"takes no odd basis index; odd has G\+_0"):
             direct_sum(a, b)
+    with pytest.raises(ValueError, match="must share the arity"):
+        direct_sum(make_algebra("sl2"), make_algebra("nary_simple", {"n": 3}))
 
 
 def test_structure_json_round_trip():
@@ -676,6 +678,10 @@ def test_bracket_rejects_foreign_indices():
     thin = make_algebra("thin")
     with pytest.raises(ValueError):
         thin.bracket(B(E(0)), B(E(1)))
+    with pytest.raises(ValueError, match="takes 2 arguments, got 1"):
+        witt.bracket(B(E(1)))
+    with pytest.raises(ValueError, match="has no associative product"):
+        witt.assoc(B(E(1)), B(E(2)))
 
 
 def test_render_parse_with_algebra_validation():

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfder import cli
 from halfder.algebras import ALGEBRA_NAMES, algebra_params
 from halfder.cli import main, run_command
+from halfder.core import parse_element
 from halfder.report import emit_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -119,7 +121,7 @@ def test_tpa_witness_exit_semantics():
     assert code == 1 and report.status == "none"
 
 
-def test_tpa_normal_form():
+def test_tpa_normal_form(monkeypatch):
     code, report = run(
         ["tpa-normal-form", "--algebra", "thin", "--param", "k=3", "--window", "6"]
     )
@@ -129,6 +131,21 @@ def test_tpa_normal_form():
         ["tpa-normal-form", "--algebra", "solvable", "--param", "variant=2", "--window", "6"]
     )
     assert code == 0 and report.status == "pass"
+    # no built-in table fails the scan; a failing one reports its witness as
+    # tpa-verify does, residual included
+    failing = ["tpa-verify", "--algebra", "wab", "--param", "a=0", "--param", "b=2", "--product=mutation:w=L_0"]
+    witness = run(failing + ["--window", "3"])[1].payload["witness"]
+    assert set(witness) == {"z", "args", "residual"}
+
+    def idx(token):
+        return parse_element(token).support()[0]
+
+    hit = ((idx(witness["z"]), tuple(map(idx, witness["args"]))), parse_element(witness["residual"]))
+    monkeypatch.setattr(cli, "check_tpa_window", lambda alg, p, window: (hit, 7))
+    code, report = run(["tpa-normal-form", "--algebra", "thin", "--param", "k=3", "--window", "6"])
+    assert code == 1 and report.status == "fail"
+    assert report.payload["witness"] == witness and report.payload["tuples_checked"] == 7
+    assert {"x": "e_1", "y": "e_1", "value": "e_3"} in report.payload["table"]
 
 
 def test_tpa_normal_form_usage_errors_name_the_param(capsys):
@@ -211,6 +228,10 @@ def test_usage_errors_exit_2(capsys):
     for args, line in (
         (["algebra-check", "--algebra", "witt", "--window", "1_0"], "argument --window: not an integer: '1_0'"),
         (["derive-solve", "--algebra", "witt", "--delta=١/٢"], "argument --delta: not an exact rational: '١/٢'"),
+        (
+            ["tpa-witness", "--algebra", "nary_simple", "--param", "n=3", "--product=mutation:w=e_0"],
+            "the Poisson Leibniz check needs a binary bracket",
+        ),
     ):
         capsys.readouterr()
         assert run(args) == (2, None)

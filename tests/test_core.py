@@ -96,6 +96,14 @@ def test_basis_index_invariants():
             assert (back.family, back.degree2, back.parity) == (idx.family, idx.degree2, idx.parity)
     with pytest.raises(TypeError):
         hash(Element.zero())
+    # 2.0 == 2, so a non-int degree2 would be interned and then handed out
+    # for the int key too; bidx rejects it before its cache lookup
+    for bad in (2.0, 9001.0, True, Fraction(4)):
+        with pytest.raises(TypeError):
+            bidx(Family.E, bad)
+    with pytest.raises(TypeError):
+        make_algebra("witt").window_indices(2.5)
+    assert type(bidx(Family.E, 9001).degree2) is int
 
 
 def e(i):
@@ -159,6 +167,13 @@ def test_parse_errors_carry_positions():
     # bare ValueError on '²' or read '٣' as 3
     for text, position in (("²*e_1", 0), ("e_²", 2), ("e_1/²", 4), ("٣*e_1", 0)):
         with pytest.raises(ParseError) as err:
+            parse_element(text)
+        assert err.value.position == position
+    for text, message, position in (
+        ("e1", "expected '_' after family token", 1),
+        ("1/0*e_1", "denominator must be positive", 2),
+    ):
+        with pytest.raises(ParseError, match=message) as err:
             parse_element(text)
         assert err.value.position == position
 

@@ -131,6 +131,8 @@ def test_delta_residual_window_escape_is_reported():
         delta_residual(witt, phi, HALF, (E(2), E(3)))  # output e_5 leaves W=4
     with pytest.raises(WindowEscapeError):
         delta_residual(witt, phi, HALF, (E(9), E(0)))
+    with pytest.raises(ValueError, match="expected 2 arguments"):
+        delta_residual(witt, phi, HALF, (E(1),))
 
 
 def test_virasoro_residual_matches_hand_derived_relations():
@@ -515,6 +517,12 @@ def test_contains_requires_matching_window():
         space.contains(identity_map(make_algebra("laurent"), 6))
     wide = closed_form_map("witt_shift_family", {3: 1}, witt, 6)  # shift 3 > S=2
     assert not space.contains(wide)
+    with pytest.raises(ValueError, match="not a source"):
+        LinMapWindow(witt, 2, {E(5): Element.basis(E(1))})
+    with pytest.raises(ValueError, match="not valid in witt"):
+        LinMapWindow(witt, 2, {E(1): Element.basis(L(1))})
+    with pytest.raises(ValueError, match="outside shift bound 1"):
+        _Window(witt, 3, 1).vector_of(LinMapWindow(witt, 3, {E(0): Element.basis(E(3))}))
 
 
 def test_contains_builds_the_window_once(monkeypatch):
