@@ -73,7 +73,7 @@ _FAMILY_TOKEN = {
 
 _ODD_FAMILIES = frozenset((Family.GPLUS, Family.GMINUS))
 
-_INDEX_CACHE: dict[tuple[int, int], "BasisIndex"] = {}
+_INDEX_CACHE: dict[tuple[Family, int], "BasisIndex"] = {}
 
 
 class BasisIndex(tuple):
@@ -82,21 +82,27 @@ class BasisIndex(tuple):
 
     degree2 is twice the grading degree, always an int; parity is fixed by
     the family (G families odd, everything else even).  Family C is the
-    central label and must sit in degree 0.  Copying or pickling an index
-    gives back the interned one.
+    central label and must sit in degree 0.  Construction interns, so equal
+    indices are one object, copies and pickles included.  It takes only a
+    Family and an int degree2: 1 == Family.L and 2.0 == 2, so another type
+    would be interned and then handed out for the canonical key too.
     """
 
     def __new__(cls, family: Family, degree2: int = 0):
-        if family is Family.C and degree2 != 0:
-            raise ValueError("central index c must have degree2 = 0")
-        self = super().__new__(cls, (family, degree2))
-        self.family = family
-        self.degree2 = degree2
-        self.parity = 1 if family in _ODD_FAMILIES else 0
+        if type(family) is not Family or type(degree2) is not int:
+            raise TypeError(f"a basis index takes a Family and an int degree2, got {family!r}, {degree2!r}")
+        self = _INDEX_CACHE.get((family, degree2))
+        if self is None:
+            if family is Family.C and degree2 != 0:
+                raise ValueError("central index c must have degree2 = 0")
+            self = _INDEX_CACHE[family, degree2] = super().__new__(cls, (family, degree2))
+            self.family = family
+            self.degree2 = degree2
+            self.parity = 1 if family in _ODD_FAMILIES else 0
         return self
 
     def __reduce__(self):
-        return bidx, (self.family, self.degree2)
+        return BasisIndex, (self.family, self.degree2)
 
     @property
     def token(self) -> str:
@@ -111,16 +117,6 @@ class BasisIndex(tuple):
         return self.token
 
 
-def bidx(family: Family, degree2: int = 0) -> BasisIndex:
-    """Interned BasisIndex constructor (hot paths churn through many); a
-    degree2 that is not an int raises, since 2.0 == 2 would intern it."""
-    if type(degree2) is not int:
-        raise TypeError(f"degree2 must be an int, got {degree2!r}")
-    key = (int(family), degree2)
-    idx = _INDEX_CACHE.get(key)
-    if idx is None:
-        idx = _INDEX_CACHE[key] = BasisIndex(family, degree2)
-    return idx
+bidx = BasisIndex
 
-
-C_INDEX = bidx(Family.C, 0)
+C_INDEX = BasisIndex(Family.C, 0)

@@ -57,9 +57,10 @@ def _make_algebra(ns):
 
 
 def _window_sources(alg, window):
-    if window <= 0 and not alg.is_finite:
-        raise UsageError("window must be positive")
-    return alg.window_indices(window)
+    try:
+        return alg.window_indices(window)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 # ---------------------------------------------------------------------------

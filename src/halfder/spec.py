@@ -82,9 +82,12 @@ class AlgebraSpec:
         return sorted(out)
 
     def window_indices(self, window: int) -> list:
-        """All valid sources for the window: |degree2| <= 2W, center always."""
+        """All valid sources for the window: |degree2| <= 2W, center always.
+        A finite algebra ignores W; an infinite one raises ValueError for W < 1."""
         if self.basis_list is not None:
             return sorted(self.basis_list)
+        if window < 1:
+            raise ValueError("window must be positive")
         return self.indices_in_degree2_range(-2 * window, 2 * window)
 
     def _check(self, idxs: tuple) -> None:

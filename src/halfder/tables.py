@@ -6,7 +6,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 from .algebras import _el, _skew
-from .basis import C_INDEX, Family, as_scalar, bidx
+from .basis import Family, as_scalar, bidx
 from .element import Element, unpack
 from .spec import AlgebraSpec
 
@@ -35,14 +35,11 @@ def direct_sum(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
     for fam in b_families:
         if fam is _C and _C not in used:
             relabel[fam] = _C
-            used.add(_C)
             continue
         if not free:
             raise ValueError("not enough families to relabel the second summand")
         relabel[fam] = free.pop(0)
-    b_map = {i: bidx(relabel[i.family], i.degree2) if relabel[i.family] is not _C else C_INDEX for i in b.basis_list}
-    if set(b_map.values()) & set(a.basis_list):
-        raise ValueError("relabeled summands collide; relabeling scheme exhausted")
+    b_map = {i: bidx(relabel[i.family], i.degree2) for i in b.basis_list}
     basis = tuple(sorted(list(a.basis_list) + [b_map[i] for i in b.basis_list]))
     b_inv = {v: k for k, v in b_map.items()}
     a_set = frozenset(a.basis_list)

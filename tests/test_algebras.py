@@ -528,6 +528,17 @@ def test_direct_sum():
     assert len(mixed.basis_list) == 6
     with pytest.raises(ValueError):
         direct_sum(make_algebra("witt"), make_algebra("sl2"))
+    # the first summand already has c, so the second summand's c takes a
+    # free family of the pool like any other family
+    heis = make_algebra("heisenberg")
+    hh = direct_sum(heis, heis)
+    c = bidx(Family.C)
+    assert hh.basis_list == (E(-1), E(1), L(-1), L(1), I(0), c)
+    assert hh.bracket_basis((L(-1), L(1))) == Element.single(I(0), -1)
+    assert hh.bracket_basis((E(-1), E(1))) == Element.single(c, -1)
+    sl2 = make_algebra("sl2")
+    with pytest.raises(ValueError, match="not enough families to relabel the second summand"):
+        direct_sum(direct_sum(direct_sum(sl2, sl2), sl2), make_algebra("schrodinger"))
 
 
 def test_direct_sum_rejects_odd_operands():

@@ -104,6 +104,17 @@ def test_basis_index_invariants():
     with pytest.raises(TypeError):
         make_algebra("witt").window_indices(2.5)
     assert type(bidx(Family.E, 9001).degree2) is int
+    # bidx is BasisIndex, the one interning constructor: a plain-int family
+    # (1 == Family.L) must not intern an L index that valid_index refuses
+    for args in ((Family.E, 2.0), (Family.E, True), (1, 4)):
+        with pytest.raises(TypeError):
+            BasisIndex(*args)
+    with pytest.raises(TypeError):
+        bidx(1, 4)
+    assert BasisIndex(Family.E, 2) is bidx(Family.E, 2)
+    assert bidx(Family.L, 4).family is Family.L
+    vir = make_algebra("virasoro")
+    assert vir.bracket_basis((bidx(Family.L, 2), bidx(Family.L, 4))) == Element.single(bidx(Family.L, 6), -1)
 
 
 def e(i):

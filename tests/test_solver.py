@@ -21,6 +21,8 @@ from halfder.core import render
 from halfder.element import Element
 from halfder.elimination import _rref, nullspace
 from halfder.maps import LinMapWindow, WindowEscapeError, _Window, delta_residual, identity_map
+from halfder.poisson import check_tpa_window, find_poisson_witness, mutation_closure_check
+from halfder.products import parse_product_literal
 from halfder.rows import _row_dict, class_split, residual_rows
 from halfder.solver import (
     SolutionSpace,
@@ -381,6 +383,17 @@ def test_solver_window_validation():
         solve_delta_derivations(witt, HALF, window=6, shift=0)
     with pytest.raises(ValueError, match="window and shift bounds"):
         solve_stabilized(witt, HALF)
+    # a window below 1 on an infinite algebra has no sources, so every
+    # library scan over it would pass over nothing
+    w = parse_product_literal("mutation:w=e_0", witt)
+    for scan in (
+        lambda: check_tpa_window(witt, w, -3),
+        lambda: find_poisson_witness(witt, w, -3),
+        lambda: mutation_closure_check(witt, w, E(1), -1),
+        lambda: LinMapWindow(witt, -2, {}),
+    ):
+        with pytest.raises(ValueError, match="window must be positive"):
+            scan()
 
 
 def test_empty_space_flags_anomaly():
