@@ -75,4 +75,5 @@ def closed_form_map(family: str, coeffs: dict, alg, window: int) -> LinMapWindow
         shifted = _shift({i: scale * c for i, c in beta.items() if i >= 2}, Family.E, 2 * n - 4)
         return Element.single(s, (1 - scale) * a1) + shifted
 
-    return LinMapWindow(alg, window, {s: image(s) for s in alg.window_indices(window)})
+    srcs = alg.window_indices(window)
+    return LinMapWindow(alg, srcs, {s: image(s) for s in srcs})

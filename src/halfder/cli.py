@@ -126,7 +126,7 @@ def _verb_derive_solve(ns):
             raise UsageError(str(e)) from None
     trivial = is_trivial_space(space)
     hit, checked = first_defect(
-        product(space.basis, bounded_tuples(alg, _window_sources(alg, ns.window))),
+        product(space.basis, bounded_tuples(alg, _window_sources(alg, ns.window), alg.bracket_ints)),
         lambda phi, args: delta_residual(alg, phi, ns.delta, args),
     )
     if hit:

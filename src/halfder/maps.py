@@ -27,10 +27,8 @@ class LinMapWindow:
 
     __slots__ = ("alg", "sources", "source_set", "packed")
 
-    def __init__(self, alg, window, images: dict, sources: Sequence | None = None):
+    def __init__(self, alg, sources: Sequence, images: dict):
         self.alg = alg
-        if sources is None:
-            sources = alg.window_indices(window)
         self.sources = tuple(sorted(sources))
         self.source_set = src = frozenset(self.sources)
         self.packed = {}
@@ -67,7 +65,8 @@ class LinMapWindow:
 
 
 def identity_map(alg, window) -> LinMapWindow:
-    return LinMapWindow(alg, window, {s: Element.basis(s) for s in alg.window_indices(window)})
+    srcs = alg.window_indices(window)
+    return LinMapWindow(alg, srcs, {s: Element.basis(s) for s in srcs})
 
 
 def delta_residual(alg, phi: LinMapWindow, delta, args: tuple) -> Element:
@@ -93,21 +92,16 @@ class _Window:
     def __init__(self, alg, window, shift):
         self.alg = alg
         if alg.is_finite:
-            self.window = None
-            self.shift = None
-            self.sources = sorted(alg.basis_list)
-            targets = dict.fromkeys(self.sources, self.sources)
+            window = shift = None
         else:
             _check_bounds(window, shift)
-            self.window = window
-            self.shift = shift
-            self.sources = alg.window_indices(window)
-            targets = {
-                s: alg.indices_in_degree2_range(s.degree2 - 2 * shift, s.degree2 + 2 * shift)
-                for s in self.sources
-            }
-        self.source_set = frozenset(self.sources)
-        self.unknowns = [(s, t) for s in self.sources for t in targets[s]]
+        self.window, self.shift = window, shift
+        self.sources = srcs = tuple(alg.window_indices(window))
+        if alg.is_finite:
+            targets = dict.fromkeys(srcs, srcs)
+        else:
+            targets = {s: alg.indices_in_degree2_range(s.degree2 - 2 * shift, s.degree2 + 2 * shift) for s in srcs}
+        self.unknowns = [(s, t) for s in srcs for t in targets[s]]
         self.uid = {st: u for u, st in enumerate(self.unknowns)}
 
     def vector_of(self, phi: LinMapWindow, strict: bool = True) -> dict | None:
@@ -132,7 +126,7 @@ class _Window:
         for u, c in vec.items():
             s, t = self.unknowns[u]
             images.setdefault(s, {})[t] = c
-        return LinMapWindow(self.alg, self.window, {s: Element(d) for s, d in images.items()}, sources=self.sources)
+        return LinMapWindow(self.alg, self.sources, {s: Element(d) for s, d in images.items()})
 
 
 def _check_bounds(window, shift) -> None:

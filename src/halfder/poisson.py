@@ -95,7 +95,7 @@ def right_mult_map(p: ProductSpec, z, alg: AlgebraSpec, window: int) -> LinMapWi
     zs = [(c.numerator, c.denominator, t) for t, c in _as_element(z).terms.items()]
     srcs = alg.window_indices(window)
     images = {s: combine([(n, d, p.product_ints(s, t)) for n, d, t in zs]) for s in srcs}
-    return LinMapWindow(alg, window, images, sources=srcs)
+    return LinMapWindow(alg, srcs, images)
 
 
 def mutation_closure_check(alg: AlgebraSpec, p: ProductSpec, q_elem, window: int) -> bool:

@@ -17,7 +17,7 @@ from math import gcd, lcm
 from . import solver
 from .elimination import _cut
 from .maps import _Window
-from .solver import _bounded_entries
+from .solver import bounded_tuples
 from .spec import BracketTable
 
 
@@ -34,9 +34,10 @@ def class_split(win: _Window) -> dict:
     return split
 
 
-def residual_rows(win: _Window, delta: Fraction, k, targets: dict, table: BracketTable):
+def residual_rows(win: _Window, delta: Fraction, k, targets: dict, table: BracketTable, tuples: list):
     """Yield the residual rows of class k per (sorted tuple, output index),
-    with targets the class's map from class_split.
+    with targets the class's map from class_split and tuples the solve's
+    bounded tuples (solver.bounded_tuples), in order.
 
     A row is the flat tuple (u_1..u_k, c_1..c_k) of a primitive integer row
     (ascending unknowns, coprime coefficients, c_1 > 0), so rows that are
@@ -49,7 +50,8 @@ def residual_rows(win: _Window, delta: Fraction, k, targets: dict, table: Bracke
     alg = win.alg
     graded = not alg.is_finite
     dn, dd = delta.numerator, delta.denominator
-    for args, b in _bounded_entries(alg, win.sources, table.__getitem__):
+    for args in tuples:
+        b = table[args]
         grade = sum(map(alg.grade2, args))
         parity = sum(x.parity for x in args) % 2
         # phi of the bracket, minus delta times the bracket with phi in slot i
@@ -137,19 +139,21 @@ def select_rows(win: _Window, delta: Fraction) -> list[dict]:
     free column f, ascending: 1 at f and 0 at the other free columns, as a
     full elimination reads it off its reduced row echelon form.
 
-    Each class's stream feeds one _Class and closes at the row that
-    completes the class's rank: its nullspace is {0}, so neither the rest
-    of its rows nor the brackets only they read are assembled.  The N of
-    every class below full rank is kept, and one solver._rref of them
-    all, keyed by ~u, leads each vector with its largest unknown; those
-    leads are the free columns, since a column is free when it is the
-    largest unknown of some nullspace vector.
+    The bounded tuples are filtered once, through the solve's table, and
+    every class reads that one list.  Each class's stream feeds one _Class
+    and closes at the row that completes the class's rank: its nullspace
+    is {0}, so neither the rest of its rows nor the brackets only they
+    read are assembled.  The N of every class below full rank is kept,
+    and one solver._rref of them all, keyed by ~u, leads each vector with
+    its largest unknown; those leads are the free columns, since a column
+    is free when it is the largest unknown of some nullspace vector.
     """
     table = BracketTable(win.alg)
+    tuples = list(bounded_tuples(win.alg, win.sources, table.__getitem__))
     null: list = []
     for k, (targets, cols) in class_split(win).items():
         c = _Class(cols)
-        if not any(map(c.add, residual_rows(win, delta, k, targets, table))):
+        if not any(map(c.add, residual_rows(win, delta, k, targets, table, tuples))):
             null += c.vectors()
     # through solver, where perfbench's tracer wraps _rref
     pivots = solver._rref({~u: x for u, x in v.items()} for v in null)

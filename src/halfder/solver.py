@@ -37,20 +37,14 @@ def __getattr__(name):
     return closed_form_map
 
 
-def _bounded_entries(alg, sources: Sequence, bracket):
-    """Yield (args, packed bracket of args) over the sorted argument tuples
-    of the sorted sources whose bracket outputs stay inside them, reading
-    each entry once through bracket."""
+def bounded_tuples(alg, sources: Sequence, bracket):
+    """Yield the sorted argument tuples of the sorted sources whose bracket
+    outputs stay inside them, reading each packed entry once through
+    bracket: the algebra's memo (alg.bracket_ints) or a solve's own table."""
     inside = frozenset(sources)
     for args in combinations_with_replacement(sources, alg.arity):
-        b = bracket(args)
-        if inside.issuperset(b[1::2]):
-            yield args, b
-
-
-def bounded_tuples(alg, sources: Sequence):
-    """The argument tuples of _bounded_entries, read through the algebra's memo."""
-    return (args for args, _ in _bounded_entries(alg, sources, alg.bracket_ints))
+        if inside.issuperset(bracket(args)[1::2]):
+            yield args
 
 
 def _system_rows(win: _Window, delta: Fraction) -> list[dict]:
@@ -89,7 +83,7 @@ class SolutionSpace:
         if not same_algebra(self.alg, phi.alg):
             raise ValueError("membership needs a map over the same algebra")
         win = self._window
-        if phi.source_set != win.source_set:
+        if phi.sources != win.sources:
             raise ValueError("membership needs a map over the same source window")
         cand = win.vector_of(phi, strict=False)
         if cand is None:

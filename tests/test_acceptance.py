@@ -210,7 +210,7 @@ def test_criterion_05_finite_no_gos():
     derivations = solve_delta_derivations(sl2, Fraction(1), None, None)
     srcs = sl2.window_indices(None)
     for x in srcs:
-        inner = LinMapWindow(sl2, None, {s: sl2.bracket_basis((x, s)) for s in srcs})
+        inner = LinMapWindow(sl2, srcs, {s: sl2.bracket_basis((x, s)) for s in srcs})
         assert derivations.contains(inner), f"ad_{x.token} not a derivation"
     print(
         "criterion 5: PASS - finite spaces have dimensions 1, 2, 1, 1 at "

@@ -423,7 +423,7 @@ def test_int_residuals_match_fraction_oracle(structure, data):
         got = identity_residual(alg, (E(x), E(y), E(z)))
         assert _positions(got) == leibniz_oracle(br, lambda k: br((x, k)), (y, z)), (x, y, z)
     phi, delta = _sparse(data.draw, range(dim), dim), data.draw(_COEFFS | st.just(Fraction(0)))
-    lin = LinMapWindow(alg, None, {E(s): el(img) for s, img in phi.items()})
+    lin = LinMapWindow(alg, alg.window_indices(None), {E(s): el(img) for s, img in phi.items()})
     for args in points:
         got = delta_residual(alg, lin, delta, tuple(map(E, args)))
         assert _positions(got) == leibniz_oracle(br, phi.__getitem__, args, b=delta), args

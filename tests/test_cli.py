@@ -508,7 +508,7 @@ def test_derive_solve_rechecks_the_maps_it_reports(monkeypatch):
     def solve_stabilized(alg, delta, window, shift):
         # a "stable" space whose one map, e_1 -> e_1, is no delta-derivation
         e1 = bidx(Family.E, 2)
-        phi = LinMapWindow(alg, window + shift, {e1: Element.basis(e1)})
+        phi = LinMapWindow(alg, alg.window_indices(window + shift), {e1: Element.basis(e1)})
         return SolutionSpace(alg, delta, window, shift, [phi], True)
 
     monkeypatch.setattr(cli, "solve_stabilized", solve_stabilized)

@@ -27,6 +27,7 @@ from halfder.rows import _row_dict, class_split, residual_rows
 from halfder.solver import (
     SolutionSpace,
     _system_rows,
+    bounded_tuples,
     is_trivial_space,
     solve_delta_derivations,
     solve_stabilized,
@@ -165,7 +166,7 @@ def test_virasoro_residual_matches_hand_derived_relations():
         if rho[m]:
             terms[bidx(Family.C)] = rho[m]
         images[s] = Element(terms)
-    phi = LinMapWindow(vir, W, images)
+    phi = LinMapWindow(vir, srcs, images)
 
     def a(m, k):
         return A.get((m, k), Fraction(0))
@@ -198,7 +199,7 @@ def test_witt_half_derivation_space_is_the_shift_family():
     assert not is_trivial_space(space)
     not_member = closed_form_map("witt_shift_family", {}, witt, 6)
     images = {E(0): Element.basis(E(1))}
-    lone = LinMapWindow(witt, 6, images)
+    lone = LinMapWindow(witt, witt.window_indices(6), images)
     assert not space.contains(lone)
     assert space.contains(not_member)  # zero map sits in every span
 
@@ -353,7 +354,7 @@ def test_stabilized_space_keeps_its_pivots(monkeypatch):
     calls, original = [], solver._rref
     monkeypatch.setattr(solver, "_rref", lambda rows: calls.append(1) or original(rows))
     assert all(space.contains(b) for b in space.basis)
-    assert not space.contains(LinMapWindow(witt, 5, {E(0): Element.basis(E(1))}))
+    assert not space.contains(LinMapWindow(witt, witt.window_indices(5), {E(0): Element.basis(E(1))}))
     assert calls == []
 
 
@@ -390,7 +391,8 @@ def test_solver_window_validation():
         lambda: check_tpa_window(witt, w, -3),
         lambda: find_poisson_witness(witt, w, -3),
         lambda: mutation_closure_check(witt, w, E(1), -1),
-        lambda: LinMapWindow(witt, -2, {}),
+        lambda: identity_map(witt, -2),
+        lambda: closed_form_map("witt_shift_family", {0: 1}, witt, -2),
     ):
         with pytest.raises(ValueError, match="window must be positive"):
             scan()
@@ -531,11 +533,11 @@ def test_contains_requires_matching_window():
     wide = closed_form_map("witt_shift_family", {3: 1}, witt, 6)  # shift 3 > S=2
     assert not space.contains(wide)
     with pytest.raises(ValueError, match="not a source"):
-        LinMapWindow(witt, 2, {E(5): Element.basis(E(1))})
+        LinMapWindow(witt, witt.window_indices(2), {E(5): Element.basis(E(1))})
     with pytest.raises(ValueError, match="not valid in witt"):
-        LinMapWindow(witt, 2, {E(1): Element.basis(L(1))})
+        LinMapWindow(witt, witt.window_indices(2), {E(1): Element.basis(L(1))})
     with pytest.raises(ValueError, match="outside shift bound 1"):
-        _Window(witt, 3, 1).vector_of(LinMapWindow(witt, 3, {E(0): Element.basis(E(3))}))
+        _Window(witt, 3, 1).vector_of(LinMapWindow(witt, witt.window_indices(3), {E(0): Element.basis(E(3))}))
 
 
 def test_contains_builds_the_window_once(monkeypatch):
@@ -563,7 +565,27 @@ def test_window_builds_each_unknown_once():
     for win in (_Window(make_algebra("witt"), 4, 1), _Window(make_algebra("sl2"), None, None)):
         assert all(key is st for key, st in zip(win.uid, win.unknowns))
         assert list(win.uid.values()) == list(range(len(win.unknowns)))
-        assert win.source_set == frozenset(win.sources)
+        assert type(win.sources) is tuple and list(win.sources) == sorted(set(win.sources))
+
+
+def test_maps_read_the_window_once(monkeypatch):
+    # a map builder computes its sources once and hands them to LinMapWindow
+    witt = make_algebra("witt")
+    calls = []
+    original = AlgebraSpec.window_indices
+
+    def counted(self, window):
+        calls.append(window)
+        return original(self, window)
+
+    monkeypatch.setattr(AlgebraSpec, "window_indices", counted)
+    for build in (
+        lambda: identity_map(witt, 4),
+        lambda: closed_form_map("witt_shift_family", {0: 1}, witt, 4),
+    ):
+        calls.clear()
+        phi = build()
+        assert calls == [4] and phi.sources == tuple(original(witt, 4))
 
 
 def test_solve_stabilized_builds_each_window_once(monkeypatch):
@@ -635,7 +657,12 @@ def _every_row(win, delta=HALF) -> list:
     """Every residual row of the window, each class's stream in full, one
     class after another, as a solve would read them were none at full rank."""
     table = BracketTable(win.alg)
-    return [row for k, (targets, _) in class_split(win).items() for row in residual_rows(win, delta, k, targets, table)]
+    tuples = list(bounded_tuples(win.alg, win.sources, table.__getitem__))
+    return [
+        row
+        for k, (targets, _) in class_split(win).items()
+        for row in residual_rows(win, delta, k, targets, table, tuples)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -809,6 +836,26 @@ def test_solve_stores_no_held_rows(monkeypatch):
     # a class's stream closes at the row that completes its rank, so the
     # rest of that tuple's rows are never built
     assert (assembled, streamed) == (2773, 12973)
+
+
+@pytest.mark.parametrize(
+    "name, params, window, shift",
+    [("witt", {}, 8, 2), ("n2sca", {"sector": "ramond"}, 3, 1)],
+)
+def test_solve_filters_the_window_once(monkeypatch, name, params, window, shift):
+    # every class reads the one list of bounded tuples its solve filtered
+    win = _Window(make_algebra(name, params), window, shift)
+    expected = _reference_nullspace(_every_row(win), range(len(win.unknowns)))
+    calls = []
+    original = rows_module.bounded_tuples
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(rows_module, "bounded_tuples", counted)
+    assert rows_module.select_rows(win, HALF) == expected
+    assert calls == [win.sources]
 
 
 def test_solve_eliminates_once_per_component(monkeypatch):
@@ -1003,7 +1050,7 @@ def _oracle_rows(win, delta):
     ]
     rows: dict = {}
     for u, (s, t) in enumerate(win.unknowns):
-        phi = LinMapWindow(alg, win.window, {s: Element.basis(t)}, sources=win.sources)
+        phi = LinMapWindow(alg, win.sources, {s: Element.basis(t)})
         for args in tuples:
             for o, c in delta_residual(alg, phi, delta, args).terms.items():
                 rows.setdefault((args, o), {})[u] = c
