@@ -130,10 +130,13 @@ class _Window:
 
 
 def _check_bounds(window, shift) -> None:
-    """Raise ValueError unless 0 < shift < window, the bounds an infinite
-    algebra's window needs."""
+    """Raise ValueError unless window and shift are ints (not bools) with
+    0 < shift < window, the bounds an infinite algebra's window needs."""
     if window is None or shift is None:
         raise ValueError("infinite algebras need window and shift bounds")
+    for name, bound in (("window", window), ("shift", shift)):
+        if type(bound) is not int:
+            raise ValueError(f"{name} must be an int, got {bound!r}")
     if shift <= 0 or window <= 0:
         raise ValueError("window and shift bounds must be positive")
     if shift >= window:

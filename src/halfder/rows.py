@@ -12,7 +12,7 @@ first solve.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import solver
 from .elimination import _cut
@@ -34,26 +34,19 @@ def class_split(win: _Window) -> dict:
     return split
 
 
-def residual_rows(win: _Window, delta: Fraction, k, targets: dict, table: BracketTable, tuples: list):
-    """Yield the residual rows of class k per (sorted tuple, output index),
+def residual_rows(win: _Window, delta: Fraction, targets: dict, table: BracketTable, tuples: list):
+    """Yield the residual rows of one class per (sorted tuple, output index),
     with targets the class's map from class_split and tuples the solve's
     bounded tuples (solver.bounded_tuples), in order.
 
-    A row is the flat tuple (u_1..u_k, c_1..c_k) of a primitive integer row
-    (ascending unknowns, coprime coefficients, c_1 > 0), so rows that are
-    rational multiples of each other coincide; rows repeat.  Brackets are
-    read from table, the solve's own, shared by its classes, not from the
-    algebra's memo, so the window's constants are freed with the solve.
-    Raises ValueError when a row leaves its class, that is when a bracket
-    met is not homogeneous for grade2 and parity.
+    A row is an integer {unknown: coefficient} dict, zero-free, in
+    ascending unknowns; rows repeat.  Brackets are read from table, the
+    solve's own, shared by its classes, not from the algebra's memo, so the
+    window's constants are freed with the solve.
     """
-    alg = win.alg
-    graded = not alg.is_finite
     dn, dd = delta.numerator, delta.denominator
     for args in tuples:
         b = table[args]
-        grade = sum(map(alg.grade2, args))
-        parity = sum(x.parity for x in args) % 2
         # phi of the bracket, minus delta times the bracket with phi in slot i
         inner = []
         prefix = 0
@@ -76,19 +69,9 @@ def residual_rows(win: _Window, delta: Fraction, k, targets: dict, table: Bracke
             for o, c in zip(bi[1::2], bi[2::2]):
                 d = acc.setdefault(o, {})
                 d[u] = d.get(u, 0) + f * c
-        for y, d in acc.items():
-            if graded and k != (alg.grade2(y) - grade, y.parity ^ parity):
-                tokens = ", ".join(x.token for x in args)
-                raise ValueError(f"the row of {y.token} for ({tokens}) leaves its class: {alg.name} is not graded")
-            if row := sorted((u, c) for u, c in d.items() if c):
-                g = gcd(*[c for _, c in row]) * (1 if row[0][1] > 0 else -1)
-                yield (*[u for u, _ in row], *[c // g for _, c in row])
-
-
-def _row_dict(row: tuple) -> dict:
-    """{unknown: coefficient} of a flat integer row."""
-    k = len(row) // 2
-    return dict(zip(row[:k], row[k:]))
+        for d in acc.values():
+            if row := {u: c for u, c in sorted(d.items()) if c}:
+                yield row
 
 
 class _Class:
@@ -113,9 +96,9 @@ class _Class:
         """N, the unit vectors of the free columns first."""
         return [{u: 1} for u in self.free] + self.null
 
-    def add(self, row: tuple) -> bool:
+    def add(self, r: dict) -> bool:
         """Feed one row of the class; True once the class has full rank."""
-        free, null, r = self.free, self.null, _row_dict(row)
+        free, null = self.free, self.null
         dots = [sum(c * v.get(u, 0) for u, c in r.items()) for v in null]
         if touched := [u for u in r if u in free]:
             # w is e_p for the row's first free column p; its other free
@@ -147,14 +130,23 @@ def select_rows(win: _Window, delta: Fraction) -> list[dict]:
     and one solver._rref of them all, keyed by ~u, leads each vector with
     its largest unknown; those leads are the free columns, since a column
     is free when it is the largest unknown of some nullspace vector.
+    Raises ValueError when an entry of the solve's table is not homogeneous
+    for grade2 and parity: a row leaves its class only through such an entry.
     """
-    table = BracketTable(win.alg)
-    tuples = list(bounded_tuples(win.alg, win.sources, table.__getitem__))
+    alg = win.alg
+    table = BracketTable(alg)
+    tuples = list(bounded_tuples(alg, win.sources, table.__getitem__))
     null: list = []
-    for k, (targets, cols) in class_split(win).items():
+    for targets, cols in class_split(win).values():
         c = _Class(cols)
-        if not any(map(c.add, residual_rows(win, delta, k, targets, table, tuples))):
+        if not any(map(c.add, residual_rows(win, delta, targets, table, tuples))):
             null += c.vectors()
+    if not alg.is_finite:  # a finite algebra is one class
+        for args, b in table.items():
+            key = (sum(map(alg.grade2, args)), sum(x.parity for x in args) % 2)
+            if bad := [o.token for o in b[1::2] if (alg.grade2(o), o.parity) != key]:
+                tokens = ", ".join(x.token for x in args)
+                raise ValueError(f"[{tokens}] has {bad[0]}, so a row leaves its class: {alg.name} is not graded")
     # through solver, where perfbench's tracer wraps _rref
     pivots = solver._rref({~u: x for u, x in v.items()} for v in null)
     return [{~u: Fraction(x, p[lead]) for u, x in p.items()} for lead, p in sorted(pivots.items(), reverse=True)]

@@ -83,9 +83,12 @@ class AlgebraSpec:
 
     def window_indices(self, window: int) -> list:
         """All valid sources for the window: |degree2| <= 2W, center always.
-        A finite algebra ignores W; an infinite one raises ValueError for W < 1."""
+        A finite algebra ignores W; an infinite one raises ValueError unless W
+        is an int (not a bool) of at least 1."""
         if self.basis_list is not None:
             return sorted(self.basis_list)
+        if type(window) is not int:
+            raise ValueError(f"window must be an int, got {window!r}")
         if window < 1:
             raise ValueError("window must be positive")
         return self.indices_in_degree2_range(-2 * window, 2 * window)

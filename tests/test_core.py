@@ -101,7 +101,7 @@ def test_basis_index_invariants():
     for bad in (2.0, 9001.0, True, Fraction(4)):
         with pytest.raises(TypeError):
             bidx(Family.E, bad)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="window must be an int, got 2.5"):
         make_algebra("witt").window_indices(2.5)
     assert type(bidx(Family.E, 9001).degree2) is int
     # bidx is BasisIndex, the one interning constructor: a plain-int family

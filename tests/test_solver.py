@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfder import rows as rows_module
-from halfder import solver
+from halfder import solver, superconformal
 from halfder.algebras import make_algebra
 from halfder.basis import Family, bidx
 from halfder.candidates import closed_form_map
@@ -23,7 +23,7 @@ from halfder.elimination import _rref, nullspace
 from halfder.maps import LinMapWindow, WindowEscapeError, _Window, delta_residual, identity_map
 from halfder.poisson import check_tpa_window, find_poisson_witness, mutation_closure_check
 from halfder.products import parse_product_literal
-from halfder.rows import _row_dict, class_split, residual_rows
+from halfder.rows import class_split, residual_rows
 from halfder.solver import (
     SolutionSpace,
     _system_rows,
@@ -396,6 +396,22 @@ def test_solver_window_validation():
     ):
         with pytest.raises(ValueError, match="window must be positive"):
             scan()
+    # a window or shift that is not an int is named, not read as one (True
+    # as 1) or handed on to the basis index constructor (5.0)
+    for bad, window, shift in ((5.0, 5.0, 1), (True, True, 1), (2.0, 6, 2.0), (True, 6, True)):
+        for solve in (solve_stabilized, solve_delta_derivations):
+            with pytest.raises(ValueError, match=rf"(window|shift) must be an int, got {bad!r}"):
+                solve(witt, HALF, window, shift)
+    for bad in (5.0, True, None):
+        for scan in (
+            lambda: identity_map(witt, bad),
+            lambda: check_tpa_window(witt, w, bad),
+            lambda: witt.window_indices(bad),
+        ):
+            with pytest.raises(ValueError, match=rf"window must be an int, got {bad!r}"):
+                scan()
+    # a finite algebra ignores the window
+    assert len(make_algebra("sl2").window_indices(2.5)) == 3
 
 
 def test_empty_space_flags_anomaly():
@@ -659,10 +675,17 @@ def _every_row(win, delta=HALF) -> list:
     table = BracketTable(win.alg)
     tuples = list(bounded_tuples(win.alg, win.sources, table.__getitem__))
     return [
-        row
-        for k, (targets, _) in class_split(win).items()
-        for row in residual_rows(win, delta, k, targets, table, tuples)
+        row for targets, _ in class_split(win).values() for row in residual_rows(win, delta, targets, table, tuples)
     ]
+
+
+def _primitive(row: dict) -> tuple:
+    """The primitive flat form (u_1..u_k, c_1..c_k) of an integer row:
+    ascending unknowns, coprime coefficients, c_1 > 0, so that rows that
+    are rational multiples of each other coincide."""
+    us = sorted(row)
+    g = gcd(*row.values()) * (1 if row[us[0]] > 0 else -1)
+    return (*us, *(row[u] // g for u in us))
 
 
 @pytest.mark.parametrize(
@@ -670,7 +693,10 @@ def _every_row(win, delta=HALF) -> list:
     [("witt", {}, 8, 2, 514), ("n2sca", {"sector": "ramond"}, 3, 1, 3440)],
 )
 def test_system_rows_are_primitive_and_pairwise_independent(name, params, window, shift, count):
-    rows = sorted(set(_every_row(_Window(make_algebra(name, params), window, shift))))
+    stream = _every_row(_Window(make_algebra(name, params), window, shift))
+    # zero-free integer dict rows in ascending unknowns
+    assert all(list(r) == sorted(r) and all(type(c) is int and c for c in r.values()) for r in stream)
+    rows = sorted(set(map(_primitive, stream)))
     assert len(rows) == count  # as with lead-1 Fraction rows
     lead_one = set()
     for row in rows:
@@ -683,12 +709,8 @@ def test_system_rows_are_primitive_and_pairwise_independent(name, params, window
     assert len(lead_one) == len(rows)
 
 
-def _flat(row: dict) -> tuple:
-    return tuple(sorted(row)) + tuple(row[u] for u in sorted(row))
-
-
-def _dot(row: tuple, vec: dict) -> int:
-    return sum(c * vec.get(u, 0) for u, c in _row_dict(row).items())
+def _dot(row: dict, vec: dict) -> int:
+    return sum(c * vec.get(u, 0) for u, c in row.items())
 
 
 def _fraction_rref(rows) -> dict:
@@ -727,10 +749,6 @@ def _fraction_nullspace(rows, cols) -> list[dict]:
     return [
         {f: Fraction(1), **{lead: p[f] for lead, p in pivots.items() if f in p}} for f in cols if f not in pivots
     ]
-
-
-def _reference_nullspace(rows, cols):
-    return _fraction_nullspace(map(_row_dict, rows), cols)
 
 
 def _one_class(rows, ncols):
@@ -796,9 +814,9 @@ def test_system_rows_keep_a_spanning_selection(monkeypatch, name, params, window
     assert len(spy.made) == classes and len(live) == below
     assert sum(len(c.cols) - len(c.vectors()) for c in live) == rank
     for c in spy.made:
-        assert set(c.fed) <= set(stream)
-        _check_null(c, [row for row in stream if row[0] in c.cols])
-    assert vectors == _reference_nullspace(stream, range(len(win.unknowns)))
+        assert {tuple(r.items()) for r in c.fed} <= {tuple(r.items()) for r in stream}
+        _check_null(c, [row for row in stream if min(row) in c.cols])
+    assert vectors == _fraction_nullspace(stream, range(len(win.unknowns)))
 
 
 def test_witt_classes_stay_below_full_rank(monkeypatch):
@@ -845,7 +863,7 @@ def test_solve_stores_no_held_rows(monkeypatch):
 def test_solve_filters_the_window_once(monkeypatch, name, params, window, shift):
     # every class reads the one list of bounded tuples its solve filtered
     win = _Window(make_algebra(name, params), window, shift)
-    expected = _reference_nullspace(_every_row(win), range(len(win.unknowns)))
+    expected = _fraction_nullspace(_every_row(win), range(len(win.unknowns)))
     calls = []
     original = rows_module.bounded_tuples
 
@@ -880,13 +898,24 @@ def test_solve_eliminates_once_per_component(monkeypatch):
     assert len(calls) == 2
 
 
-def test_solve_raises_when_a_row_leaves_its_class():
-    # witt's bracket is not graded by |degree2|, so the residual system does
-    # not split into these classes, and the solve must say so
-    witt = make_algebra("witt")
-    bad = AlgebraSpec(
-        name="witt", patterns=witt.patterns, bracket_fn=witt.bracket_fn, grade2_fn=lambda idx: abs(idx.degree2)
-    )
+@pytest.mark.parametrize(
+    "bad",
+    [
+        # witt's bracket is not graded by |degree2|
+        AlgebraSpec(
+            name="witt",
+            patterns=((Family.E, 0, None),),
+            bracket_fn=superconformal._witt,
+            grade2_fn=lambda idx: abs(idx.degree2),
+        ),
+        # the Witt bracket on odd G+ indices: graded, but odd x odd is odd
+        AlgebraSpec(name="gwitt", patterns=((Family.GPLUS, 0, None),), bracket_fn=superconformal._witt),
+    ],
+    ids=["grade", "parity"],
+)
+def test_solve_raises_when_a_row_leaves_its_class(bad):
+    # the residual system does not split into these classes, and the solve
+    # must say so
     with pytest.raises(ValueError, match="leaves its class"):
         solve_delta_derivations(bad, HALF, 3, 1)
 
@@ -914,7 +943,7 @@ def integer_row_sets(draw):
         row = {c: v for c, v in row.items() if v}
         if row:
             rows.append(row)
-    return [_flat(r) for r in rows], list(range(ncols))
+    return [dict(sorted(r.items())) for r in rows], list(range(ncols))
 
 
 @settings(max_examples=200, deadline=None)
@@ -923,7 +952,7 @@ def test_component_nullspace_matches_full_elimination(case):
     # the canonical basis read off the integer N is the full Fraction
     # elimination's, vector for vector and in the same order
     rows, cols = case
-    assert _one_class(rows, len(cols)) == _reference_nullspace(rows, cols)
+    assert _one_class(rows, len(cols)) == _fraction_nullspace(rows, cols)
 
 
 @st.composite
@@ -973,7 +1002,7 @@ def test_class_stream_matches_fraction_elimination(case):
     c = rows_module._Class(cols)
     for i, row in enumerate(rows):
         full = c.add(row)
-        seen = [_row_dict(r) for r in rows[: i + 1]]
+        seen = rows[: i + 1]
         assert full == (len(_fraction_rref(seen)) == len(cols))
         assert _fraction_rref(c.vectors()) == _fraction_rref(_fraction_nullspace(seen, cols))
 
@@ -982,7 +1011,7 @@ def test_one_row_gives_vectors_in_free_column_order():
     # x0 + x1 + x2: both vectors have the least key 0, so a solve keeps the
     # order they come in, which must be the full elimination's
     expected = [{0: -1, 1: 1}, {0: -1, 2: 1}]
-    assert _one_class([(0, 1, 2, 1, 1, 1)], 3) == expected == _reference_nullspace([(0, 1, 2, 1, 1, 1)], [0, 1, 2])
+    assert _one_class([{0: 1, 1: 1, 2: 1}], 3) == expected == _fraction_nullspace([{0: 1, 1: 1, 2: 1}], [0, 1, 2])
 
 
 @st.composite
@@ -1004,14 +1033,13 @@ def test_finite_solve_matches_full_elimination(data, delta):
     alg = algebra_from_structure_json(data)
     win = _Window(alg, None, None)
     rows = _every_row(win, delta)
-    expected = sorted(_reference_nullspace(rows, range(len(win.unknowns))), key=min)
+    expected = sorted(_fraction_nullspace(rows, range(len(win.unknowns))), key=min)
     space = solve_delta_derivations(alg, delta)
     assert [b.images for b in space.basis] == [win.map_of(v).images for v in expected]
 
 
-def _scaled(row: tuple, k: int) -> tuple:
-    n = len(row) // 2
-    return row[:n] + tuple(k * c for c in row[n:])
+def _scaled(row: dict, k: int) -> dict:
+    return {u: k * c for u, c in row.items()}
 
 
 @settings(max_examples=150, deadline=None)
@@ -1031,7 +1059,7 @@ def test_row_selection_is_order_independent(scale, case, data):
     (c,) = spy.made
     assert c.fed == stream[: len(c.fed)]
     _check_null(c, stream)
-    assert got == _reference_nullspace(rows, cols)
+    assert got == _fraction_nullspace(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,11 +1084,8 @@ def _oracle_rows(win, delta):
                 rows.setdefault((args, o), {})[u] = c
     out = set()
     for row in rows.values():
-        us = sorted(row)
-        den = lcm(*(row[u].denominator for u in us))
-        ints = [int(row[u] * den) for u in us]
-        g = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
-        out.add(tuple(us) + tuple(c // g for c in ints))
+        den = lcm(*(c.denominator for c in row.values()))
+        out.add(_primitive({u: int(c * den) for u, c in row.items()}))
     return out
 
 
@@ -1079,11 +1104,11 @@ def _oracle_rows(win, delta):
 )
 def test_integer_rows_match_delta_residual(name, params, window, shift, delta):
     win = _Window(make_algebra(name, params), window, shift)
-    assert set(_every_row(win, delta)) == _oracle_rows(win, delta)
+    assert set(map(_primitive, _every_row(win, delta))) == _oracle_rows(win, delta)
 
 
 @settings(max_examples=40, deadline=None)
 @given(finite_structures(), st.sampled_from([HALF, Fraction(1), Fraction(-1, 3), Fraction(0)]))
 def test_integer_rows_match_delta_residual_on_random_tables(data, delta):
     win = _Window(algebra_from_structure_json(data), None, None)
-    assert set(_every_row(win, delta)) == _oracle_rows(win, delta)
+    assert set(map(_primitive, _every_row(win, delta))) == _oracle_rows(win, delta)
