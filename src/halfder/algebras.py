@@ -17,22 +17,6 @@ from .basis import ONE, as_int, as_scalar
 from .element import Element, combine
 from .spec import AlgebraSpec
 
-ALGEBRA_NAMES = (
-    "witt",
-    "laurent",
-    "wab",
-    "virasoro",
-    "svir",
-    "n2sca",
-    "thin",
-    "solvable",
-    "extended_laurent",
-    "sl2",
-    "heisenberg",
-    "schrodinger",
-    "nary_simple",
-)
-
 
 def __getattr__(name):
     """tables.direct_sum on first use, so a solve never compiles halfder.tables;
@@ -71,7 +55,7 @@ def _builder(name: str) -> tuple:
     from .catalogue import BUILDERS
 
     if name not in BUILDERS:
-        raise ValueError(f"unknown algebra {name!r}; known: {', '.join(ALGEBRA_NAMES)}")
+        raise ValueError(f"unknown algebra {name!r}; known: {', '.join(BUILDERS)}")
     return BUILDERS[name]
 
 

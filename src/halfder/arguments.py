@@ -8,7 +8,7 @@ import argparse
 from functools import cache
 
 from .basis import as_int, as_scalar
-from .cli import UsageError
+from .report import UsageError
 
 
 def _grammar(read):

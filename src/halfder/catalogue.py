@@ -9,8 +9,9 @@ ambient.  Witt and W(a,b) are built from the Witt bracket `_witt` and
 the density action `_density` of `halfder.superconformal`, which holds
 the Virasoro, super-Virasoro and N=2 superconformal builders; the finite
 classics and the simple n-ary family live in `halfder.finite`.
-`halfder.algebras.make_algebra` looks names up in `BUILDERS`; it imports
-this module on first use, since the builders import `_skew` from it.
+`halfder.algebras.make_algebra` looks names up in `BUILDERS`, whose keys
+are `ALGEBRA_NAMES`, in order; it imports this module on first use, since
+the builders import `_skew` from it.
 """
 
 from __future__ import annotations
@@ -132,3 +133,4 @@ BUILDERS = {
     "schrodinger": (_make_schrodinger, ()),
     "nary_simple": (_make_nary_simple, ("n",)),
 }
+ALGEBRA_NAMES = tuple(BUILDERS)

@@ -5,10 +5,12 @@ goes to stderr), so reports can be diffed and archived.  Exit codes:
 0 pass/none, 1 fail/witness-found, 2 usage error.  --expect-witness turns
 a found witness into the success outcome of the witness verbs.
 
-This module holds the dispatch and the verbs that solve and check
-brackets.  The argument grammar (`halfder.arguments`) is imported on the
-first command and the Poisson verbs (`halfder.poisson_verbs`) on the
-first Poisson verb; the report and its emission live in `halfder.report`.
+This module holds the dispatch, the verbs that solve and check brackets,
+and `_usage`, the one place where a library `ValueError` becomes a
+`UsageError`.  The argument grammar (`halfder.arguments`) is imported on
+the first command and the Poisson verbs (`halfder.poisson_verbs`) on the
+first Poisson verb; the report, its emission and `UsageError` live in
+`halfder.report`.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ import sys
 import time
 from itertools import combinations_with_replacement, product
 
-from .algebras import ALGEBRA_NAMES, algebra_params, first_defect, identity_residual, make_algebra
-from .core import render
+from .algebras import algebra_params, first_defect, identity_residual, make_algebra
+from .core import ParseError, render
 from .element import combine
 from .maps import delta_residual
-from .report import Report, emit_report
+from .report import Report, UsageError, emit_report
 from .solver import bounded_tuples, is_trivial_space, solve_delta_derivations, solve_stabilized, space_to_jsonable
 
 # bound from halfder.poisson by __getattr__ on first use, so a solve never
@@ -42,25 +44,19 @@ def __getattr__(name):
     return globals()[name]
 
 
-class UsageError(ValueError):
-    pass
+def _usage(read, *args, element=""):
+    """read(*args), with a ValueError from it raised as a UsageError; a
+    ParseError's message gets element as a prefix."""
+    try:
+        return read(*args)
+    except ValueError as e:
+        raise UsageError(f"{element}{e}" if isinstance(e, ParseError) else str(e)) from None
 
 
 def _make_algebra(ns):
     from .arguments import _parse_params
 
-    params = _parse_params(ns.param)
-    try:
-        return make_algebra(ns.algebra, params)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-
-
-def _window_sources(alg, window):
-    try:
-        return alg.window_indices(window)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    return _usage(make_algebra, ns.algebra, _parse_params(ns.param))
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +64,8 @@ def _window_sources(alg, window):
 
 
 def _verb_algebra_list(ns):
+    from .catalogue import ALGEBRA_NAMES
+
     entries = []
     for name in ALGEBRA_NAMES:
         wanted = algebra_params(name)
@@ -87,7 +85,7 @@ def _verb_algebra_list(ns):
 
 def _verb_algebra_check(ns):
     alg = _make_algebra(ns)
-    srcs = _window_sources(alg, ns.window)
+    srcs = _usage(alg.window_indices, ns.window)
     n = alg.arity
 
     def swap_residual(t, i):
@@ -120,13 +118,10 @@ def _verb_derive_solve(ns):
     if alg.is_finite:
         space = solve_delta_derivations(alg, ns.delta)
     else:
-        try:
-            space = solve_stabilized(alg, ns.delta, ns.window, ns.shift)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
+        space = _usage(solve_stabilized, alg, ns.delta, ns.window, ns.shift)
     trivial = is_trivial_space(space)
     hit, checked = first_defect(
-        product(space.basis, bounded_tuples(alg, _window_sources(alg, ns.window), alg.bracket_ints)),
+        product(space.basis, bounded_tuples(alg, _usage(alg.window_indices, ns.window), alg.bracket_ints)),
         lambda phi, args: delta_residual(alg, phi, ns.delta, args),
     )
     if hit:
@@ -143,14 +138,11 @@ def _poisson_verb(ns):
     return VERBS[ns.verb](ns)
 
 
+# the bracket verbs; the parser admits only these and the Poisson verbs
 _VERBS = {
     "algebra-list": _verb_algebra_list,
     "algebra-check": _verb_algebra_check,
     "derive-solve": _verb_derive_solve,
-    "tpa-verify": _poisson_verb,
-    "tpa-witness": _poisson_verb,
-    "tpa-normal-form": _poisson_verb,
-    "closure-check": _poisson_verb,
 }
 
 
@@ -170,7 +162,7 @@ def run_command(argv) -> tuple[int, Report | None]:
         return (0 if e.code in (0, None) else 2, None)
     start = time.perf_counter()
     try:
-        status, payload = _VERBS[ns.verb](ns)
+        status, payload = _VERBS.get(ns.verb, _poisson_verb)(ns)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2, None
@@ -196,9 +188,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # `python -m halfder.cli` runs this file as __main__, a second copy of
-    # the module; run halfder.cli itself, whose UsageError halfder.arguments
-    # and halfder.poisson_verbs raise
-    from halfder import cli
-
-    raise SystemExit(cli.main())
+    raise SystemExit(main())

@@ -12,19 +12,14 @@ from __future__ import annotations
 from . import cli
 from .algebras import make_algebra
 from .arguments import _parse_params
-from .cli import UsageError, _make_algebra, _window_sources
-from .core import ParseError, parse_element, render
+from .cli import _make_algebra, _usage
+from .core import parse_element, render
 from .products import parse_product_literal, product_eval
+from .report import UsageError
 
 
 def _product(text, alg):
-    """parse_product_literal(text, alg), with its errors as usage errors."""
-    try:
-        return parse_product_literal(text, alg)
-    except ParseError as e:
-        raise UsageError(f"bad element in product literal: {e}") from None
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    return _usage(parse_product_literal, text, alg, element="bad element in product literal: ")
 
 
 def _tpa_report(alg, p, window):
@@ -42,7 +37,7 @@ def _tpa_report(alg, p, window):
 def _verb_tpa_verify(ns):
     alg = _make_algebra(ns)
     p = _product(ns.product, alg)
-    _window_sources(alg, ns.window)
+    _usage(alg.window_indices, ns.window)
     return _tpa_report(alg, p, ns.window)
 
 
@@ -51,7 +46,7 @@ def _verb_tpa_witness(ns):
     if alg.arity != 2:
         raise UsageError("the Poisson Leibniz check needs a binary bracket")
     p = _product(ns.product, alg)
-    _window_sources(alg, ns.window)
+    _usage(alg.window_indices, ns.window)
     hit = cli.find_poisson_witness(alg, p, ns.window)
     base = {"product": p.name, "window": ns.window}
     if hit is None:
@@ -74,7 +69,7 @@ def _verb_tpa_normal_form(ns):
         raise UsageError(f"tpa-normal-form on {ns.algebra} takes exactly --param {key}={values}")
     alg = make_algebra(ns.algebra)
     p = _product(f"table:{family}:{params[key]}", alg)
-    srcs = _window_sources(alg, ns.window)
+    srcs = _usage(alg.window_indices, ns.window)
     table = []
     for i, x in enumerate(srcs):
         for y in srcs[i:]:
@@ -91,11 +86,8 @@ def _verb_closure_check(ns):
     p = _product(ns.product, alg)
     if p.kind != "mutation":
         raise UsageError("closure-check needs a mutation product")
-    try:
-        q = parse_element(ns.q, p.ambient)
-    except ParseError as e:
-        raise UsageError(f"bad --q element: {e}") from None
-    _window_sources(alg, ns.window)
+    q = _usage(parse_element, ns.q, p.ambient, element="bad --q element: ")
+    _usage(alg.window_indices, ns.window)
     try:
         ok = cli.mutation_closure_check(alg, p, q, ns.window)
     except ValueError as e:

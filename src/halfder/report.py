@@ -1,8 +1,13 @@
-"""The report of one command, and its deterministic text and JSON forms."""
+"""The report of one command, its deterministic text and JSON forms, and
+the usage error that stops a command without one."""
 
 from __future__ import annotations
 
 import json
+
+
+class UsageError(ValueError):
+    """Bad input on the command line: exit 2, and no report."""
 
 
 class Report:

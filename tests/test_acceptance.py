@@ -43,9 +43,10 @@ from itertools import combinations_with_replacement as cwr
 
 import pytest
 
-from halfder.algebras import ALGEBRA_NAMES, identity_residual, make_algebra
+from halfder.algebras import identity_residual, make_algebra
 from halfder.basis import Family, bidx
 from halfder.candidates import closed_form_map
+from halfder.catalogue import ALGEBRA_NAMES
 from halfder.cli import run_command
 from halfder.core import render
 from halfder.element import Element

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfder import cli
-from halfder.algebras import ALGEBRA_NAMES, algebra_params
+from halfder.algebras import algebra_params
+from halfder.catalogue import ALGEBRA_NAMES
 from halfder.cli import main, run_command
 from halfder.core import parse_element
 from halfder.report import emit_report
@@ -238,6 +239,32 @@ def test_usage_errors_exit_2(capsys):
         assert capsys.readouterr().err.endswith(f"error: {line}\n"), args
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["algebra-check", "--algebra", "witt", "--window", "0"], "window must be positive"),
+        (["derive-solve", "--algebra", "witt", "--window", "2", "--shift", "5"],
+         "shift bound must be smaller than the window"),
+        (["derive-solve", "--algebra", "svir", "--param", "sector=weird"],
+         "parameter sector: not 'ramond' or 'neveu_schwarz': 'weird'"),
+        (["derive-solve", "--algebra", "bogus"],
+         "unknown algebra 'bogus'; known: witt, laurent, wab, virasoro, svir, n2sca, thin, solvable, "
+         "extended_laurent, sl2, heisenberg, schrodinger, nary_simple"),
+        (["tpa-verify", "--algebra", "witt", "--product=mutation:w=e_x", "--window", "2"],
+         "bad element in product literal: expected an integer (at position 2)"),
+        (["tpa-verify", "--algebra", "virasoro", "--product=mutation:w=e_0"],
+         "no mutation ambient is defined for algebra virasoro"),
+        (["closure-check", "--algebra", "witt", "--product=mutation:w=e_0", "--q=e_x", "--window", "2"],
+         "bad --q element: expected an integer (at position 2)"),
+    ],
+)
+def test_library_errors_are_usage_errors(argv, line, capsys):
+    # a ValueError of the library, raised as a usage error by cli._usage;
+    # a ParseError's message carries the name of the element it read
+    assert run(argv) == (2, None)
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
 # (good, bad) text for each value of a command line.  No window or shift
 # is above 4: no work budget bounds a solve or a scan yet
 _PARAM_VALUES = {
@@ -416,11 +443,16 @@ def test_full_stdout_exits_without_traceback():
     [
         (["derive-solve", "--algebra", "witt", "--param", "a"], "--param needs KEY=VALUE"),
         (["tpa-verify", "--algebra", "sl2", "--product=mutation:w=e_0"], "no mutation ambient"),
+        (["derive-solve", "--algebra", "witt", "--window", "2", "--shift", "5"],
+         "shift bound must be smaller than the window"),
+        (["closure-check", "--algebra", "witt", "--product=mutation:w=e_0", "--q=e_x", "--window", "2"],
+         "bad --q element: expected an integer (at position 2)"),
     ],
 )
 def test_module_entry_point_reports_usage_errors(argv, message):
-    # python -m halfder.cli, whose usage errors come from the argument
-    # grammar and the Poisson verbs, modules of their own
+    # python -m halfder.cli runs cli.py as __main__, and a Poisson verb
+    # imports halfder.cli beside it; the argument grammar, the Poisson verbs
+    # and _usage all raise halfder.report's UsageError, which __main__ catches
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "halfder.cli", *argv], capture_output=True, text=True, env=env,
                           timeout=60)

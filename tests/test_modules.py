@@ -12,7 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# just above cli.py, the largest module (1,362)
+# just above cli.py, the largest module (1,311)
 MAX_CODE_TOKENS = 1400
 
 
@@ -99,6 +99,16 @@ def test_import_builds_nothing():
     assert listed == "0 1", "algebra-list should exit 0 after building the parser once"
     assert solved == "0 []", f"derive-solve should exit 0 without importing these: {solved}"
     assert verified == "0 True", "tpa-verify should exit 0 after importing the Poisson modules"
+
+
+def test_arguments_imports_no_cli():
+    # UsageError lives in halfder.report, so the argument grammar needs
+    # nothing from halfder.cli, which imports it on the first command
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, halfder.arguments; print('halfder.cli' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"], "import halfder.arguments loaded halfder.cli"
 
 
 def _defined(tree) -> set:
