@@ -27,10 +27,6 @@ def __getattr__(name):
     return direct_sum
 
 
-def _el(pairs) -> Element:
-    return Element({i: as_scalar(c) for i, c in pairs})
-
-
 def _skew(rule: Callable) -> Callable:
     """The bracket rule on every ordering from rule, which is read only on
     ascending tuples (BasisIndex order).  Sorting takes one swap of

@@ -1,11 +1,13 @@
-"""The finite built-in algebras: sl2, Heisenberg, Schrodinger and the
-simple n-ary algebra, each from a table of its brackets on ascending
-tuples, read through `halfder.algebras._skew`.
-`halfder.catalogue` registers their builders."""
+"""The finite algebras: `finite_algebra`, the one constructor of a finite
+algebra from a table of its brackets on ascending tuples, read through
+`halfder.algebras._skew`, and the built-in finite builders: sl2,
+Heisenberg, Schrodinger and the simple n-ary algebra.
+`halfder.catalogue` registers the builders; `halfder.tables` builds
+imported tables and direct sums through the constructor."""
 
 from __future__ import annotations
 
-from .algebras import _el, _skew
+from .algebras import _skew
 from .basis import C_INDEX, Family, bidx
 from .element import Element
 from .spec import AlgebraSpec
@@ -13,43 +15,41 @@ from .spec import AlgebraSpec
 _E, _I = Family.E, Family.I
 
 
-def _finite_from_table(name, basis, table) -> AlgebraSpec:
-    """Binary finite algebra from an upper table {(i,j): [(k, coeff)...]}, i < j positions."""
-    values = {(basis[i], basis[j]): _el((basis[k], c) for k, c in terms) for (i, j), terms in table.items()}
-    return AlgebraSpec(name=name, basis_list=basis, bracket_fn=_skew(lambda idxs: values.get(idxs, Element.zero())))
+def finite_algebra(name, basis, table, arity=2, params=None, display="") -> AlgebraSpec:
+    """A finite algebra on basis, an ascending tuple, whose brackets on
+    ascending tuples are table {ascending basis tuple: Element}, zero where
+    the table has no entry; `_skew` gives every other ordering."""
+    return AlgebraSpec(name=name, arity=arity, params=params, basis_list=basis,
+                       bracket_fn=_skew(lambda idxs: table.get(idxs, Element.zero())), display=display)
 
 
 def _make_sl2(params) -> AlgebraSpec:
     f, h, e = bidx(_E, -2), bidx(_E, 0), bidx(_E, 2)
-    basis = (f, h, e)
-    table = {(0, 1): [(0, 2)], (0, 2): [(1, -1)], (1, 2): [(2, 2)]}
-    # [f,h]=2f, [f,e]=-h, [h,e]=2e
-    return _finite_from_table("sl2", basis, table)
+    table = {(f, h): Element.single(f, 2), (f, e): Element.single(h, -1), (h, e): Element.single(e, 2)}
+    return finite_algebra("sl2", (f, h, e), table)
 
 
 def _make_heisenberg(params) -> AlgebraSpec:
     q, p = bidx(_E, -2), bidx(_E, 2)
-    basis = (q, p, C_INDEX)
-    table = {(0, 1): [(2, -1)]}  # [q,p] = -z, so [p,q] = z
-    return _finite_from_table("heisenberg", basis, table)
+    # [q,p] = -z, so [p,q] = z
+    return finite_algebra("heisenberg", (q, p, C_INDEX), {(q, p): Element.single(C_INDEX, -1)})
 
 
 def _make_schrodinger(params) -> AlgebraSpec:
     f, h, e = bidx(_E, -4), bidx(_E, 0), bidx(_E, 4)
     q, p = bidx(_I, -2), bidx(_I, 2)
     z = C_INDEX
-    basis = (f, h, e, q, p, z)
     table = {
-        (0, 1): [(0, 2)],  # [f,h] = 2f
-        (0, 2): [(1, -1)],  # [f,e] = -h
-        (1, 2): [(2, 2)],  # [h,e] = 2e
-        (1, 4): [(4, 1)],  # [h,p] = p
-        (1, 3): [(3, -1)],  # [h,q] = -q
-        (2, 3): [(4, 1)],  # [e,q] = p
-        (0, 4): [(3, 1)],  # [f,p] = q
-        (3, 4): [(5, -1)],  # [q,p] = -z, so [p,q] = z
+        (f, h): Element.single(f, 2),
+        (f, e): Element.single(h, -1),
+        (h, e): Element.single(e, 2),
+        (h, p): Element.single(p, 1),
+        (h, q): Element.single(q, -1),
+        (e, q): Element.single(p, 1),
+        (f, p): Element.single(q, 1),
+        (q, p): Element.single(z, -1),  # so [p,q] = z
     }
-    return _finite_from_table("schrodinger", basis, table)
+    return finite_algebra("schrodinger", (f, h, e, q, p, z), table)
 
 
 def _make_nary_simple(params) -> AlgebraSpec:
@@ -62,11 +62,4 @@ def _make_nary_simple(params) -> AlgebraSpec:
         basis[:m] + basis[m + 1 :]: Element.single(basis[m], (-1) ** (n - m))
         for m in range(n + 1)
     }
-    return AlgebraSpec(
-        name="nary_simple",
-        arity=n,
-        params={"n": n},
-        basis_list=basis,
-        bracket_fn=_skew(lambda idxs: table.get(idxs, Element.zero())),
-        display=f"nary_simple (n={n}, dim {n + 1})",
-    )
+    return finite_algebra("nary_simple", basis, table, n, {"n": n}, f"nary_simple (n={n}, dim {n + 1})")

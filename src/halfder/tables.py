@@ -3,11 +3,11 @@
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 
-from .algebras import _el, _skew
 from .basis import Family, as_scalar, bidx
-from .element import Element, unpack
+from .element import Element
+from .finite import finite_algebra
 from .spec import AlgebraSpec
 
 _E, _L, _I, _J, _C = Family.E, Family.L, Family.I, Family.J, Family.C
@@ -40,40 +40,31 @@ def direct_sum(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
             raise ValueError("not enough families to relabel the second summand")
         relabel[fam] = free.pop(0)
     b_map = {i: bidx(relabel[i.family], i.degree2) for i in b.basis_list}
-    basis = tuple(sorted(list(a.basis_list) + [b_map[i] for i in b.basis_list]))
-    b_inv = {v: k for k, v in b_map.items()}
-    a_set = frozenset(a.basis_list)
+    # relabel keeps the order of b's basis, so b's ascending tuples stay ascending
+    table = dict(_ascending(a))
+    for idxs, out in _ascending(b):
+        table[tuple(b_map[i] for i in idxs)] = Element({b_map[o]: c for o, c in out.terms.items()})
+    basis = tuple(sorted([*a.basis_list, *b_map.values()]))
+    return finite_algebra(f"{a.name}+{b.name}", basis, table, a.arity, display=f"{a.display} (+) {b.display}")
 
-    def rule(idxs):
-        if all(i in a_set for i in idxs):
-            return a.bracket_basis(idxs)
-        if all(i in b_inv for i in idxs):
-            e = b.bracket_ints(tuple(b_inv[i] for i in idxs))
-            return unpack(e[:1] + tuple(chain.from_iterable((b_map[o], n) for o, n in zip(e[1::2], e[2::2]))))
-        return Element.zero()
 
-    return AlgebraSpec(
-        name=f"{a.name}+{b.name}",
-        arity=a.arity,
-        basis_list=basis,
-        bracket_fn=rule,
-        display=f"{a.display} (+) {b.display}",
-    )
+def _ascending(alg: AlgebraSpec):
+    """(tuple, bracket) on each ascending tuple of a finite algebra's basis
+    whose bracket is nonzero: the table `finite_algebra` reads."""
+    for idxs in combinations(sorted(alg.basis_list), alg.arity):
+        if out := alg.bracket_basis(idxs):
+            yield idxs, out
 
 
 def finite_structure_json(alg: AlgebraSpec) -> dict:
-    """Structure-constant table of a finite algebra as plain JSON data."""
+    """Structure-constant table of a finite algebra as plain JSON data, its
+    positions labelling the basis in ascending order."""
     if not alg.is_finite:
         raise ValueError(f"algebra {alg.name} is not finite")
-    basis = list(alg.basis_list)
+    basis = sorted(alg.basis_list)
     pos = {idx: k for k, idx in enumerate(basis)}
-    entries = []
-    for combo in combinations(range(len(basis)), alg.arity):
-        out = alg.bracket_basis(tuple(basis[k] for k in combo))
-        if out.is_zero():
-            continue
-        terms = [[pos[i], str(c)] for i, c in out.items()]
-        entries.append(list(combo) + [terms])
+    entries = [[*map(pos.get, idxs), [[pos[i], str(c)] for i, c in out.items()]]
+               for idxs, out in _ascending(alg)]
     return {"dim": len(basis), "arity": alg.arity, "brackets": entries}
 
 
@@ -88,8 +79,8 @@ def algebra_from_structure_json(data: dict, name: str = "custom") -> AlgebraSpec
     """Finite algebra from a JSON structure table (positions label e_0..e_{dim-1}).
 
     Only the entries with strictly increasing index tuples are read; the
-    other orderings follow by skew-symmetry, through algebras._skew.  No grading is
-    assumed for imported tables.
+    other orderings follow by skew-symmetry, through finite_algebra.  No
+    grading is assumed for imported tables.
     """
     try:
         dim, arity, entries = _json_int(data["dim"]), _json_int(data.get("arity", 2)), list(data["brackets"])
@@ -118,11 +109,5 @@ def algebra_from_structure_json(data: dict, name: str = "custom") -> AlgebraSpec
         key = tuple(basis[k] for k in combo)
         if key in table:
             raise ValueError(f"entry {entry!r} repeats the tuple {list(combo)}")
-        table[key] = _el((basis[k], c) for k, c in terms)
-    return AlgebraSpec(
-        name=name,
-        arity=arity,
-        basis_list=basis,
-        bracket_fn=_skew(lambda idxs: table.get(idxs, Element.zero())),
-        display=f"{name} (imported, dim {dim})",
-    )
+        table[key] = Element({basis[k]: c for k, c in terms})
+    return finite_algebra(name, basis, table, arity, display=f"{name} (imported, dim {dim})")

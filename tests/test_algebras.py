@@ -539,6 +539,20 @@ def test_direct_sum():
     sl2 = make_algebra("sl2")
     with pytest.raises(ValueError, match="not enough families to relabel the second summand"):
         direct_sum(direct_sum(direct_sum(sl2, sl2), sl2), make_algebra("schrodinger"))
+    nary = make_algebra("nary_simple", {"n": 3})
+    for a, b in ((sl2, heis), (make_algebra("schrodinger"), sl2), (nary, nary)):
+        total = direct_sum(a, b)
+        # the first summand keeps its labels; the second is relabeled in its own order
+        second = sorted(set(total.basis_list) - set(a.basis_list))
+        maps = ({i: i for i in a.basis_list}, dict(zip(sorted(b.basis_list), second)))
+        for idxs in product(total.basis_list, repeat=total.arity):
+            want = Element.zero()
+            for summand, to_sum in zip((a, b), maps):
+                back = {v: k for k, v in to_sum.items()}
+                if all(i in back for i in idxs):
+                    out = summand.bracket_basis(tuple(back[i] for i in idxs))
+                    want = Element({to_sum[o]: c for o, c in out.terms.items()})
+            assert total.bracket_basis(idxs) == want, (total.name, idxs)
 
 
 def test_direct_sum_rejects_odd_operands():
@@ -556,11 +570,15 @@ def test_direct_sum_rejects_odd_operands():
 
 
 def test_structure_json_round_trip():
-    for name, params in (("sl2", {}), ("schrodinger", {}), ("nary_simple", {"n": 3})):
-        alg = make_algebra(name, params)
+    sl2, heis = make_algebra("sl2"), make_algebra("heisenberg")
+    builtins = [make_algebra(name, params) for name, params in
+                (("sl2", {}), ("schrodinger", {}), ("nary_simple", {"n": 3}), ("heisenberg", {}))]
+    for alg in (*builtins, direct_sum(sl2, heis), direct_sum(direct_sum(sl2, sl2), heis)):
+        name = alg.name
         data = finite_structure_json(alg)
         assert data["dim"] == len(alg.basis_list)
         back = algebra_from_structure_json(data, name=f"{name}_copy")
+        assert finite_structure_json(back) == data, name
         basis_a = list(alg.basis_list)
         basis_b = list(back.basis_list)
         remap = dict(zip(basis_a, basis_b))
