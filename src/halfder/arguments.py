@@ -27,6 +27,37 @@ def _grammar(read):
 _INT, _SCALAR = _grammar(as_int), _grammar(as_scalar)
 
 
+_PARAMS = ("a", "b", "k", "n", "sector", "variant")
+
+# every flag's argparse keywords; a verb lists its flags in this order
+_FLAGS = {
+    "--algebra": dict(required=True, help="built-in algebra name"),
+    "--param": dict(action="append", default=[], metavar="KEY=VALUE",
+                    help=f"algebra or product parameter ({', '.join(_PARAMS)}); repeatable"),
+    "--window": dict(type=_INT, default=8, help="degree window bound (default 8)"),
+    "--delta": dict(type=_SCALAR, default="1/2", help="derivation parameter (default 1/2)"),
+    "--shift": dict(type=_INT, default=2, help="image shift bound (default 2)"),
+    "--product": dict(required=True, help="product literal: mutation:w=<element> or table:<family>:<param>"),
+    "--q": dict(required=True, help="element to mutate the product by"),
+    "--expect-witness": dict(action="store_true", help="treat a found witness as the successful outcome"),
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--seed": dict(type=_INT, default=0, help="seed echo for scripted runs"),
+}
+
+_ON_A_WINDOW = ("--algebra", "--param", "--window")
+
+# {verb: (help, its flags before --format and --seed)}
+_VERBS = {
+    "algebra-list": ("list the built-in algebras", ()),
+    "algebra-check": ("verify bracket identities on a window", _ON_A_WINDOW),
+    "derive-solve": ("solve for delta-derivations", (*_ON_A_WINDOW, "--delta", "--shift")),
+    "tpa-verify": ("verify product/bracket compatibility", (*_ON_A_WINDOW, "--product")),
+    "tpa-witness": ("search for a Poisson Leibniz defect", (*_ON_A_WINDOW, "--product", "--expect-witness")),
+    "tpa-normal-form": ("verify a named table product", _ON_A_WINDOW),
+    "closure-check": ("check mutation-by-q keeps compatibility", (*_ON_A_WINDOW, "--product", "--q")),
+}
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first command rather than at import."""
@@ -35,59 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact checks for brackets, half-derivations and compatible products",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, product=False, solve=False, witness=False, q=False):
-        p.add_argument("--algebra", required=True, help="built-in algebra name")
-        p.add_argument(
-            "--param",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="algebra or product parameter (a, b, k, n, sector, variant); repeatable",
-        )
-        p.add_argument("--window", type=_INT, default=8, help="degree window bound (default 8)")
-        if solve:
-            p.add_argument("--delta", type=_SCALAR, default="1/2", help="derivation parameter (default 1/2)")
-            p.add_argument("--shift", type=_INT, default=2, help="image shift bound (default 2)")
-        if product:
-            p.add_argument(
-                "--product",
-                required=True,
-                help="product literal: mutation:w=<element> or table:<family>:<param>",
-            )
-        if q:
-            p.add_argument("--q", required=True, help="element to mutate the product by")
-        if witness:
-            p.add_argument(
-                "--expect-witness",
-                action="store_true",
-                help="treat a found witness as the successful outcome",
-            )
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=_INT, default=0, help="seed echo for scripted runs")
-
-    p = sub.add_parser("algebra-list", help="list the built-in algebras")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=_INT, default=0)
-
-    common(sub.add_parser("algebra-check", help="verify bracket identities on a window"))
-    common(sub.add_parser("derive-solve", help="solve for delta-derivations"), solve=True)
-    common(sub.add_parser("tpa-verify", help="verify product/bracket compatibility"), product=True)
-    common(
-        sub.add_parser("tpa-witness", help="search for a Poisson Leibniz defect"),
-        product=True,
-        witness=True,
-    )
-    common(sub.add_parser("tpa-normal-form", help="verify a named table product"))
-    common(
-        sub.add_parser("closure-check", help="check mutation-by-q keeps compatibility"),
-        product=True,
-        q=True,
-    )
+    for verb, (text, flags) in _VERBS.items():
+        p = sub.add_parser(verb, help=text)
+        for flag in (*flags, "--format", "--seed"):
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-_PARAMS = ("a", "b", "k", "n", "sector", "variant")
 
 
 def _parse_params(pairs) -> dict:

@@ -10,6 +10,7 @@ other.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 from math import lcm
 
 from .algebras import leibniz_parts
@@ -102,7 +103,12 @@ class _Window:
         else:
             targets = {s: alg.indices_in_degree2_range(s.degree2 - 2 * shift, s.degree2 + 2 * shift) for s in srcs}
         self.unknowns = [(s, t) for s in srcs for t in targets[s]]
-        self.uid = {st: u for u, st in enumerate(self.unknowns)}
+
+    @cached_property
+    def uid(self) -> dict:
+        """{unknown: its id}, built for vector_of alone: a solve reads each
+        unknown's id from its class (rows.class_split)."""
+        return {st: u for u, st in enumerate(self.unknowns)}
 
     def vector_of(self, phi: LinMapWindow, strict: bool = True) -> dict | None:
         """Integer coordinates of phi restricted to the sources, times the

@@ -1,12 +1,12 @@
 """The windowed delta-derivation system, streamed one grade class at a time.
 
 The unknown (s, t), the coefficient of t in phi(s), has the class
-(grade2(t) - grade2(s), parity of t xor parity of s), and every residual
-row of a graded algebra lies inside one class; a finite algebra has one
-class.  A solve finishes one class before it starts the next, and each
-class keeps an exact integer basis of the nullspace of its rows so far,
-so it stores no row.  solver._system_rows imports this module on the
-first solve.
+(grade2(t) - grade2(s), parity of t xor parity of s) on every algebra, and
+every residual row of a graded algebra lies inside one class; grade2 is 0
+on a finite algebra, whose classes are its parities.  A solve finishes one
+class before it starts the next, and each class keeps an exact integer
+basis of the nullspace of its rows so far, so it stores no row.
+solver._system_rows imports this module on the first solve.
 """
 
 from __future__ import annotations
@@ -22,22 +22,22 @@ from .spec import BracketTable
 
 
 def class_split(win: _Window) -> dict:
-    """{k: (targets, cols)} per class k: targets[x] lists the targets t of
-    source x with (x, t) in class k, and cols the unknowns of k, ascending."""
-    alg = win.alg
+    """{k: (targets, cols)} per class k: targets[s] lists (u, t) for each
+    unknown u = (s, t) of class k, and cols the unknowns of k, ascending."""
+    grade2 = win.alg.grade2
     split: dict = {}
     for u, (s, t) in enumerate(win.unknowns):
-        k = 0 if alg.is_finite else (alg.grade2(t) - alg.grade2(s), t.parity ^ s.parity)
-        targets, cols = split.setdefault(k, ({}, []))
-        targets.setdefault(s, []).append(t)
+        targets, cols = split.setdefault((grade2(t) - grade2(s), t.parity ^ s.parity), ({}, []))
+        targets.setdefault(s, []).append((u, t))
         cols.append(u)
     return split
 
 
-def residual_rows(win: _Window, delta: Fraction, targets: dict, table: BracketTable, tuples: list):
+def residual_rows(delta: Fraction, targets: dict, table: BracketTable, tuples: list):
     """Yield the residual rows of one class per (sorted tuple, output index),
-    with targets the class's map from class_split and tuples the solve's
-    bounded tuples (solver.bounded_tuples), in order.
+    with targets the class's map from class_split, which names each
+    unknown, and tuples the solve's bounded tuples (solver.bounded_tuples),
+    in order.
 
     A row is an integer {unknown: coefficient} dict, zero-free, in
     ascending unknowns; rows repeat.  Brackets are read from table, the
@@ -51,18 +51,17 @@ def residual_rows(win: _Window, delta: Fraction, targets: dict, table: BracketTa
         inner = []
         prefix = 0
         for i, xi in enumerate(args):
-            for t in targets.get(xi, ()):
+            for u, t in targets.get(xi, ()):
                 n = dn if (t.parity ^ xi.parity) and prefix % 2 else -dn
                 if bi := table[args[:i] + (t,) + args[i + 1 :]]:
-                    inner.append((win.uid[(xi, t)], n, bi))
+                    inner.append((u, n, bi))
             prefix += xi.parity
         scale = dd * lcm(*b[:1], *(bi[0] for _, _, bi in inner))
         acc: dict = {}
         for o, c in zip(b[1::2], b[2::2]):
             f = c * (scale // b[0])
-            for t in targets.get(o, ()):
+            for u, t in targets.get(o, ()):
                 d = acc.setdefault(t, {})
-                u = win.uid[(o, t)]
                 d[u] = d.get(u, 0) + f
         for u, n, bi in inner:
             f = n * (scale // (dd * bi[0]))
@@ -131,7 +130,8 @@ def select_rows(win: _Window, delta: Fraction) -> list[dict]:
     its largest unknown; those leads are the free columns, since a column
     is free when it is the largest unknown of some nullspace vector.
     Raises ValueError when an entry of the solve's table is not homogeneous
-    for grade2 and parity: a row leaves its class only through such an entry.
+    for grade2 and parity (parity alone on a finite algebra, where grade2 is
+    0): a row leaves its class only through such an entry.
     """
     alg = win.alg
     table = BracketTable(alg)
@@ -139,14 +139,13 @@ def select_rows(win: _Window, delta: Fraction) -> list[dict]:
     null: list = []
     for targets, cols in class_split(win).values():
         c = _Class(cols)
-        if not any(map(c.add, residual_rows(win, delta, targets, table, tuples))):
+        if not any(map(c.add, residual_rows(delta, targets, table, tuples))):
             null += c.vectors()
-    if not alg.is_finite:  # a finite algebra is one class
-        for args, b in table.items():
-            key = (sum(map(alg.grade2, args)), sum(x.parity for x in args) % 2)
-            if bad := [o.token for o in b[1::2] if (alg.grade2(o), o.parity) != key]:
-                tokens = ", ".join(x.token for x in args)
-                raise ValueError(f"[{tokens}] has {bad[0]}, so a row leaves its class: {alg.name} is not graded")
+    for args, b in table.items():
+        key = (sum(map(alg.grade2, args)), sum(x.parity for x in args) % 2)
+        if bad := [o.token for o in b[1::2] if (alg.grade2(o), o.parity) != key]:
+            tokens = ", ".join(x.token for x in args)
+            raise ValueError(f"[{tokens}] has {bad[0]}, so a row leaves its class: {alg.name} is not graded")
     # through solver, where perfbench's tracer wraps _rref
     pivots = solver._rref({~u: x for u, x in v.items()} for v in null)
     return [{~u: Fraction(x, p[lead]) for u, x in p.items()} for lead, p in sorted(pivots.items(), reverse=True)]

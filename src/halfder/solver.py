@@ -99,9 +99,9 @@ class SolutionSpace:
 def solve_delta_derivations(alg, delta, window=None, shift=None) -> SolutionSpace:
     """Exact nullspace of the windowed delta-derivation system.
 
-    A finite algebra is solved as one class (window and shift are ignored)
-    and comes back already stable; infinite ones carry boundary artifacts
-    and should be passed through stabilize().
+    A finite algebra is solved on its whole basis, by parity class (window
+    and shift are ignored), and comes back already stable; infinite ones
+    carry boundary artifacts and should be passed through stabilize().
     """
     d = as_scalar(delta)
     win = _Window(alg, window, shift)

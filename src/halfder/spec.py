@@ -19,9 +19,10 @@ class AlgebraSpec:
 
     patterns lists (family, degree2 mod 2, min degree2 or None) for the
     infinite families; finite algebras carry an explicit basis instead.
-    grade2 is the additive grading that splits a solve into classes, used
-    for infinite algebras only (a finite algebra is one class); it defaults
-    to degree2 and only deviates where the index label is positional.
+    grade2 is the additive grading that splits every solve into classes
+    with parity: 0 on a finite algebra, whose labels are positional and
+    carry no grading; else degree2, unless grade2_fn reads a positional
+    label.
     bracket_fn maps a basis tuple to an Element; assoc_fn, when given, maps
     a basis pair to their commutative associative product.
     """
@@ -60,14 +61,15 @@ class AlgebraSpec:
             self.display = self.name
 
     def grade2(self, idx) -> int:
+        if self.basis_list is not None:
+            return 0
         if self.grade2_fn is not None:
             return self.grade2_fn(idx)
         return idx.degree2
 
     def indices_in_degree2_range(self, lo: int, hi: int) -> list:
-        """Valid indices with lo <= degree2 <= hi, canonically sorted."""
-        if self.basis_list is not None:
-            return sorted(i for i in self.basis_list if lo <= i.degree2 <= hi)
+        """Valid indices of an infinite algebra with lo <= degree2 <= hi,
+        canonically sorted."""
         out = []
         for fam, off, fmin in self.patterns:
             start = lo if lo % 2 == off else lo + 1

@@ -23,11 +23,7 @@ def direct_sum(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
     if a.arity != b.arity:
         raise ValueError("direct_sum operands must share the arity")
     for alg in (a, b):
-        if odd := [i.token for i in alg.basis_list if i.parity]:
-            raise ValueError(
-                f"direct_sum relabels families into the even ones (E, L, I, J), so it takes no odd "
-                f"basis index; {alg.name} has {', '.join(odd)}"
-            )
+        _even_only(alg, "direct_sum relabels families into the even ones (E, L, I, J), so it takes no odd basis index")
     used = {i.family for i in a.basis_list}
     free = [f for f in _SUM_FAMILY_POOL if f not in used]
     relabel: dict = {}
@@ -48,6 +44,12 @@ def direct_sum(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
     return finite_algebra(f"{a.name}+{b.name}", basis, table, a.arity, display=f"{a.display} (+) {b.display}")
 
 
+def _even_only(alg: AlgebraSpec, why: str) -> None:
+    """Raise ValueError, why and the odd indices, if alg's basis has one."""
+    if odd := [i.token for i in alg.basis_list if i.parity]:
+        raise ValueError(f"{why}; {alg.name} has {', '.join(odd)}")
+
+
 def _ascending(alg: AlgebraSpec):
     """(tuple, bracket) on each ascending tuple of a finite algebra's basis
     whose bracket is nonzero: the table `finite_algebra` reads."""
@@ -57,10 +59,13 @@ def _ascending(alg: AlgebraSpec):
 
 
 def finite_structure_json(alg: AlgebraSpec) -> dict:
-    """Structure-constant table of a finite algebra as plain JSON data, its
-    positions labelling the basis in ascending order."""
+    """Structure-constant table of a finite algebra with no odd basis index
+    as plain JSON data, its positions labelling the basis in ascending order."""
     if not alg.is_finite:
         raise ValueError(f"algebra {alg.name} is not finite")
+    # a table carries no parity and reads strictly increasing tuples, so an
+    # odd x would lose [x, x] and come back even
+    _even_only(alg, "a structure table carries no parity, so it takes no odd basis index")
     basis = sorted(alg.basis_list)
     pos = {idx: k for k, idx in enumerate(basis)}
     entries = [[*map(pos.get, idxs), [[pos[i], str(c)] for i, c in out.items()]]

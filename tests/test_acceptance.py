@@ -13,10 +13,11 @@ pytest -s, mirrored by the -v test status).
  4. wab has dimension 1 at four generic (a, b) points and dimension 10
     at four points with b = -1, where every even and odd closed-form
     generator lies in the solved span
- 5. finite no-gos: sl2, sl2 + sl2, schrodinger, and the 3-ary simple
-    algebra at delta = 1/3; sl2 at delta = 1 gives the full dimension-3
-    derivation space, cross-checked against inner derivations; each
-    solve finishes in under 5 s
+ 5. finite no-gos: sl2, sl2 + sl2, schrodinger, osp(1|2), and the 3-ary
+    simple algebra at delta = 1/3; sl2 and osp(1|2) at delta = 1 give the
+    full derivation spaces, of dimensions 3 and 5, cross-checked against
+    inner (super)derivations, and osp(1|2) has none at delta = -1 or 0;
+    each solve finishes in under 5 s
  6. super no-gos: svir and n2sca, both sectors, stabilize to dimension 1
     at (window 6, shift 2)
  7. the transposed compatibility law holds on every window-5 triple for
@@ -62,6 +63,7 @@ from halfder.products import ambient_for, mutation_product, normal_form_product
 from halfder.report import emit_report
 from halfder.solver import is_trivial_space, solve_delta_derivations, solve_stabilized, space_to_jsonable
 from halfder.tables import direct_sum
+from test_solver import osp12
 
 HALF = Fraction(1, 2)
 
@@ -200,6 +202,13 @@ def test_criterion_05_finite_no_gos():
     cases.append(("schrodinger", make_algebra("schrodinger"), HALF, 1))
     cases.append(("A4 at 1/3", make_algebra("nary_simple", n=3), Fraction(1, 3), 1))
     cases.append(("sl2 at 1", sl2, Fraction(1), 3))
+    osp = osp12()
+    # the super-Jacobi identity on every ordered triple
+    assert not any(identity_residual(osp, t) for t in itertools.product(osp.basis_list, repeat=3))
+    cases.append(("osp(1|2)", osp, HALF, 1))
+    cases.append(("osp(1|2) at 1", osp, Fraction(1), 5))
+    cases.append(("osp(1|2) at -1", osp, Fraction(-1), 0))
+    cases.append(("osp(1|2) at 0", osp, Fraction(0), 0))
     for label, alg, delta, expected in cases:
         t0 = time.perf_counter()
         space = solve_delta_derivations(alg, delta, None, None)
@@ -208,14 +217,16 @@ def test_criterion_05_finite_no_gos():
         if expected == 1:
             assert is_trivial_space(space)
         assert elapsed < 5.0, f"{label} took {elapsed:.1f}s"
-    derivations = solve_delta_derivations(sl2, Fraction(1), None, None)
-    srcs = sl2.window_indices(None)
-    for x in srcs:
-        inner = LinMapWindow(sl2, srcs, {s: sl2.bracket_basis((x, s)) for s in srcs})
-        assert derivations.contains(inner), f"ad_{x.token} not a derivation"
+    # ad_x of an odd x is an odd superderivation
+    for alg in (sl2, osp):
+        derivations = solve_delta_derivations(alg, Fraction(1), None, None)
+        srcs = alg.window_indices(None)
+        for x in srcs:
+            inner = LinMapWindow(alg, srcs, {s: alg.bracket_basis((x, s)) for s in srcs})
+            assert derivations.contains(inner), f"ad_{x.token} not a derivation of {alg.name}"
     print(
-        "criterion 5: PASS - finite spaces have dimensions 1, 2, 1, 1 at "
-        "delta = 1/2 resp. 1/3, and sl2 at delta = 1 is spanned by inner derivations"
+        "criterion 5: PASS - finite spaces have dimensions 1, 2, 1, 1, 1 at "
+        "delta = 1/2 resp. 1/3, and sl2 and osp(1|2) at delta = 1 are spanned by inner derivations"
     )
 
 

@@ -17,7 +17,7 @@ from halfder.poisson import poisson_residual, tpa_residual
 from halfder.products import ProductSpec, mutation_product, product_eval
 from halfder.spec import AlgebraSpec
 from halfder.tables import algebra_from_structure_json, direct_sum, finite_structure_json
-from test_solver import finite_structures
+from test_solver import finite_structures, osp12
 
 
 def E(i):
@@ -305,8 +305,8 @@ def test_nary_skew_symmetry():
 def test_gradedness():
     # every bracket is homogeneous for grade2 and parity: the solver splits
     # an infinite algebra's residual system into classes by both.  A finite
-    # algebra is one class and its grade2 is never used, so nary_simple,
-    # direct sums and imported tables carry no grading to check.
+    # algebra's grade2 is 0, so nary_simple, direct sums and imported tables
+    # carry no grading to check, and the solve checks their parity itself.
     insts = _window_instances() + [(make_algebra("n2sca", sector="ramond"), 3)]
     for alg, W in insts:
         idxs = alg.window_indices(W or 8)
@@ -635,6 +635,10 @@ def test_structure_json_rejects_bad_entries():
             algebra_from_structure_json({**bad, "brackets": []})
     with pytest.raises(ValueError):
         finite_structure_json(make_algebra("witt"))
+    # a table reads strictly increasing tuples and carries no parity, so
+    # osp(1|2) would lose [x, x] and [y, y] and come back all even
+    with pytest.raises(ValueError, match=r"carries no parity, .*; osp\(1\|2\) has G\+_-1/2, G\+_1/2$"):
+        finite_structure_json(osp12())
 
 
 def _mostly(good, bad):

@@ -20,6 +20,7 @@ from halfder.candidates import closed_form_map
 from halfder.core import render
 from halfder.element import Element
 from halfder.elimination import _rref, nullspace
+from halfder.finite import finite_algebra
 from halfder.maps import LinMapWindow, WindowEscapeError, _Window, delta_residual, identity_map
 from halfder.poisson import check_tpa_window, find_poisson_witness, mutation_closure_check
 from halfder.products import parse_product_literal
@@ -46,6 +47,20 @@ def E(i):
 
 def L(i):
     return bidx(Family.L, 2 * i)
+
+
+def osp12(wrong_parity: bool = False) -> AlgebraSpec:
+    """osp(1|2) on f = e_-1, h = e_0, e = e_1, y = G+_-1/2, x = G+_1/2, from
+    its brackets on ascending tuples; wrong_parity sets [h, x] = e, an even
+    output of an odd bracket."""
+    f, h, e, y, x = E(-1), E(0), E(1), bidx(Family.GPLUS, -1), bidx(Family.GPLUS, 1)
+    one = Element.single
+    table = {
+        (f, h): one(f, 2), (f, e): one(h, -1), (h, e): one(e, 2),
+        (h, x): one(e if wrong_parity else x, 1), (h, y): one(y, -1), (e, y): one(x, -1), (f, x): one(y, -1),
+        (x, x): one(e, 2), (y, y): one(f, -2), (y, x): one(h, 1),
+    }
+    return finite_algebra("osp(1|2)", (f, h, e, y, x), table)
 
 
 def in_window_pairs(alg, W):
@@ -675,7 +690,7 @@ def _every_row(win, delta=HALF) -> list:
     table = BracketTable(win.alg)
     tuples = list(bounded_tuples(win.alg, win.sources, table.__getitem__))
     return [
-        row for targets, _ in class_split(win).values() for row in residual_rows(win, delta, targets, table, tuples)
+        row for targets, _ in class_split(win).values() for row in residual_rows(delta, targets, table, tuples)
     ]
 
 
@@ -910,12 +925,14 @@ def test_solve_eliminates_once_per_component(monkeypatch):
         ),
         # the Witt bracket on odd G+ indices: graded, but odd x odd is odd
         AlgebraSpec(name="gwitt", patterns=((Family.GPLUS, 0, None),), bracket_fn=superconformal._witt),
+        # a finite superalgebra: its grade2 is 0, so its classes are parities
+        osp12(wrong_parity=True),
     ],
-    ids=["grade", "parity"],
+    ids=["grade", "parity", "finite-parity"],
 )
 def test_solve_raises_when_a_row_leaves_its_class(bad):
     # the residual system does not split into these classes, and the solve
-    # must say so
+    # must say so (a finite algebra ignores the window and shift)
     with pytest.raises(ValueError, match="leaves its class"):
         solve_delta_derivations(bad, HALF, 3, 1)
 
