@@ -22,13 +22,14 @@ from .spec import BracketTable
 
 
 def class_split(win: _Window) -> dict:
-    """{k: (targets, cols)} per class k: targets[s] lists (u, t) for each
-    unknown u = (s, t) of class k, and cols the unknowns of k, ascending."""
+    """{k: (targets, cols)} per class k: targets[s] is the flat list
+    [u, t, u, t, ...] of the unknowns u = (s, t) of class k, no pair per
+    unknown, and cols the unknowns of k, ascending."""
     grade2 = win.alg.grade2
     split: dict = {}
     for u, (s, t) in enumerate(win.unknowns):
         targets, cols = split.setdefault((grade2(t) - grade2(s), t.parity ^ s.parity), ({}, []))
-        targets.setdefault(s, []).append((u, t))
+        targets.setdefault(s, []).extend((u, t))
         cols.append(u)
     return split
 
@@ -51,7 +52,8 @@ def residual_rows(delta: Fraction, targets: dict, table: BracketTable, tuples: l
         inner = []
         prefix = 0
         for i, xi in enumerate(args):
-            for u, t in targets.get(xi, ()):
+            it = iter(targets.get(xi, ()))
+            for u, t in zip(it, it):
                 n = dn if (t.parity ^ xi.parity) and prefix % 2 else -dn
                 if bi := table[args[:i] + (t,) + args[i + 1 :]]:
                     inner.append((u, n, bi))
@@ -60,7 +62,8 @@ def residual_rows(delta: Fraction, targets: dict, table: BracketTable, tuples: l
         acc: dict = {}
         for o, c in zip(b[1::2], b[2::2]):
             f = c * (scale // b[0])
-            for u, t in targets.get(o, ()):
+            it = iter(targets.get(o, ()))
+            for u, t in zip(it, it):
                 d = acc.setdefault(t, {})
                 d[u] = d.get(u, 0) + f
         for u, n, bi in inner:
