@@ -107,28 +107,41 @@ def same_algebra(a: AlgebraSpec, b: AlgebraSpec) -> bool:
 # operations
 
 
+def leibniz_slots(args: tuple):
+    """Yield (x_i, args[:i], args[i+1:], p) for each slot i of a basis
+    tuple: the one statement of the Koszul sign.
+
+    A term t of f(x_i), put in slot i, takes the sign
+    (-1)^{(|t|+|x_i|)(|x_1|+..+|x_{i-1}|)} in the sum over slots, and so
+    counts +1 in a residual a.f([x_1..x_n]) - b.sum_i (sign) [..] exactly
+    when t.parity == p: p is 1 - |x_i| after an odd prefix, and -1, which
+    no parity equals, after an even one.
+    """
+    prefix = 0
+    for i, xi in enumerate(args):
+        yield xi, args[:i], args[i + 1 :], 1 - xi.parity if prefix % 2 else -1
+        prefix += xi.parity
+
+
 def leibniz_parts(bracket: Callable, args: tuple, image: Callable, a=ONE, b=ONE) -> list:
     """a.f([x_1..x_n]) - b.sum_i (sign) [x_1,..,f(x_i),..,x_n] on basis args,
     as the element.combine parts (num, den, packed entry) that sum to it.
 
     bracket(args) and image(x) give packed entries (element.pack) of the
-    bracket on a basis tuple and of f(x) on a basis index x; a term t of
-    f(x_i) takes the sign (-1)^{(|t|+|x_i|)(|x_1|+..+|x_{i-1}|)}.  With
-    alg.bracket_ints as the bracket, f = ad_x gives the defining identity,
+    bracket on a basis tuple and of f(x) on a basis index x, and the slots
+    and their signs are leibniz_slots'.  With alg.bracket_ints as the
+    bracket, f = ad_x gives the defining identity,
     f = phi with b = delta the delta-derivation equation, and f = z*- with
     a = n the transposed Poisson law; with the opposite product as the
     bracket, on (y, x), f = [-, z] gives the classical Poisson rule.
     """
     top = bracket(args)
     parts = [(a.numerator * n, a.denominator * top[0], image(o)) for o, n in zip(top[1::2], top[2::2])]
-    prefix = 0
-    for i, xi in enumerate(args):
+    for xi, before, after, p in leibniz_slots(args):
         f = image(xi)
         for t, m in zip(f[1::2], f[2::2]):
             m *= b.numerator
-            entry = bracket(args[:i] + (t,) + args[i + 1 :])
-            parts.append((m if (t.parity ^ xi.parity) and prefix % 2 else -m, b.denominator * f[0], entry))
-        prefix += xi.parity
+            parts.append((m if t.parity == p else -m, b.denominator * f[0], bracket(before + (t,) + after)))
     return parts
 
 

@@ -1,14 +1,11 @@
-"""Exact elimination over the integers: the cut, fraction-free reduced row
-echelon form, and the dense rational nullspace built on them.
+"""Exact elimination over the integers: the cut, and the fraction-free
+reduced row echelon form built on it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from fractions import Fraction
-from math import gcd, lcm
-
-from .basis import ONE, ZERO, as_scalar
+from collections.abc import Iterable
+from math import gcd
 
 
 def _cut(v: dict, d: int, w: dict, dw: int) -> None:
@@ -53,32 +50,3 @@ def _rref(rows: Iterable[dict]) -> dict:
                 _cut(other, d, p, p[lead])
     return pivots
 
-
-def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Exact nullspace basis of a dense rational matrix.
-
-    Deterministic: each row is cleared of denominators and the integer
-    rows are reduced by _rref; the basis is the canonical one with a unit
-    entry in each free column, in ascending free column.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    sparse = []
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        if r := {c: x for c, v in enumerate(row) if (x := as_scalar(v))}:
-            den = lcm(*[x.denominator for x in r.values()])
-            sparse.append({c: x.numerator * (den // x.denominator) for c, x in r.items()})
-    pivots = _rref(sparse)
-    out = []
-    for f in range(ncols):
-        if f not in pivots:
-            vec = [ZERO] * ncols
-            vec[f] = ONE
-            for lead, p in pivots.items():
-                if x := p.get(f):
-                    vec[lead] = Fraction(-x, p[lead])
-            out.append(vec)
-    return out

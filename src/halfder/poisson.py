@@ -25,10 +25,10 @@ def tpa_residual(alg: AlgebraSpec, p: ProductSpec, z, args: tuple) -> Element:
     """n.z*[x1..xn] - sum_i (sign) [x1,..,z*xi,..,xn] on the given inputs.
 
     The Leibniz defect of f = z*- with a = n, extended multilinearly in z
-    and the arguments.  A term t of z*xi moved into slot i takes the sign
-    (-1)^{(|t|+|xi|)(|x1|+..+|x_{i-1}|)}.  The law is stated for parity
-    preserving products, for which this is (-1)^{|zt|(|x1|+..+|x_{i-1}|)}
-    per basis term zt of z.  Zero iff the compatibility law holds there.
+    and the arguments; a term t of z*xi moved into slot i takes the sign
+    algebras.leibniz_slots states.  The law is stated for parity
+    preserving products, for which |t| + |xi| is the parity of the basis
+    term of z.  Zero iff the compatibility law holds there.
     """
     if len(args) != alg.arity:
         raise ValueError(f"expected {alg.arity} bracket arguments, got {len(args)}")

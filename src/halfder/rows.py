@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import solver
+from .algebras import leibniz_slots
 from .elimination import _cut
 from .maps import _Window
 from .solver import bounded_tuples
@@ -48,16 +49,14 @@ def residual_rows(delta: Fraction, targets: dict, table: BracketTable, tuples: l
     dn, dd = delta.numerator, delta.denominator
     for args in tuples:
         b = table[args]
-        # phi of the bracket, minus delta times the bracket with phi in slot i
+        # phi of the bracket, minus delta times the bracket with phi in slot i,
+        # signed as algebras.leibniz_slots says
         inner = []
-        prefix = 0
-        for i, xi in enumerate(args):
+        for xi, before, after, p in leibniz_slots(args):
             it = iter(targets.get(xi, ()))
             for u, t in zip(it, it):
-                n = dn if (t.parity ^ xi.parity) and prefix % 2 else -dn
-                if bi := table[args[:i] + (t,) + args[i + 1 :]]:
-                    inner.append((u, n, bi))
-            prefix += xi.parity
+                if bi := table[before + (t,) + after]:
+                    inner.append((u, dn if t.parity == p else -dn, bi))
         scale = dd * lcm(*b[:1], *(bi[0] for _, _, bi in inner))
         acc: dict = {}
         for o, c in zip(b[1::2], b[2::2]):

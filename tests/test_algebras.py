@@ -17,7 +17,7 @@ from halfder.poisson import poisson_residual, tpa_residual
 from halfder.products import ProductSpec, mutation_product, product_eval
 from halfder.spec import AlgebraSpec
 from halfder.tables import algebra_from_structure_json, direct_sum, finite_structure_json
-from test_solver import finite_structures, osp12
+from test_solver import finite_structures, leibniz_oracle, osp12
 
 
 def E(i):
@@ -324,27 +324,6 @@ _BROKEN_TABLES = {
     "binary": {"dim": 3, "brackets": [[0, 1, [[2, "1"]]], [0, 2, [[0, "2"], [1, "1"]]], [1, 2, [[1, "3"]]]]},
     "ternary": {"dim": 4, "arity": 3, "brackets": [[0, 1, 2, [[0, "1"]]], [0, 1, 3, [[3, "1"]]]]},
 }
-
-
-def leibniz_oracle(br, image, args, a=1, b=1):
-    """a.f(br(args)) - b.sum_i br(args with x_i -> f(x_i)) over plain dicts.
-
-    The Fraction reference of element.combine(algebras.leibniz_parts(...))
-    for even bases: br maps a tuple of plain keys, and image one key, to
-    {key: Fraction}.
-    """
-    acc: dict = {}
-
-    def add(c, terms):
-        for k, v in terms.items():
-            acc[k] = acc.get(k, Fraction(0)) + c * v
-
-    for o, c in br(args).items():
-        add(a * c, image(o))
-    for i, x in enumerate(args):
-        for t, c in image(x).items():
-            add(-b * c, br(args[:i] + (t,) + args[i + 1 :]))
-    return {k: v for k, v in acc.items() if v}
 
 
 def _table_bracket(data):

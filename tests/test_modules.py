@@ -236,6 +236,23 @@ def test_no_unreferenced_private_functions():
     assert not dead, f"private module-level functions nothing in src/ references: {dead}"
 
 
+def test_one_koszul_sign():
+    """The Koszul sign of a Leibniz residual is stated once in src/halfder:
+    only algebras.leibniz_slots folds the parities of the slots before each
+    slot, and algebras.leibniz_parts and rows.residual_rows read its p."""
+    folds, texts = [], {}
+    for name, tree in _trees().items():
+        texts[name] = (SRC / "halfder" / name).read_text().count("prefix % 2")
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.AugAssign) and isinstance(node.value, ast.Attribute) and node.value.attr == "parity"
+                for node in ast.walk(fn)
+            ):
+                folds.append(f"{name[:-3]}.{fn.name}")
+    assert folds == ["algebras.leibniz_slots"], f"functions that fold slot parities: {folds}"
+    assert {name: n for name, n in texts.items() if n} == {"algebras.py": 1}, texts
+
+
 def test_no_typing_or_dataclasses_imports():
     banned = {"typing", "dataclasses"}
     found = []

@@ -5,7 +5,7 @@ import random
 import re
 import warnings
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
 import pytest
@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from halfder import rows as rows_module
 from halfder import solver, superconformal
 from halfder.algebras import make_algebra
-from halfder.basis import Family, bidx
+from halfder.basis import ONE, ZERO, Family, as_scalar, bidx
 from halfder.candidates import closed_form_map
 from halfder.core import render
 from halfder.element import Element
-from halfder.elimination import _rref, nullspace
+from halfder.elimination import _rref
 from halfder.finite import finite_algebra
 from halfder.maps import LinMapWindow, WindowEscapeError, _Window, delta_residual, identity_map
 from halfder.poisson import check_tpa_window, find_poisson_witness, mutation_closure_check
@@ -766,6 +766,36 @@ def _fraction_nullspace(rows, cols) -> list[dict]:
     ]
 
 
+def nullspace(rows) -> list[list[Fraction]]:
+    """Exact nullspace basis of a dense rational matrix, through _rref.
+
+    Deterministic: each row is cleared of denominators and the integer
+    rows are reduced by _rref; the basis is the canonical one with a unit
+    entry in each free column, in ascending free column.
+    """
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    sparse = []
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        if r := {c: x for c, v in enumerate(row) if (x := as_scalar(v))}:
+            den = lcm(*[x.denominator for x in r.values()])
+            sparse.append({c: x.numerator * (den // x.denominator) for c, x in r.items()})
+    pivots = _rref(sparse)
+    out = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [ZERO] * ncols
+            vec[f] = ONE
+            for lead, p in pivots.items():
+                if x := p.get(f):
+                    vec[lead] = Fraction(-x, p[lead])
+            out.append(vec)
+    return out
+
+
 def _one_class(rows, ncols):
     """The canonical basis of rows fed to one _Class, read off its N as
     select_rows reads it: one _rref keyed by ~u, each pivot over its lead."""
@@ -1080,24 +1110,61 @@ def test_row_selection_is_order_independent(scale, case, data):
 
 
 # ---------------------------------------------------------------------------
-# integer row assembly against delta_residual
+# integer row assembly against the Leibniz oracle
+
+
+def _koszul(parities, order) -> int:
+    """The sign of rearranging a word of graded letters into order (a list
+    of the letters' old positions): -1 to the number of pairs of odd letters
+    the rearrangement puts out of their old order."""
+    return (-1) ** sum(parities[j] and parities[k] for j, k in combinations(order, 2) if j > k)
+
+
+def leibniz_oracle(br, image, args, a=1, b=1, parity=lambda k: 0):
+    """a.f(br(args)) - b.sum_i (sign) br(args with x_i -> f(x_i)) over plain
+    dicts.
+
+    The Fraction reference of element.combine(algebras.leibniz_parts(...)):
+    br maps a tuple of keys, and image one key, to {key: Fraction}; parity
+    gives a key's parity, all even by default.  The sign of a term t of
+    f(x_i) is that of the word f x_1 .. x_n rearranged to x_1 .. x_{i-1} f
+    x_i .. x_n, the letter f of parity |t| + |x_i|.
+    """
+    acc: dict = {}
+
+    def add(c, terms):
+        for k, v in terms.items():
+            acc[k] = acc.get(k, Fraction(0)) + c * v
+
+    for o, c in br(args).items():
+        add(a * c, image(o))
+    n = len(args)
+    for i, x in enumerate(args):
+        for t, c in image(x).items():
+            sign = _koszul([parity(t) ^ parity(x), *map(parity, args)], [*range(1, i + 1), 0, *range(i + 1, n + 1)])
+            add(-b * c * sign, br(args[:i] + (t,) + args[i + 1 :]))
+    return {k: v for k, v in acc.items() if v}
 
 
 def _oracle_rows(win, delta):
-    """Primitive residual rows built column by column: delta_residual of
-    the unit map of each unknown, on every in-window sorted tuple."""
+    """Primitive residual rows built column by column: leibniz_oracle of the
+    unit map of each unknown, with the algebra's own bracket and parities,
+    on every in-window sorted tuple."""
     alg = win.alg
     inside = set(win.sources)
-    tuples = [
-        args
-        for args in combinations_with_replacement(win.sources, alg.arity)
-        if inside.issuperset(alg.bracket_basis(args).terms)
-    ]
+
+    def br(args):
+        return alg.bracket_basis(args).terms
+
+    tuples = [args for args in combinations_with_replacement(win.sources, alg.arity) if inside.issuperset(br(args))]
     rows: dict = {}
     for u, (s, t) in enumerate(win.unknowns):
-        phi = LinMapWindow(alg, win.sources, {s: Element.basis(t)})
+
+        def unit(x, s=s, t=t):
+            return {t: Fraction(1)} if x == s else {}
+
         for args in tuples:
-            for o, c in delta_residual(alg, phi, delta, args).terms.items():
+            for o, c in leibniz_oracle(br, unit, args, b=delta, parity=lambda k: k.parity).items():
                 rows.setdefault((args, o), {})[u] = c
     out = set()
     for row in rows.values():
