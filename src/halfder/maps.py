@@ -106,14 +106,14 @@ class _Window:
 
     @cached_property
     def uid(self) -> dict:
-        """{unknown: its id}, built for vector_of alone: a solve reads each
-        unknown's id from its class (rows.class_split)."""
+        """{unknown: its id}, built for vector_of and solver.stabilize: a
+        solve reads each unknown's id from its class (rows.class_split)."""
         return {st: u for u, st in enumerate(self.unknowns)}
 
-    def vector_of(self, phi: LinMapWindow, strict: bool = True) -> dict | None:
+    def vector_of(self, phi: LinMapWindow) -> dict | None:
         """Integer coordinates of phi restricted to the sources, times the
-        lcm of their image denominators; None (or ValueError when strict)
-        if a nonzero image coefficient falls outside the unknown set."""
+        lcm of their image denominators; None if a nonzero image
+        coefficient falls outside the unknown set."""
         images = [(s, e) for s in self.sources if (e := phi.packed.get(s))]
         den = lcm(*[e[0] for _, e in images])
         vec = {}
@@ -121,8 +121,6 @@ class _Window:
             for t, n in zip(e[1::2], e[2::2]):
                 u = self.uid.get((s, t))
                 if u is None:
-                    if strict:
-                        raise ValueError(f"map sends {s.token} to {t.token}, outside shift bound {self.shift}")
                     return None
                 vec[u] = n * (den // e[0])
         return vec

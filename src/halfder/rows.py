@@ -118,19 +118,21 @@ class _Class:
         return not (free or null)
 
 
-def select_rows(win: _Window, delta: Fraction) -> list[dict]:
-    """The canonical nullspace basis of the window's system, one vector per
-    free column f, ascending: 1 at f and 0 at the other free columns, as a
-    full elimination reads it off its reduced row echelon form.
+def select_rows(win: _Window, delta: Fraction) -> dict:
+    """The nullspace of the window's system as reduced integer pivots
+    {f: row}, one per free column f, positive at f and 0 at the other free
+    columns: divided by its entry at f, a row is the vector a full
+    elimination reads off its reduced row echelon form for f.
 
     The bounded tuples are filtered once, through the solve's table, and
     every class reads that one list.  Each class's stream feeds one _Class
     and closes at the row that completes the class's rank: its nullspace
     is {0}, so neither the rest of its rows nor the brackets only they
     read are assembled.  The N of every class below full rank is kept,
-    and one solver._rref of them all, keyed by ~u, leads each vector with
-    its largest unknown; those leads are the free columns, since a column
-    is free when it is the largest unknown of some nullspace vector.
+    and one solver._rref of them all, keyed by ~u and keyed back, leads
+    each vector with its largest unknown; those leads are the free
+    columns, since a column is free when it is the largest unknown of some
+    nullspace vector.
     Raises ValueError when an entry of the solve's table is not homogeneous
     for grade2 and parity (parity alone on a finite algebra, where grade2 is
     0): a row leaves its class only through such an entry.
@@ -150,4 +152,4 @@ def select_rows(win: _Window, delta: Fraction) -> list[dict]:
             raise ValueError(f"[{tokens}] has {bad[0]}, so a row leaves its class: {alg.name} is not graded")
     # through solver, where perfbench's tracer wraps _rref
     pivots = solver._rref({~u: x for u, x in v.items()} for v in null)
-    return [{~u: Fraction(x, p[lead]) for u, x in p.items()} for lead, p in sorted(pivots.items(), reverse=True)]
+    return {~lead: {~u: x for u, x in p.items()} for lead, p in pivots.items()}

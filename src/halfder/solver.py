@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Sequence
-from functools import cached_property
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -47,11 +46,10 @@ def bounded_tuples(alg, sources: Sequence, bracket):
             yield args
 
 
-def _system_rows(win: _Window, delta: Fraction) -> list[dict]:
-    """The canonical nullspace basis of the residual rows, ascending by
-    free column, from rows.select_rows.  The import runs on the first
-    solve, so processes that never solve (the scans) never compile that
-    module."""
+def _system_rows(win: _Window, delta: Fraction) -> dict:
+    """The reduced integer pivots of the window's solutions, from
+    rows.select_rows.  The import runs on the first solve, so processes
+    that never solve (the scans) never compile that module."""
     from .rows import select_rows
 
     return select_rows(win, delta)
@@ -59,24 +57,21 @@ def _system_rows(win: _Window, delta: Fraction) -> list[dict]:
 
 class SolutionSpace:
     """Exact span of delta-derivation maps found on one window (window and
-    shift are None for a finite algebra)."""
+    shift are None for a finite algebra): the window and the reduced
+    integer pivots {lead: row} of its solutions.  The basis is each pivot
+    divided by its lead, in order of (least unknown, lead)."""
 
-    def __init__(self, alg, delta, window, shift, basis, stable):
-        self.alg, self.delta, self.window, self.shift = alg, delta, window, shift
-        self.basis, self.stable = basis, stable
+    def __init__(self, delta, win: _Window, pivots: dict, stable):
+        self.alg, self.delta, self.window, self.shift = win.alg, delta, win.window, win.shift
+        self._window, self._pivots, self.stable = win, pivots, stable
+        self.basis = tuple(
+            win.map_of({u: Fraction(x, p[lead]) for u, x in p.items()})
+            for lead, p in sorted(pivots.items(), key=lambda lp: (min(lp[1]), lp[0]))
+        )
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def _window(self) -> _Window:
-        return _Window(self.alg, self.window, self.shift)
-
-    @cached_property
-    def _pivots(self) -> dict:
-        win = self._window
-        return _rref([win.vector_of(b) for b in self.basis])
 
     def contains(self, phi: LinMapWindow) -> bool:
         """Exact span membership of a map over the same window/shift set-up."""
@@ -85,7 +80,7 @@ class SolutionSpace:
         win = self._window
         if phi.sources != win.sources:
             raise ValueError("membership needs a map over the same source window")
-        cand = win.vector_of(phi, strict=False)
+        cand = win.vector_of(phi)
         if cand is None:
             # some image coefficient is outside the space's shift bound
             return False
@@ -105,8 +100,7 @@ def solve_delta_derivations(alg, delta, window=None, shift=None) -> SolutionSpac
     """
     d = as_scalar(delta)
     win = _Window(alg, window, shift)
-    basis = tuple(win.map_of(v) for v in sorted(_system_rows(win, d), key=min))
-    return SolutionSpace(alg=alg, delta=d, window=win.window, shift=win.shift, basis=basis, stable=alg.is_finite)
+    return SolutionSpace(d, win, _system_rows(win, d), alg.is_finite)
 
 
 def stabilize(space: SolutionSpace, window: int) -> SolutionSpace:
@@ -121,13 +115,10 @@ def stabilize(space: SolutionSpace, window: int) -> SolutionSpace:
         raise ValueError(
             f"window gap {gap} is too small; it must be at least max(shift, 1) = {max(space.shift, 1)}"
         )
-    pivots = _rref(v for b in space.basis if (v := win.vector_of(b)))
-    basis = tuple(win.map_of({u: Fraction(x, p[lead]) for u, x in p.items()}) for lead, p in sorted(pivots.items()))
-    out = SolutionSpace(space.alg, space.delta, window, space.shift, basis, True)
-    # the window and pivots the basis was built from, so contains() does
-    # not build the window or eliminate the basis again
-    out._window, out._pivots = win, pivots
-    return out
+    # a source of the small window has the same targets in both windows
+    uid, unknowns = win.uid, space._window.unknowns
+    rows = ({v: x for u, x in p.items() if (v := uid.get(unknowns[u])) is not None} for p in space._pivots.values())
+    return SolutionSpace(space.delta, win, _rref(rows), True)
 
 
 def solve_stabilized(alg, delta, window=None, shift=None) -> SolutionSpace:

@@ -533,15 +533,15 @@ def test_algebra_check_reports_a_defining_identity_failure(monkeypatch):
 def test_derive_solve_rechecks_the_maps_it_reports(monkeypatch):
     from halfder import cli
     from halfder.basis import Family, bidx
-    from halfder.element import Element
-    from halfder.maps import LinMapWindow
+    from halfder.maps import _Window
     from halfder.solver import SolutionSpace
 
     def solve_stabilized(alg, delta, window, shift):
         # a "stable" space whose one map, e_1 -> e_1, is no delta-derivation
         e1 = bidx(Family.E, 2)
-        phi = LinMapWindow(alg, alg.window_indices(window + shift), {e1: Element.basis(e1)})
-        return SolutionSpace(alg, delta, window, shift, [phi], True)
+        win = _Window(alg, window + shift, shift)
+        u = win.uid[e1, e1]
+        return SolutionSpace(delta, win, {u: {u: 1}}, True)
 
     monkeypatch.setattr(cli, "solve_stabilized", solve_stabilized)
     code, report = run(["derive-solve", "--algebra", "witt", "--window", "2", "--shift", "1"])

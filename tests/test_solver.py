@@ -338,6 +338,35 @@ def test_one_solve_stabilization_matches_two_solves(name, params, delta, window,
     assert all(small.contains(b) for b in space.basis)
 
 
+@pytest.mark.parametrize(
+    "name, params, delta, window, shift",
+    [
+        ("witt", {}, HALF, 6, 2),
+        ("witt", {}, Fraction(1), 6, 2),
+        ("wab", {"a": HALF, "b": -1}, HALF, 6, 2),
+        ("n2sca", {"sector": "ramond"}, HALF, 3, 1),
+        ("svir", {"sector": "neveu_schwarz"}, HALF, 4, 1),
+        ("thin", {}, HALF, 8, 2),
+        ("solvable", {}, HALF, 6, 2),
+        ("virasoro", {}, HALF, 6, 2),
+    ],
+)
+def test_stabilize_restricts_the_public_basis(name, params, delta, window, shift):
+    # the oracle reads basis images alone: the large solve's maps restricted
+    # to the small window's sources, eliminated over Fraction
+    alg = make_algebra(name, params)
+    large = solve_delta_derivations(alg, delta, window + shift + 2, shift)
+    small = set(alg.window_indices(window))
+
+    def coords(phi):
+        return {(s, t): c for s, img in phi.images.items() if s in small for t, c in img.terms.items()}
+
+    expected = _fraction_rref(map(coords, large.basis))
+    space = solve_stabilized(alg, delta, window, shift)
+    assert space.dimension == len(expected)
+    assert _fraction_rref(map(coords, space.basis)) == expected
+
+
 def test_stabilized_solve_checks_bounds_then_solves_once(monkeypatch):
     witt = make_algebra("witt")
     windows = []
@@ -362,14 +391,16 @@ def test_stabilized_solve_checks_bounds_then_solves_once(monkeypatch):
 
 
 def test_stabilized_space_keeps_its_pivots(monkeypatch):
-    # contains() on a stabilized space reduces against the pivots the
-    # basis was built from, without eliminating the basis again
+    # contains() on a stabilized space, and on a raw one, reduces against
+    # the pivots the basis was built from, without eliminating the basis
     witt = make_algebra("witt")
-    space = solve_stabilized(witt, HALF, 5, 2)
+    spaces = (solve_stabilized(witt, HALF, 5, 2), solve_delta_derivations(witt, HALF, 7, 2))
     calls, original = [], solver._rref
     monkeypatch.setattr(solver, "_rref", lambda rows: calls.append(1) or original(rows))
-    assert all(space.contains(b) for b in space.basis)
-    assert not space.contains(LinMapWindow(witt, witt.window_indices(5), {E(0): Element.basis(E(1))}))
+    for space in spaces:
+        assert all(space.contains(b) for b in space.basis)
+        shift = LinMapWindow(witt, witt.window_indices(space.window), {E(0): Element.basis(E(1))})
+        assert not space.contains(shift)
     assert calls == []
 
 
@@ -431,7 +462,7 @@ def test_solver_window_validation():
 
 def test_empty_space_flags_anomaly():
     vir = make_algebra("virasoro")
-    empty = SolutionSpace(alg=vir, delta=HALF, window=4, shift=2, basis=(), stable=True)
+    empty = SolutionSpace(HALF, _Window(vir, 4, 2), {}, True)
     with pytest.warns(UserWarning):
         assert not is_trivial_space(empty)
 
@@ -567,8 +598,8 @@ def test_contains_requires_matching_window():
         LinMapWindow(witt, witt.window_indices(2), {E(5): Element.basis(E(1))})
     with pytest.raises(ValueError, match="not valid in witt"):
         LinMapWindow(witt, witt.window_indices(2), {E(1): Element.basis(L(1))})
-    with pytest.raises(ValueError, match="outside shift bound 1"):
-        _Window(witt, 3, 1).vector_of(LinMapWindow(witt, witt.window_indices(3), {E(0): Element.basis(E(3))}))
+    escape = LinMapWindow(witt, witt.window_indices(3), {E(0): Element.basis(E(3))})
+    assert _Window(witt, 3, 1).vector_of(escape) is None
 
 
 def test_contains_builds_the_window_once(monkeypatch):
@@ -796,6 +827,11 @@ def nullspace(rows) -> list[list[Fraction]]:
     return out
 
 
+def _divided(pivots: dict) -> list[dict]:
+    """Each pivot divided by its lead, in ascending lead."""
+    return [{u: Fraction(x, p[lead]) for u, x in p.items()} for lead, p in sorted(pivots.items())]
+
+
 def _one_class(rows, ncols):
     """The canonical basis of rows fed to one _Class, read off its N as
     select_rows reads it: one _rref keyed by ~u, each pivot over its lead."""
@@ -861,7 +897,7 @@ def test_system_rows_keep_a_spanning_selection(monkeypatch, name, params, window
     for c in spy.made:
         assert {tuple(r.items()) for r in c.fed} <= {tuple(r.items()) for r in stream}
         _check_null(c, [row for row in stream if min(row) in c.cols])
-    assert vectors == _fraction_nullspace(stream, range(len(win.unknowns)))
+    assert _divided(vectors) == _fraction_nullspace(stream, range(len(win.unknowns)))
 
 
 def test_witt_classes_stay_below_full_rank(monkeypatch):
@@ -917,7 +953,7 @@ def test_solve_filters_the_window_once(monkeypatch, name, params, window, shift)
         return original(*args)
 
     monkeypatch.setattr(rows_module, "bounded_tuples", counted)
-    assert rows_module.select_rows(win, HALF) == expected
+    assert _divided(rows_module.select_rows(win, HALF)) == expected
     assert calls == [win.sources]
 
 
@@ -1186,13 +1222,13 @@ def _oracle_rows(win, delta):
         ("nary_simple", {"n": "3"}, None, None, Fraction(1, 3)),
     ],
 )
-def test_integer_rows_match_delta_residual(name, params, window, shift, delta):
+def test_integer_rows_match_leibniz_oracle(name, params, window, shift, delta):
     win = _Window(make_algebra(name, params), window, shift)
     assert set(map(_primitive, _every_row(win, delta))) == _oracle_rows(win, delta)
 
 
 @settings(max_examples=40, deadline=None)
 @given(finite_structures(), st.sampled_from([HALF, Fraction(1), Fraction(-1, 3), Fraction(0)]))
-def test_integer_rows_match_delta_residual_on_random_tables(data, delta):
+def test_integer_rows_match_leibniz_oracle_on_random_tables(data, delta):
     win = _Window(algebra_from_structure_json(data), None, None)
     assert set(map(_primitive, _every_row(win, delta))) == _oracle_rows(win, delta)
