@@ -5,7 +5,10 @@ indices), an optional commutative associative product for the ambient
 function algebras, and enough index bookkeeping to enumerate degree
 windows.  AlgebraSpec and multilinear live in `halfder.spec`.  The
 built-in algebras live in `halfder.catalogue`; `make_algebra` builds them
-by name.  Algebras built from data live in `halfder.tables`.
+by name.  Algebras built from data live in `halfder.tables`.  The
+residual forms here build no Element: the residuals that sum them,
+`identity_residual` (served here) and `delta_residual`, live in
+`halfder.maps`.
 """
 
 from __future__ import annotations
@@ -13,18 +16,15 @@ from __future__ import annotations
 from collections.abc import Callable
 from itertools import combinations
 
+from . import _first_use
 from .basis import ONE, as_int, as_scalar
-from .element import Element, combine
-from .spec import AlgebraSpec
 
-
-def __getattr__(name):
-    """tables.direct_sum on first use, so a solve never compiles halfder.tables;
-    perfbench/ask.py reads it as algebras.direct_sum."""
-    if name != "direct_sum":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .tables import direct_sum
-    return direct_sum
+# every other halfder name this module reads or serves, with the module that
+# defines it.  _builder binds the names it reads; identity_residual and
+# direct_sum bind on their first read as algebras.<name>, so a solve never
+# compiles halfder.tables
+_SERVED = {"BUILDERS": "catalogue", "AlgebraSpec": "spec", "identity_residual": "maps", "direct_sum": "tables"}
+__getattr__, _bind = _first_use(globals(), _SERVED, "maps", "tables")
 
 
 def _skew(rule: Callable) -> Callable:
@@ -47,9 +47,7 @@ def _skew(rule: Callable) -> Callable:
 
 def _builder(name: str) -> tuple:
     """(builder, parameter names) of a built-in algebra."""
-    # imported here: the catalogue imports _skew from this module
-    from .catalogue import BUILDERS
-
+    _bind()
     if name not in BUILDERS:
         raise ValueError(f"unknown algebra {name!r}; known: {', '.join(BUILDERS)}")
     return BUILDERS[name]
@@ -153,18 +151,3 @@ def first_defect(cases, residual: Callable) -> tuple:
         if res := residual(*case):
             return (case, res), tried
     return None, tried
-
-
-def identity_residual(alg: AlgebraSpec, args: tuple) -> Element:
-    """Defining-identity residual on a basis tuple; zero iff it holds there.
-
-    Takes 2n-1 indices (x_1..x_{n-1}, y_1..y_n) and evaluates the adjoint
-    derivation form [x,[y]] - sum_i [y_1,..,[x,y_i],..,y_n], the Leibniz
-    defect of f = [x_1..x_{n-1}, -].  For n = 2 this is the (super-)Jacobi
-    identity.
-    """
-    n = alg.arity
-    if len(args) != 2 * n - 1:
-        raise ValueError(f"identity residual needs {2 * n - 1} indices, got {len(args)}")
-    xs, ys = args[: n - 1], args[n - 1 :]
-    return combine(leibniz_parts(alg.bracket_ints, ys, lambda y: alg.bracket_ints(xs + (y,))))

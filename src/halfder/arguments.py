@@ -1,13 +1,17 @@
 """The command-line argument grammar: the argparse parser, built on the
-first command, and the --param values.  `halfder.cli` imports this module
-on its first command, so importing the package never compiles it."""
+first command, the --param values, and `_usage`, the one place where a
+library `ValueError` on a command's input becomes a `UsageError`.
+`halfder.cli` imports this module on its first command, so importing the
+package never compiles it."""
 
 from __future__ import annotations
 
 import argparse
 from functools import cache
 
+from .algebras import make_algebra
 from .basis import as_int, as_scalar
+from .core import ParseError
 from .report import UsageError
 
 
@@ -86,3 +90,17 @@ def _parse_params(pairs) -> dict:
             raise UsageError(f"unknown parameter {key!r} (known: {', '.join(_PARAMS)})")
         out[key] = value
     return out
+
+
+def _usage(read, *args, element=""):
+    """read(*args), with a ValueError from it raised as a UsageError; a
+    ParseError's message gets element as a prefix."""
+    try:
+        return read(*args)
+    except ValueError as e:
+        raise UsageError(f"{element}{e}" if isinstance(e, ParseError) else str(e)) from None
+
+
+def _make_algebra(ns):
+    """The algebra of a command's --algebra and --param."""
+    return _usage(make_algebra, ns.algebra, _parse_params(ns.param))

@@ -5,12 +5,11 @@ goes to stderr), so reports can be diffed and archived.  Exit codes:
 0 pass/none, 1 fail/witness-found, 2 usage error.  --expect-witness turns
 a found witness into the success outcome of the witness verbs.
 
-This module holds the dispatch, the verbs that solve and check brackets,
-and `_usage`, the one place where a library `ValueError` becomes a
-`UsageError`.  The argument grammar (`halfder.arguments`) is imported on
-the first command and the Poisson verbs (`halfder.poisson_verbs`) on the
-first Poisson verb; the report, its emission and `UsageError` live in
-`halfder.report`.
+This module holds the dispatch and the verbs that solve and check
+brackets, and imports no other halfder module at import: the argument
+grammar and `_usage` (`halfder.arguments`), the report and the rest are
+bound on the first command, and the Poisson verbs
+(`halfder.poisson_verbs`) on the first Poisson verb.
 """
 
 from __future__ import annotations
@@ -20,43 +19,25 @@ import sys
 import time
 from itertools import combinations_with_replacement, product
 
-from .algebras import algebra_params, first_defect, identity_residual, make_algebra
-from .core import ParseError, render
-from .element import combine
-from .maps import delta_residual
-from .report import Report, UsageError, emit_report
-from .solver import bounded_tuples, is_trivial_space, solve_delta_derivations, solve_stabilized, space_to_jsonable
+from . import _first_use
 
-# bound from halfder.poisson by __getattr__ on first use, so a solve never
-# compiles it; the Poisson verbs call them as cli.<name>, and perfbench's
-# tracer wraps them here
-_POISSON = ("check_tpa_window", "find_poisson_witness", "mutation_closure_check")
-
-
-def __getattr__(name):
-    """Bind the Poisson names; setdefault keeps one already set, such as a
-    tracer's wrapper."""
-    if name not in _POISSON:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import poisson
-    for n in _POISSON:
-        globals().setdefault(n, getattr(poisson, n))
-    return globals()[name]
-
-
-def _usage(read, *args, element=""):
-    """read(*args), with a ValueError from it raised as a UsageError; a
-    ParseError's message gets element as a prefix."""
-    try:
-        return read(*args)
-    except ValueError as e:
-        raise UsageError(f"{element}{e}" if isinstance(e, ParseError) else str(e)) from None
-
-
-def _make_algebra(ns):
-    from .arguments import _parse_params
-
-    return _usage(make_algebra, ns.algebra, _parse_params(ns.param))
+# every halfder name this module reads, with the module that defines it.
+# run_command binds them before its verb runs, except the Poisson names and
+# verbs, which bind on first use (the Poisson verbs read the names as
+# cli.<name>), so a solve never compiles halfder.poisson.  perfbench's
+# tracer wraps names here before they bind, and the binding keeps them.
+_SERVED = {
+    "algebra_params": "algebras", "first_defect": "algebras", "make_algebra": "algebras",
+    "_build_parser": "arguments", "_make_algebra": "arguments", "_usage": "arguments",
+    "ALGEBRA_NAMES": "catalogue", "render": "core", "combine": "element",
+    "delta_residual": "maps", "identity_residual": "maps",
+    "Report": "report", "UsageError": "report", "emit_report": "report",
+    "bounded_tuples": "solver", "is_trivial_space": "solver", "solve_delta_derivations": "solver",
+    "solve_stabilized": "solver", "space_to_jsonable": "solver",
+    "check_tpa_window": "poisson", "find_poisson_witness": "poisson", "mutation_closure_check": "poisson",
+    "VERBS": "poisson_verbs",
+}
+__getattr__, _bind = _first_use(globals(), _SERVED, "poisson", "poisson_verbs")
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +45,6 @@ def _make_algebra(ns):
 
 
 def _verb_algebra_list(ns):
-    from .catalogue import ALGEBRA_NAMES
-
     entries = []
     for name in ALGEBRA_NAMES:
         wanted = algebra_params(name)
@@ -133,8 +112,7 @@ def _verb_derive_solve(ns):
 
 def _poisson_verb(ns):
     """Run a Poisson verb, from halfder.poisson_verbs, which the first one imports."""
-    from .poisson_verbs import VERBS
-
+    _bind("poisson_verbs")
     return VERBS[ns.verb](ns)
 
 
@@ -154,8 +132,7 @@ def _exit_code(ns, status) -> int:
 
 def run_command(argv) -> tuple[int, Report | None]:
     """Parse and execute one command; (exit code, report or None on usage error)."""
-    from .arguments import _build_parser
-
+    _bind()
     try:
         ns = _build_parser().parse_args(list(argv))
     except SystemExit as e:

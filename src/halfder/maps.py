@@ -2,9 +2,11 @@
 
 A `LinMapWindow` holds explicit images on a finite set of sources;
 `delta_residual` is its delta-derivation defect on a basis tuple, and
-`_Window` numbers the unknowns (source, target) of one (algebra, W, S)
-configuration, so that a map and an integer vector convert into each
-other.
+`identity_residual` the defect of the map ad_x, the algebra's defining
+identity.  `_Window` numbers the unknowns (source, target) of one
+(algebra, W, S) configuration, so that a map and an integer vector
+convert into each other.  The residuals live here, not in
+`halfder.algebras`, because they build Elements.
 """
 
 from __future__ import annotations
@@ -85,6 +87,21 @@ def delta_residual(alg, phi: LinMapWindow, delta, args: tuple) -> Element:
         return combine(leibniz_parts(alg.bracket_ints, args, phi.ints, b=as_scalar(delta)))
     except WindowEscapeError as e:
         raise WindowEscapeError(f"{e}, for tuple ({', '.join(a.token for a in args)})") from None
+
+
+def identity_residual(alg, args: tuple) -> Element:
+    """Defining-identity residual on a basis tuple; zero iff it holds there.
+
+    Takes 2n-1 indices (x_1..x_{n-1}, y_1..y_n) and evaluates the adjoint
+    derivation form [x,[y]] - sum_i [y_1,..,[x,y_i],..,y_n], the Leibniz
+    defect of f = [x_1..x_{n-1}, -].  For n = 2 this is the (super-)Jacobi
+    identity.
+    """
+    n = alg.arity
+    if len(args) != 2 * n - 1:
+        raise ValueError(f"identity residual needs {2 * n - 1} indices, got {len(args)}")
+    xs, ys = args[: n - 1], args[n - 1 :]
+    return combine(leibniz_parts(alg.bracket_ints, ys, lambda y: alg.bracket_ints(xs + (y,))))
 
 
 class _Window:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from . import cli
 from .algebras import make_algebra
-from .arguments import _parse_params
-from .cli import _make_algebra, _usage
+from .arguments import _make_algebra, _parse_params, _usage
 from .core import parse_element, render
 from .products import parse_product_literal, product_eval
 from .report import UsageError

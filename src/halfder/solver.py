@@ -19,21 +19,19 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .algebras import same_algebra
-from .basis import ZERO, as_scalar
-from .core import render
-from .element import Element
-from .elimination import _cut, _rref
-from .maps import LinMapWindow, _check_bounds, _Window
+from . import _first_use
 
-
-def __getattr__(name):
-    """candidates.closed_form_map on first use, so a solve never compiles
-    halfder.candidates; perfbench/ask.py reads it as solver.closed_form_map."""
-    if name != "closed_form_map":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .candidates import closed_form_map
-    return closed_form_map
+# every halfder name this module reads, with the module that defines it: a
+# solve binds them all on its first call, and closed_form_map binds on its
+# first read as solver.closed_form_map, so a solve never compiles
+# halfder.candidates
+_SERVED = {
+    "same_algebra": "algebras", "ZERO": "basis", "as_scalar": "basis", "render": "core", "Element": "element",
+    "_cut": "elimination", "_rref": "elimination",
+    "LinMapWindow": "maps", "_Window": "maps", "_check_bounds": "maps",
+    "select_rows": "rows", "closed_form_map": "candidates",
+}
+__getattr__, _bind = _first_use(globals(), _SERVED, "candidates")
 
 
 def bounded_tuples(alg, sources: Sequence, bracket):
@@ -48,10 +46,8 @@ def bounded_tuples(alg, sources: Sequence, bracket):
 
 def _system_rows(win: _Window, delta: Fraction) -> dict:
     """The reduced integer pivots of the window's solutions, from
-    rows.select_rows.  The import runs on the first solve, so processes
-    that never solve (the scans) never compile that module."""
-    from .rows import select_rows
-
+    rows.select_rows, which processes that never solve (the scans) never
+    compile."""
     return select_rows(win, delta)
 
 
@@ -62,6 +58,7 @@ class SolutionSpace:
     divided by its lead, in order of (least unknown, lead)."""
 
     def __init__(self, delta, win: _Window, pivots: dict, stable):
+        _bind()  # for the functions that read a space
         self.alg, self.delta, self.window, self.shift = win.alg, delta, win.window, win.shift
         self._window, self._pivots, self.stable = win, pivots, stable
         self.basis = tuple(
@@ -98,6 +95,7 @@ def solve_delta_derivations(alg, delta, window=None, shift=None) -> SolutionSpac
     and shift are ignored), and comes back already stable; infinite ones
     carry boundary artifacts and should be passed through stabilize().
     """
+    _bind()
     d = as_scalar(delta)
     win = _Window(alg, window, shift)
     return SolutionSpace(d, win, _system_rows(win, d), alg.is_finite)
@@ -125,6 +123,7 @@ def solve_stabilized(alg, delta, window=None, shift=None) -> SolutionSpace:
     """Solve once at window W + S + 2 and restrict the solutions to W."""
     if alg.is_finite:
         return solve_delta_derivations(alg, delta)
+    _bind()
     # the bounds only: stabilize builds the small window once, after the
     # large solve, so the window does not add to the solve's peak memory
     _check_bounds(window, shift)

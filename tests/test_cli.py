@@ -549,27 +549,37 @@ def test_derive_solve_rechecks_the_maps_it_reports(monkeypatch):
     assert report.payload == {"error": "solution fails its defining equations", "tuple": ["e_-2", "e_1"]}
 
 
-def test_poisson_names_bind_on_first_use(monkeypatch):
-    # cli binds the halfder.poisson names on first use; a name set on cli
-    # before the first Poisson verb, as a tracer sets its wrappers, is the
-    # one the verb calls, on that command and on later ones
-    from halfder import cli, poisson
+_SPIED = """
+from halfder import cli
+windows = []
+def spy(alg, p, window):
+    from halfder.poisson import check_tpa_window
+    windows.append(window)
+    return check_tpa_window(alg, p, window)
+cli.check_tpa_window = spy
+argv = ["tpa-verify", "--algebra", "witt", "--product=mutation:w=e_0", "--window"]
+codes = [cli.run_command(argv + [w])[0] for w in ("2", "3")]
+from halfder import poisson
+print(codes, windows, cli.check_tpa_window is spy,
+      [n for n in {names!r} if getattr(cli, n) is not getattr(poisson, n)])
+del cli.find_poisson_witness
+print(hasattr(cli, "find_poisson_witness"))
+"""
 
+
+def test_poisson_names_bind_on_first_use():
+    # cli binds the halfder.poisson names on first use, once per process: a
+    # name set on cli before the first Poisson verb, as a tracer sets its
+    # wrappers, is the one the verb calls, on that command and on later
+    # ones, and a name deleted after it was bound is gone
+    names = ["check_tpa_window", "find_poisson_witness", "mutation_closure_check"]
+    assert [name for name, home in cli._SERVED.items() if home == "poisson"] == names
     assert not hasattr(cli, "no_such_name")
-    for name in cli._POISSON:
-        monkeypatch.delitem(vars(cli), name, raising=False)
-    windows = []
-
-    def spy(alg, p, window):
-        windows.append(window)
-        return poisson.check_tpa_window(alg, p, window)
-
-    monkeypatch.setattr(cli, "check_tpa_window", spy)
-    for window in ("2", "3"):
-        code, report = run(["tpa-verify", "--algebra", "witt", "--product=mutation:w=e_0", "--window", window])
-        assert code == 0 and report.status == "pass"
-    assert windows == [2, 3] and cli.check_tpa_window is spy
-    assert [n for n in cli._POISSON if getattr(cli, n) is not getattr(poisson, n)] == ["check_tpa_window"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _SPIED.format(names=names)], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0] [2, 3] True ['check_tpa_window']", "False"]
 
 
 @pytest.mark.parametrize(
@@ -585,10 +595,8 @@ def test_poisson_names_bind_on_first_use(monkeypatch):
 def test_failing_poisson_verb_evaluates_its_case_once(monkeypatch, argv, spied, case):
     # the scan hands its residual to the verb, which reports it without
     # evaluating the law again
-    from halfder import cli, poisson
+    from halfder import poisson
 
-    for name in cli._POISSON:
-        monkeypatch.delitem(vars(cli), name, raising=False)
     seen = []
     original = getattr(poisson, spied)
 

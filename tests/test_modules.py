@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -82,7 +83,8 @@ print(cli.run_command(["tpa-verify", "--algebra", "witt", "--product=mutation:w=
 # pulled in by dataclass code generation or by typing, or compiled only on first use
 _NOT_AT_IMPORT = ("dataclasses", "typing", "inspect", "halfder.catalogue", "halfder.superconformal",
                   "halfder.finite", "halfder.rows", "halfder.poisson", "halfder.products", "halfder.tables",
-                  "halfder.candidates", "halfder.arguments", "halfder.poisson_verbs")
+                  "halfder.candidates", "halfder.arguments", "halfder.poisson_verbs", "halfder.core",
+                  "halfder.element", "halfder.spec", "halfder.maps", "halfder.report", "halfder.elimination")
 # the Poisson modules, and the algebras and maps built from data, which no solve compiles
 _NOT_IN_A_SOLVE = ("halfder.poisson", "halfder.products", "halfder.poisson_verbs", "halfder.tables",
                    "halfder.candidates")
@@ -99,6 +101,68 @@ def test_import_builds_nothing():
     assert listed == "0 1", "algebra-list should exit 0 after building the parser once"
     assert solved == "0 []", f"derive-solve should exit 0 without importing these: {solved}"
     assert verified == "0 True", "tpa-verify should exit 0 after importing the Poisson modules"
+
+
+# every halfder module an import loads: the package, the modules named, and
+# what their top-level statements run (algebras reads basis in default
+# arguments and a module constant); every other name binds on first use
+_LOADS = {
+    "import halfder": ["halfder"],
+    "from halfder import algebras, cli, solver": [
+        "halfder", "halfder.algebras", "halfder.basis", "halfder.cli", "halfder.solver"],
+}
+
+
+@pytest.mark.parametrize("code", sorted(_LOADS))
+def test_import_loads_only_what_runs_at_import(code):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.partition('.')[0] == 'halfder'))"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(_LOADS[code])
+
+
+_WRAPPED = """
+import json
+from halfder import cli, solver
+calls = {}
+def count(owner, name):
+    original = getattr(owner, name)
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+    setattr(owner, name, wrapper)
+for name in ("delta_residual", "identity_residual", "solve_stabilized"):
+    count(cli, name)
+count(solver, "_rref")
+code, solved = cli.run_command(["derive-solve", "--algebra", "witt", "--window", "3", "--shift", "1"])
+code2, checked = cli.run_command(["algebra-check", "--algebra", "witt", "--window", "2"])
+print(json.dumps([code, code2, solved.payload["residuals_checked"], checked.payload["identity_checked"], calls]))
+"""
+
+
+def test_wrappers_set_before_first_use_are_called():
+    # a tracer wraps names on cli and solver before the first command; the
+    # first-use binding keeps them, so every call goes through them
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", _WRAPPED], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, code2, residuals, identities, calls = json.loads(proc.stdout.splitlines()[-1])
+    assert code == code2 == 0
+    # one _rref in the solve's rows.select_rows and one in solver.stabilize
+    assert calls == {"solve_stabilized": 1, "_rref": 2, "delta_residual": residuals,
+                     "identity_residual": identities}, calls
+    assert residuals > 0 and identities > 0
+
+
+def test_package_serves_its_public_names():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import halfder\nfrom halfder import *\n"
+            "print(all(globals()[n] is getattr(halfder, n) for n in halfder.__all__),"
+            " sorted(halfder._SERVED) == sorted(set(halfder.__all__) - {'__version__'}))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
 
 
 def test_arguments_imports_no_cli():
@@ -128,6 +192,11 @@ def _readme_library() -> str:
     return library.split("```python\n", 1)[1].split("```", 1)[0]
 
 
+# the submodules that serve names through a first-use table, `_SERVED`
+_SERVING = sorted(p.stem for p in (SRC / "halfder").glob("*.py") if p.stem != "__init__"
+                  and "\n_SERVED = " in p.read_text())
+
+
 def test_imports_name_the_defining_module():
     """Each `from .X import n` in src/halfder, and each `from halfder.X
     import n` in tests/ and the README's library example, names a module X
@@ -136,9 +205,7 @@ def test_imports_name_the_defining_module():
     `__all__`."""
     trees = _trees()
     defined = {name[:-3]: _defined(tree) for name, tree in trees.items()}
-    from halfder import cli
-
-    served = {("algebras", "direct_sum"), ("solver", "closed_form_map"), *(("cli", n) for n in cli._POISSON)}
+    served = {(name, n) for name in _SERVING for n in importlib.import_module(f"halfder.{name}")._SERVED}
     sources = {f"src/halfder/{name}": tree for name, tree in trees.items()}
     sources.update({f"tests/{p.name}": ast.parse(p.read_text()) for p in sorted(Path(__file__).parent.glob("*.py"))})
     sources["README.md"] = ast.parse(_readme_library())
@@ -163,22 +230,17 @@ def test_imports_name_the_defining_module():
 
 # the bindings perfbench/spans.py and perfbench/ask.py read, or the Poisson
 # verbs call, through a module that does not define them, with the module
-# that does
-_READ_THROUGH = {
-    "algebras": {"AlgebraSpec": "spec", "direct_sum": "tables"},
-    "cli": {"delta_residual": "maps", "emit_report": "report", "identity_residual": "algebras",
-            "solve_delta_derivations": "solver", "solve_stabilized": "solver",
-            **dict.fromkeys(("check_tpa_window", "find_poisson_witness", "mutation_closure_check"), "poisson")},
-    "poisson": {"ProductSpec": "products"},
-    "solver": {"_rref": "elimination", "closed_form_map": "candidates"},
-}
+# that does: every name of a first-use table, and poisson's ProductSpec,
+# which it imports
+_READ_THROUGH = {"poisson": {"ProductSpec": "products"}}
 
 
-@pytest.mark.parametrize("name", sorted(_READ_THROUGH))
+@pytest.mark.parametrize("name", sorted(["halfder", *_SERVING, *_READ_THROUGH]))
 def test_kept_bindings_are_the_defining_objects(name):
     # the same objects, so a tracer's wrapper on either binding fires once per call
-    module = importlib.import_module(f"halfder.{name}")
-    for attr, home in _READ_THROUGH[name].items():
+    module = importlib.import_module(name if name == "halfder" else f"halfder.{name}")
+    table = _READ_THROUGH[name] if name in _READ_THROUGH else module._SERVED
+    for attr, home in table.items():
         assert getattr(module, attr) is getattr(importlib.import_module(f"halfder.{home}"), attr), attr
     assert not hasattr(module, "no_such_name")
 
@@ -251,6 +313,19 @@ def test_one_koszul_sign():
                 folds.append(f"{name[:-3]}.{fn.name}")
     assert folds == ["algebras.leibniz_slots"], f"functions that fold slot parities: {folds}"
     assert {name: n for name, n in texts.items() if n} == {"algebras.py": 1}, texts
+
+
+def test_no_import_inside_a_function():
+    """A name is bound at top level or through a first-use table, once per
+    process, never by an import statement run on each call: the row, tuple
+    and bracket functions run thousands of times per question.  The one
+    exception is Element.__repr__, whose grammar module imports element."""
+    found = []
+    for name, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and f"{name}.{fn.name}" != "element.py.__repr__":
+                found += [f"{name}: {fn.name}" for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, f"import statements inside functions: {found}"
 
 
 def test_no_typing_or_dataclasses_imports():
