@@ -13,14 +13,15 @@ def _first_use(space: dict, table: dict, *on_read):
     """(__getattr__, bind) for the module whose globals are space and whose
     table is {name: the halfder module that defines it}.
 
-    bind(*homes) binds the names of those modules, by default of every
-    module but the on_read ones, for the module's own functions, which read
-    them as globals; __getattr__ (PEP 562) binds a name's module on the
-    name's first read as an attribute.  Each module's names are bound once
-    per process, with setdefault: a name set before, such as a tracer's
+    bind(*homes) binds the names of those modules for the module's own
+    functions, which read them as globals; by default it binds every module
+    but the on_read ones, in the table's order, so the import order does not
+    follow the hash seed.  __getattr__ (PEP 562) binds a name's module on
+    the name's first read as an attribute.  Each module's names are bound
+    once per process, with setdefault: a name set before, such as a tracer's
     wrapper, is kept, and a name deleted after is gone.
     """
-    work = set(table.values()).difference(on_read)
+    work = [home for home in dict.fromkeys(table.values()) if home not in on_read]
     bound = set()
 
     def bind(*homes):

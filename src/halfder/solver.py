@@ -47,7 +47,9 @@ def bounded_tuples(alg, sources: Sequence, bracket):
 def _system_rows(win: _Window, delta: Fraction) -> dict:
     """The reduced integer pivots of the window's solutions, from
     rows.select_rows, which processes that never solve (the scans) never
-    compile."""
+    compile.  It binds the table itself: a caller may hold a window and
+    call it before any solve."""
+    _bind()
     return select_rows(win, delta)
 
 

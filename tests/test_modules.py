@@ -155,6 +155,26 @@ def test_wrappers_set_before_first_use_are_called():
     assert residuals > 0 and identities > 0
 
 
+# first calls into solver, each in a fresh process: every function that
+# reads the table's names as globals must work with nothing bound before it
+_FIRST_CALLS = {
+    "_system_rows": "from halfder.maps import _Window\n"
+    "print(len(solver._system_rows(_Window(algebras.make_algebra('witt'), 3, 1), Fraction(1, 2))) > 0)",
+    "solve_delta_derivations": "print(solver.solve_delta_derivations(algebras.make_algebra('sl2'), 1).dimension > 0)",
+    "solve_stabilized-finite": "print(solver.solve_stabilized(algebras.make_algebra('sl2'), 1).stable)",
+    "solve_stabilized": "print(solver.solve_stabilized(algebras.make_algebra('witt'), Fraction(1, 2), 3, 1).stable)",
+}
+
+
+@pytest.mark.parametrize("call", sorted(_FIRST_CALLS))
+def test_first_calls_bind_what_they_read(call):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = f"from fractions import Fraction\nfrom halfder import algebras, solver\n{_FIRST_CALLS[call]}"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
+
+
 def test_package_serves_its_public_names():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     code = ("import halfder\nfrom halfder import *\n"
