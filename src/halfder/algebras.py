@@ -7,8 +7,7 @@ windows.  AlgebraSpec and multilinear live in `halfder.spec`.  The
 built-in algebras live in `halfder.catalogue`; `make_algebra` builds them
 by name.  Algebras built from data live in `halfder.tables`.  The
 residual forms here build no Element: the residuals that sum them,
-`identity_residual` (served here) and `delta_residual`, live in
-`halfder.maps`.
+`identity_residual` and `delta_residual`, live in `halfder.maps`.
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ from . import _first_use
 from .basis import ONE, as_int, as_scalar
 
 # every other halfder name this module reads or serves, with the module that
-# defines it.  _builder binds the names it reads; identity_residual and
-# direct_sum bind on their first read as algebras.<name>, so a solve never
-# compiles halfder.tables
-_SERVED = {"BUILDERS": "catalogue", "AlgebraSpec": "spec", "identity_residual": "maps", "direct_sum": "tables"}
-__getattr__, _bind = _first_use(globals(), _SERVED, "maps", "tables")
+# defines it.  _builder binds the names it reads; direct_sum binds on its
+# first read as algebras.direct_sum, so a solve never compiles halfder.tables
+_SERVED = {"BUILDERS": "catalogue", "AlgebraSpec": "spec", "direct_sum": "tables"}
+__getattr__, _bind = _first_use(globals(), _SERVED, "tables")
 
 
 def _skew(rule: Callable) -> Callable:

@@ -25,7 +25,8 @@ from . import _first_use
 # run_command binds them before its verb runs, except the Poisson names and
 # verbs, which bind on first use (the Poisson verbs read the names as
 # cli.<name>), so a solve never compiles halfder.poisson.  perfbench's
-# tracer wraps names here before they bind, and the binding keeps them.
+# tracer wraps names here before they bind, and the binding keeps them;
+# it wraps solve_delta_derivations, which no verb here calls.
 _SERVED = {
     "algebra_params": "algebras", "first_defect": "algebras", "make_algebra": "algebras",
     "_build_parser": "arguments", "_make_algebra": "arguments", "_usage": "arguments",
@@ -94,10 +95,7 @@ def _verb_algebra_check(ns):
 
 def _verb_derive_solve(ns):
     alg = _make_algebra(ns)
-    if alg.is_finite:
-        space = solve_delta_derivations(alg, ns.delta)
-    else:
-        space = _usage(solve_stabilized, alg, ns.delta, ns.window, ns.shift)
+    space = _usage(solve_stabilized, alg, ns.delta, ns.window, ns.shift)
     trivial = is_trivial_space(space)
     hit, checked = first_defect(
         product(space.basis, bounded_tuples(alg, _usage(alg.window_indices, ns.window), alg.bracket_ints)),

@@ -64,10 +64,9 @@ def find_poisson_witness(alg: AlgebraSpec, p: ProductSpec, window: int) -> tuple
 
     Triples are ordered by degree triple first, family triple second, so
     reports are deterministic.  They are generated in that order, degree
-    triple by degree triple, rather than sorted up front.
+    triple by degree triple, rather than sorted up front.  poisson_residual
+    raises ValueError on the first triple of an n-ary bracket.
     """
-    if alg.arity != 2:
-        raise ValueError("the Poisson Leibniz rule is a binary-bracket check")
     levels = [list(level) for _, level in groupby(_scan_order(alg, window), lambda s: s.degree2)]
     return first_defect(
         (t for blocks in iproduct(levels, repeat=3) for t in iproduct(*blocks)),

@@ -22,13 +22,13 @@ from itertools import combinations_with_replacement
 from . import _first_use
 
 # every halfder name this module reads, with the module that defines it: a
-# solve binds them all on its first call, and closed_form_map binds on its
-# first read as solver.closed_form_map, so a solve never compiles
-# halfder.candidates
+# solve binds them all on its first call, and closed_form_map, which
+# perfbench/ask.py reads as solver.closed_form_map, binds on that first
+# read, so a solve never compiles halfder.candidates
 _SERVED = {
-    "same_algebra": "algebras", "ZERO": "basis", "as_scalar": "basis", "render": "core", "Element": "element",
+    "same_algebra": "algebras", "as_scalar": "basis", "render": "core",
     "_cut": "elimination", "_rref": "elimination",
-    "LinMapWindow": "maps", "_Window": "maps", "_check_bounds": "maps",
+    "_Window": "maps", "_check_bounds": "maps", "identity_map": "maps",
     "select_rows": "rows", "closed_form_map": "candidates",
 }
 __getattr__, _bind = _first_use(globals(), _SERVED, "candidates")
@@ -139,11 +139,7 @@ def is_trivial_space(space: SolutionSpace) -> bool:
     # the identity is a delta-derivation exactly when delta * arity = 1
     if space.dimension == 0 and space.delta * space.alg.arity == 1:
         warnings.warn("zero-dimensional derivation space: even the identity is missing", stacklevel=2)
-    if space.dimension != 1:
-        return False
-    phi = space.basis[0]
-    lam = phi(phi.sources[0]).coeff(phi.sources[0]) if phi.sources else ZERO
-    return lam != 0 and all(phi(s) == Element.single(s, lam) for s in phi.sources)
+    return space.dimension == 1 and space.contains(identity_map(space.alg, space.window))
 
 
 # ---------------------------------------------------------------------------

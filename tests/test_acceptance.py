@@ -44,14 +44,14 @@ from itertools import combinations_with_replacement as cwr
 
 import pytest
 
-from halfder.algebras import identity_residual, make_algebra
+from halfder.algebras import make_algebra
 from halfder.basis import Family, bidx
 from halfder.candidates import closed_form_map
 from halfder.catalogue import ALGEBRA_NAMES
 from halfder.cli import run_command
 from halfder.core import render
 from halfder.element import Element
-from halfder.maps import LinMapWindow, delta_residual
+from halfder.maps import LinMapWindow, delta_residual, identity_residual
 from halfder.poisson import (
     check_tpa_window,
     find_poisson_witness,

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfder.algebras import algebra_params, first_defect, identity_residual, make_algebra
+from halfder.algebras import algebra_params, first_defect, make_algebra
 from halfder.basis import Family, bidx
 from halfder.catalogue import ALGEBRA_NAMES
 from halfder.core import parse_element, render
 from halfder.element import Element
-from halfder.maps import LinMapWindow, delta_residual
+from halfder.maps import LinMapWindow, delta_residual, identity_residual
 from halfder.poisson import poisson_residual, tpa_residual
 from halfder.products import ProductSpec, mutation_product, product_eval
 from halfder.spec import AlgebraSpec

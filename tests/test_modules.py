@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tokenize
@@ -13,7 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# just above cli.py, the largest module (1,311)
+# above products.py, the largest module (1,241)
 MAX_CODE_TOKENS = 1400
 
 
@@ -263,6 +264,44 @@ def test_kept_bindings_are_the_defining_objects(name):
     for attr, home in table.items():
         assert getattr(module, attr) is getattr(importlib.import_module(f"halfder.{home}"), attr), attr
     assert not hasattr(module, "no_such_name")
+
+
+# first-use bindings no code of their own module reads, {(module, name): the
+# file that reads them through it}: the tracer's wrappers and the benchmark's
+# questions, and the Poisson verbs, which call cli.<name>
+_READ_ELSEWHERE = {
+    ("algebras", "AlgebraSpec"): "perfbench/spans.py",
+    ("algebras", "direct_sum"): "perfbench/ask.py",
+    ("solver", "closed_form_map"): "perfbench/ask.py",
+    ("cli", "solve_delta_derivations"): "perfbench/spans.py",
+    ("cli", "check_tpa_window"): "src/halfder/poisson_verbs.py",
+    ("cli", "find_poisson_witness"): "src/halfder/poisson_verbs.py",
+    ("cli", "mutation_closure_check"): "src/halfder/poisson_verbs.py",
+}
+
+
+def _bare_reads(tree) -> set:
+    """Names a module's code reads as bare names, outside annotations,
+    which `from __future__ import annotations` leaves as strings."""
+    notes = [fn.returns for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    notes += [a.annotation for a in ast.walk(tree) if isinstance(a, (ast.arg, ast.AnnAssign))]
+    in_notes = {id(n) for note in notes if note is not None for n in ast.walk(note)}
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            and id(n) not in in_notes}
+
+
+@pytest.mark.parametrize("name", ["algebras", "cli", "solver"])
+def test_every_first_use_binding_has_a_reader(name):
+    # a table entry that nothing reads costs a bind (and maybe a module
+    # import) for no caller
+    reads = _bare_reads(_trees()[f"{name}.py"])
+    served = importlib.import_module(f"halfder.{name}")._SERVED
+    unread = [n for n in served if n not in reads and (name, n) not in _READ_ELSEWHERE]
+    assert not unread, f"{name} serves names nothing reads: {unread}"
+    for (module, attr), where in _READ_ELSEWHERE.items():
+        if module == name:
+            assert attr in served, f"{module}.{attr} is no first-use binding"
+            assert re.search(rf"\b{attr}\b", (SRC.parent / where).read_text()), f"{where} does not read {module}.{attr}"
 
 
 def _trees() -> dict:

@@ -393,6 +393,12 @@ def test_poisson_residual_frozen_examples():
         poisson_residual(make_algebra("nary_simple", n=3), p, E(1), E(2), E(3))
 
 
+def test_find_poisson_witness_needs_a_binary_bracket():
+    # the rule is stated once, in poisson_residual, which the scan's first triple reaches
+    with pytest.raises(ValueError, match="binary-bracket check"):
+        find_poisson_witness(make_algebra("nary_simple", n=3), laurent_mutation("e_0"), 2)
+
+
 def test_find_poisson_witness_order_and_existence():
     witt = make_algebra("witt")
     p = laurent_mutation("e_0")

@@ -17,6 +17,7 @@ from halfder import solver, superconformal
 from halfder.algebras import make_algebra
 from halfder.basis import ONE, ZERO, Family, as_scalar, bidx
 from halfder.candidates import closed_form_map
+from halfder.catalogue import ALGEBRA_NAMES
 from halfder.core import render
 from halfder.element import Element
 from halfder.elimination import _rref
@@ -709,6 +710,48 @@ def test_empty_space_warns_only_where_the_identity_belongs():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert space.dimension == 0 and not is_trivial_space(space)
+
+
+def test_a_lone_non_scalar_map_is_not_trivial():
+    # no catalogue space has dimension 1 without being scalar, so build one:
+    # a "stable" witt space spanned by e_1 -> e_1 alone
+    witt = make_algebra("witt")
+    win = _Window(witt, 3, 1)
+    u = win.uid[E(1), E(1)]
+    space = SolutionSpace(HALF, win, {u: {u: 1}}, True)
+    assert space.dimension == 1 and not is_trivial_space(space)
+
+
+def _scalar_rule(space) -> bool:
+    """The reference rule: one basis map, lam * id for a nonzero lam read
+    off the first source, compared image by image."""
+    if space.dimension != 1:
+        return False
+    phi = space.basis[0]
+    lam = phi(phi.sources[0]).coeff(phi.sources[0]) if phi.sources else ZERO
+    return lam != 0 and all(phi(s) == Element.single(s, lam) for s in phi.sources)
+
+
+_BUILTIN_SAMPLES = [
+    *[(name, {}) for name in ("witt", "laurent", "virasoro", "thin", "solvable", "extended_laurent", "sl2",
+                              "heisenberg", "schrodinger")],
+    *[(name, {"sector": sector}) for name in ("svir", "n2sca") for sector in ("ramond", "neveu_schwarz")],
+    ("nary_simple", {"n": 3}),
+    *[("wab", {"a": a, "b": b}) for a, b in (("0", "-1"), ("1/2", "-1"), ("1", "2"), ("0", "0"))],
+]
+
+
+def test_triviality_is_the_scalar_rule_on_every_builtin():
+    # is_trivial_space asks whether the identity spans the space; the
+    # reference compares images against lam * id
+    assert {name for name, _ in _BUILTIN_SAMPLES} == set(ALGEBRA_NAMES)
+    for name, params in _BUILTIN_SAMPLES:
+        alg = make_algebra(name, params)
+        for delta in (HALF, 1, 0, -1, 2, Fraction(1, 3)):
+            space = solve_stabilized(alg, delta, 3, 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert is_trivial_space(space) == _scalar_rule(space), (name, params, delta)
 
 
 # ---------------------------------------------------------------------------
