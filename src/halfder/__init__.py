@@ -1,10 +1,18 @@
 """Exact workbench for half-derivation spaces and transposed Poisson products.
 
-Importing the package compiles none of its modules: each public name is
-bound from the module that defines it on its first read.
+The import rule: a module imports names from the modules below it, or
+from the five that the benchmark's import, `from halfder import algebras,
+cli, solver`, loads anyway (`halfder`, `algebras`, `basis`, `cli`,
+`solver`).  Through a first-use table (`_first_use`) it serves only names
+of the other modules, or names a reader outside it wraps there.  So
+importing the package compiles `halfder.basis`, and the other public
+names bind on their first read.  README "Import cost" states the rule,
+and bench/BENCH_import-rule.json times it in whole processes.
 """
 
 from importlib import import_module
+
+from .basis import BasisIndex, Family, Scalar, as_scalar, bidx
 
 __version__ = "0.1.0"
 
@@ -42,9 +50,8 @@ def _first_use(space: dict, table: dict, *on_read):
     return __getattr__, bind
 
 
-# the public names of the exact layer, bound on first read
+# the public names from modules the import does not load, bound on first read
 _SERVED = {
-    "BasisIndex": "basis", "Family": "basis", "Scalar": "basis", "as_scalar": "basis", "bidx": "basis",
     "ParseError": "core", "parse_element": "core", "render": "core",
     "Element": "element", "element_combine": "element",
 }

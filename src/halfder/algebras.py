@@ -3,17 +3,21 @@
 Each AlgebraSpec bundles lazy structure constants (bracket on basis
 indices), an optional commutative associative product for the ambient
 function algebras, and enough index bookkeeping to enumerate degree
-windows.  AlgebraSpec and multilinear live in `halfder.spec`.  The
-built-in algebras live in `halfder.catalogue`; `make_algebra` builds them
-by name.  Algebras built from data live in `halfder.tables`.  The
-residual forms here build no Element: the residuals that sum them,
-`identity_residual` and `delta_residual`, live in `halfder.maps`.
+windows.  AlgebraSpec, multilinear and `_skew`, the skew-symmetry wrapper
+of the builders' bracket rules, live in `halfder.spec`.  The built-in
+algebras live in `halfder.catalogue`; `make_algebra` builds them by name.
+Algebras built from data live in `halfder.tables`.  The residual forms
+here build no Element: the residuals that sum them, `identity_residual`
+and `delta_residual`, live in `halfder.maps`.
+
+The benchmark's import loads this module, so by the package's import rule
+(halfder/__init__) it imports only from `halfder.basis` and serves the
+names of the other modules on first use.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from itertools import combinations
 
 from . import _first_use
 from .basis import ONE, as_int, as_scalar
@@ -23,20 +27,6 @@ from .basis import ONE, as_int, as_scalar
 # first read as algebras.direct_sum, so a solve never compiles halfder.tables
 _SERVED = {"BUILDERS": "catalogue", "AlgebraSpec": "spec", "direct_sum": "tables"}
 __getattr__, _bind = _first_use(globals(), _SERVED, "tables")
-
-
-def _skew(rule: Callable) -> Callable:
-    """The bracket rule on every ordering from rule, which is read only on
-    ascending tuples (BasisIndex order).  Sorting takes one swap of
-    neighbours per out-of-order pair, and each swap scales the bracket by
-    -1, or by +1 when both are odd."""
-
-    def skew(idxs):
-        out = rule(tuple(sorted(idxs)))
-        swaps = sum(y < x and not (x.parity and y.parity) for x, y in combinations(idxs, 2))
-        return out.scale(-1) if swaps % 2 else out
-
-    return skew
 
 
 # ---------------------------------------------------------------------------

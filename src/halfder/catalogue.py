@@ -1,7 +1,7 @@
 """The built-in algebras of the paper, and the registry that names them.
 
 One rule (the bracket on basis indices) and one builder per algebra; a
-rule wrapped in `halfder.algebras._skew` is written on ascending tuples
+rule wrapped in `halfder.spec._skew` is written on ascending tuples
 only, and the wrapper derives every other ordering.
 This module holds the Witt-type families: the Witt, Laurent and W(a,b)
 algebras, the thin and solvable algebras and the extended Laurent
@@ -10,17 +10,16 @@ the density action `_density` of `halfder.superconformal`, which holds
 the Virasoro, super-Virasoro and N=2 superconformal builders; the finite
 classics and the simple n-ary family live in `halfder.finite`.
 `halfder.algebras.make_algebra` looks names up in `BUILDERS`, whose keys
-are `ALGEBRA_NAMES`, in order; it imports this module on first use, since
-the builders import `_skew` from it.
+are `ALGEBRA_NAMES`, in order, and serves it on first use: this module
+imports nothing from `halfder.algebras`, so the builders load without it.
 """
 
 from __future__ import annotations
 
-from .algebras import _skew
 from .basis import Family, bidx
 from .element import Element
 from .finite import _make_heisenberg, _make_nary_simple, _make_schrodinger, _make_sl2
-from .spec import AlgebraSpec
+from .spec import AlgebraSpec, _skew
 from .superconformal import _density, _make_n2sca, _make_svir, _make_virasoro, _witt
 
 _E, _L, _I = Family.E, Family.L, Family.I

@@ -6,10 +6,12 @@ goes to stderr), so reports can be diffed and archived.  Exit codes:
 a found witness into the success outcome of the witness verbs.
 
 This module holds the dispatch and the verbs that solve and check
-brackets, and imports no other halfder module at import: the argument
-grammar and `_usage` (`halfder.arguments`), the report and the rest are
-bound on the first command, and the Poisson verbs
-(`halfder.poisson_verbs`) on the first Poisson verb.
+brackets.  At import it loads only `halfder.algebras` and `halfder.solver`
+(and `halfder.basis` beneath them), which `from halfder import algebras,
+cli, solver` loads anyway: the argument grammar and `_usage`
+(`halfder.arguments`), the report and the rest are bound on the first
+command, and the Poisson verbs (`halfder.poisson_verbs`) on the first
+Poisson verb.
 """
 
 from __future__ import annotations
@@ -20,21 +22,22 @@ import time
 from itertools import combinations_with_replacement, product
 
 from . import _first_use
+from .algebras import algebra_params, first_defect, make_algebra
+from .solver import bounded_tuples, is_trivial_space, solve_stabilized, space_to_jsonable
 
-# every halfder name this module reads, with the module that defines it.
-# run_command binds them before its verb runs, except the Poisson names and
-# verbs, which bind on first use (the Poisson verbs read the names as
-# cli.<name>), so a solve never compiles halfder.poisson.  perfbench's
-# tracer wraps names here before they bind, and the binding keeps them;
-# it wraps solve_delta_derivations, which no verb here calls.
+# every halfder name this module reads from a module that importing it does
+# not load, with the module that defines it.  run_command binds them before
+# its verb runs, except the Poisson names and verbs, which bind on first use
+# (the Poisson verbs read the names as cli.<name>), so a solve never
+# compiles halfder.poisson.  perfbench's tracer wraps names here before
+# they bind, and the binding keeps them; it wraps solve_delta_derivations,
+# which no verb here calls, so that name is served though solver is loaded.
 _SERVED = {
-    "algebra_params": "algebras", "first_defect": "algebras", "make_algebra": "algebras",
     "_build_parser": "arguments", "_make_algebra": "arguments", "_usage": "arguments",
     "ALGEBRA_NAMES": "catalogue", "render": "core", "combine": "element",
     "delta_residual": "maps", "identity_residual": "maps",
     "Report": "report", "UsageError": "report", "emit_report": "report",
-    "bounded_tuples": "solver", "is_trivial_space": "solver", "solve_delta_derivations": "solver",
-    "solve_stabilized": "solver", "space_to_jsonable": "solver",
+    "solve_delta_derivations": "solver",
     "check_tpa_window": "poisson", "find_poisson_witness": "poisson", "mutation_closure_check": "poisson",
     "VERBS": "poisson_verbs",
 }

@@ -1,16 +1,15 @@
 """The finite algebras: `finite_algebra`, the one constructor of a finite
 algebra from a table of its brackets on ascending tuples, read through
-`halfder.algebras._skew`, and the built-in finite builders: sl2,
+`halfder.spec._skew`, and the built-in finite builders: sl2,
 Heisenberg, Schrodinger and the simple n-ary algebra.
 `halfder.catalogue` registers the builders; `halfder.tables` builds
 imported tables and direct sums through the constructor."""
 
 from __future__ import annotations
 
-from .algebras import _skew
 from .basis import C_INDEX, Family, bidx
 from .element import Element
-from .spec import AlgebraSpec
+from .spec import AlgebraSpec, _skew
 
 _E, _I = Family.E, Family.I
 

@@ -9,6 +9,8 @@ set on `cli`, such as a tracer's wrapper, is the one every verb calls.
 
 from __future__ import annotations
 
+# a cycle kept for perfbench's tracer, which wraps the Poisson names on cli:
+# the verbs read them as cli.<name>, not from halfder.poisson
 from . import cli
 from .algebras import make_algebra
 from .arguments import _make_algebra, _parse_params, _usage

@@ -14,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+# a cycle kept for perfbench's tracer, which wraps solver._rref: rows reads
+# it there, not from halfder.elimination, which defines it
 from . import solver
 from .algebras import leibniz_slots
 from .elimination import _cut
@@ -150,6 +152,5 @@ def select_rows(win: _Window, delta: Fraction) -> dict:
         if bad := [o.token for o in b[1::2] if (alg.grade2(o), o.parity) != key]:
             tokens = ", ".join(x.token for x in args)
             raise ValueError(f"[{tokens}] has {bad[0]}, so a row leaves its class: {alg.name} is not graded")
-    # through solver, where perfbench's tracer wraps _rref
     pivots = solver._rref({~u: x for u, x in v.items()} for v in null)
     return {~lead: {~u: x for u, x in p.items()} for lead, p in pivots.items()}

@@ -20,14 +20,16 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import _first_use
+from .algebras import same_algebra
+from .basis import as_scalar
 
-# every halfder name this module reads, with the module that defines it: a
-# solve binds them all on its first call, and closed_form_map, which
-# perfbench/ask.py reads as solver.closed_form_map, binds on that first
-# read, so a solve never compiles halfder.candidates
+# every halfder name this module reads from a module that importing it does
+# not load, with the module that defines it: a solve binds them all on its
+# first call, and closed_form_map, which perfbench/ask.py reads as
+# solver.closed_form_map, binds on that first read, so a solve never
+# compiles halfder.candidates
 _SERVED = {
-    "same_algebra": "algebras", "as_scalar": "basis", "render": "core",
-    "_cut": "elimination", "_rref": "elimination",
+    "render": "core", "_cut": "elimination", "_rref": "elimination",
     "_Window": "maps", "_check_bounds": "maps", "identity_map": "maps",
     "select_rows": "rows", "closed_form_map": "candidates",
 }

@@ -1,5 +1,8 @@
 """AlgebraSpec, one algebra's index vocabulary and lazy structure
-constants, and multilinear, the extension of a basis rule to Elements.
+constants; multilinear, the extension of a basis rule to Elements; and
+`_skew`, the extension of a bracket rule on ascending tuples to every
+ordering, which the builders of `halfder.catalogue`, `halfder.finite` and
+`halfder.superconformal` wrap their rules in.
 
 Structure constants are exact rationals, stored as packed int entries
 (element.pack) and read in int arithmetic: in the algebra's own memo, or in
@@ -7,6 +10,8 @@ a BracketTable that lives only as long as the solve that reads it.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .basis import C_INDEX, Family, ONE, bidx
 from .element import Element, combine, pack, unpack
@@ -167,3 +172,17 @@ def multilinear(args, rule) -> Element:
     # before combine allocates its short-lived tuples, so the two do not
     # interleave in memory (a generator raised the peak RSS of witness scans)
     return combine([(c.numerator * n, c.denominator * d, e) for idxs, c in stack for n, d, e in rule(idxs)])
+
+
+def _skew(rule):
+    """The bracket rule on every ordering from rule, which is read only on
+    ascending tuples (BasisIndex order).  Sorting takes one swap of
+    neighbours per out-of-order pair, and each swap scales the bracket by
+    -1, or by +1 when both are odd."""
+
+    def skew(idxs):
+        out = rule(tuple(sorted(idxs)))
+        swaps = sum(y < x and not (x.parity and y.parity) for x, y in combinations(idxs, 2))
+        return out.scale(-1) if swaps % 2 else out
+
+    return skew

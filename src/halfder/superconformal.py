@@ -1,7 +1,7 @@
 """The Virasoro algebra and its super extensions: the super-Virasoro
 (N=1) and N=2 superconformal algebras, in the Ramond or Neveu-Schwarz
 sector.  The super rules are written on ascending tuples only, and
-`halfder.algebras._skew` derives every other ordering.
+`halfder.spec._skew` derives every other ordering.
 `halfder.catalogue` registers their builders.
 
 Every Witt-type bracket is built from two laws: the Witt bracket `_witt`
@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebras import _skew
 from .basis import C_INDEX, Family, ONE, bidx
 from .element import Element
-from .spec import AlgebraSpec
+from .spec import AlgebraSpec, _skew
 
 _L, _J, _C = Family.L, Family.J, Family.C
 _GP, _GM = Family.GPLUS, Family.GMINUS

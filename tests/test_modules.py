@@ -104,13 +104,20 @@ def test_import_builds_nothing():
     assert verified == "0 True", "tpa-verify should exit 0 after importing the Poisson modules"
 
 
-# every halfder module an import loads: the package, the modules named, and
-# what their top-level statements run (algebras reads basis in default
-# arguments and a module constant); every other name binds on first use
+# the modules the benchmark's import, `from halfder import algebras, cli,
+# solver`, loads: the package's import rule lets any module import from them
+_GATED = ["halfder", "halfder.algebras", "halfder.basis", "halfder.cli", "halfder.solver"]
+
+# every halfder module an import loads: the package, the modules named, the
+# modules below them, and the gated modules they import from; every other
+# name binds on first use
 _LOADS = {
-    "import halfder": ["halfder"],
-    "from halfder import algebras, cli, solver": [
-        "halfder", "halfder.algebras", "halfder.basis", "halfder.cli", "halfder.solver"],
+    "import halfder": ["halfder", "halfder.basis"],
+    "from halfder import algebras, cli, solver": _GATED,
+    "import halfder.cli": _GATED,
+    "import halfder.solver": ["halfder", "halfder.algebras", "halfder.basis", "halfder.solver"],
+    # the builders take _skew from spec, so they load no algebras
+    "import halfder.finite": ["halfder", "halfder.basis", "halfder.element", "halfder.finite", "halfder.spec"],
 }
 
 
@@ -177,13 +184,17 @@ def test_first_calls_bind_what_they_read(call):
 
 
 def test_package_serves_its_public_names():
+    # the basis names are imported, since the package loads basis anyway;
+    # the other public names are served
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = ("import halfder\nfrom halfder import *\n"
+    code = ("import halfder\nbound = {n for n in halfder.__all__ if n in vars(halfder)} - {'__version__'}\n"
+            "from halfder import *\n"
             "print(all(globals()[n] is getattr(halfder, n) for n in halfder.__all__),"
-            " sorted(halfder._SERVED) == sorted(set(halfder.__all__) - {'__version__'}))")
+            " all(vars(halfder)[n] is getattr(halfder.basis, n) for n in bound),"
+            " sorted(set(halfder._SERVED) | bound) == sorted(set(halfder.__all__) - {'__version__'}))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "True"]
+    assert proc.stdout.split() == ["True", "True", "True"]
 
 
 def test_arguments_imports_no_cli():
@@ -278,6 +289,15 @@ _READ_ELSEWHERE = {
     ("cli", "find_poisson_witness"): "src/halfder/poisson_verbs.py",
     ("cli", "mutation_closure_check"): "src/halfder/poisson_verbs.py",
 }
+
+
+@pytest.mark.parametrize("name", ["halfder", *_SERVING])
+def test_tables_serve_only_what_the_gated_import_does_not_load(name):
+    # the import rule: a module imports what the gated import loads anyway,
+    # and serves a name of such a module only for a reader elsewhere
+    module = importlib.import_module(name if name == "halfder" else f"halfder.{name}")
+    gated = [n for n, home in module._SERVED.items() if f"halfder.{home}" in _GATED and (name, n) not in _READ_ELSEWHERE]
+    assert not gated, f"{name} serves names of modules the gated import loads: {gated}"
 
 
 def _bare_reads(tree) -> set:

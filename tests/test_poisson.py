@@ -81,6 +81,9 @@ def test_mutation_product_values():
     assert product_eval(r, L(1), L(2)) == Element.basis(I(3))
     assert product_eval(r, L(1), I(2)).is_zero()
     assert product_eval(r, I(1), I(2)).is_zero()
+    # an argument is an Element or a basis index, never a number
+    with pytest.raises(TypeError, match="expected Element or BasisIndex, got int"):
+        product_eval(p, 3, E(1))
 
 
 def test_mutation_product_validation():
