@@ -13,8 +13,9 @@ from .basis import INTEGER, BasisIndex, C_INDEX, Family, _FAMILY_TOKEN, _ODD_FAM
 from .element import _ZERO_ELEMENT, Element, combine
 
 # "G" is accepted on input as an alias for "G+" (single-G superalgebras).
-_TOKEN_FAMILY = {tok: fam for fam, tok in _FAMILY_TOKEN.items()}
-_TOKEN_FAMILY["G"] = Family.GPLUS
+# The tokens go longest first, so G+ and G- are tried before G.
+_TOKEN_FAMILY = {tok: fam for fam, tok in _FAMILY_TOKEN.items()} | {"G": Family.GPLUS}
+_TOKEN_FAMILY = dict(sorted(_TOKEN_FAMILY.items(), key=lambda tf: -len(tf[0])))
 
 
 def render(element: Element) -> str:
@@ -77,13 +78,11 @@ def _parse_basis_token(sc: _Scanner, alg) -> BasisIndex:
     sc.skip_ws()
     start = sc.pos
     text = sc.text
-    fam = None
-    for tok in ("G+", "G-", "G", "e", "L", "I", "J", "c"):
+    for tok, fam in _TOKEN_FAMILY.items():
         if text.startswith(tok, sc.pos):
-            fam = _TOKEN_FAMILY[tok]
             sc.pos += len(tok)
             break
-    if fam is None:
+    else:
         raise ParseError("expected a basis token", start)
     if fam is Family.C:
         idx = C_INDEX

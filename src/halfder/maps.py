@@ -18,6 +18,7 @@ from math import lcm
 from .algebras import leibniz_parts
 from .basis import as_scalar
 from .element import Element, combine, pack, unpack
+from .spec import _check_bound
 
 
 class WindowEscapeError(ValueError):
@@ -151,14 +152,11 @@ class _Window:
 
 
 def _check_bounds(window, shift) -> None:
-    """Raise ValueError unless window and shift are ints (not bools) with
-    0 < shift < window, the bounds an infinite algebra's window needs."""
+    """Raise ValueError unless window and shift are bounds (spec._check_bound)
+    with shift < window, the bounds an infinite algebra's window needs."""
     if window is None or shift is None:
         raise ValueError("infinite algebras need window and shift bounds")
-    for name, bound in (("window", window), ("shift", shift)):
-        if type(bound) is not int:
-            raise ValueError(f"{name} must be an int, got {bound!r}")
-    if shift <= 0 or window <= 0:
-        raise ValueError("window and shift bounds must be positive")
+    _check_bound("window", window)
+    _check_bound("shift", shift)
     if shift >= window:
         raise ValueError("shift bound must be smaller than the window")

@@ -14,9 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-# a cycle kept for perfbench's tracer, which wraps solver._rref: rows reads
-# it there, not from halfder.elimination, which defines it
-from . import solver
 from .algebras import leibniz_slots
 from .elimination import _cut
 from .maps import _Window
@@ -120,21 +117,15 @@ class _Class:
         return not (free or null)
 
 
-def select_rows(win: _Window, delta: Fraction) -> dict:
-    """The nullspace of the window's system as reduced integer pivots
-    {f: row}, one per free column f, positive at f and 0 at the other free
-    columns: divided by its entry at f, a row is the vector a full
-    elimination reads off its reduced row echelon form for f.
+def nullspace_basis(win: _Window, delta: Fraction) -> list[dict]:
+    """An integer basis of the nullspace of the window's system: the N of
+    every class below full rank (solver._system_rows reduces it).
 
     The bounded tuples are filtered once, through the solve's table, and
     every class reads that one list.  Each class's stream feeds one _Class
     and closes at the row that completes the class's rank: its nullspace
     is {0}, so neither the rest of its rows nor the brackets only they
-    read are assembled.  The N of every class below full rank is kept,
-    and one solver._rref of them all, keyed by ~u and keyed back, leads
-    each vector with its largest unknown; those leads are the free
-    columns, since a column is free when it is the largest unknown of some
-    nullspace vector.
+    read are assembled.
     Raises ValueError when an entry of the solve's table is not homogeneous
     for grade2 and parity (parity alone on a finite algebra, where grade2 is
     0): a row leaves its class only through such an entry.
@@ -152,5 +143,4 @@ def select_rows(win: _Window, delta: Fraction) -> dict:
         if bad := [o.token for o in b[1::2] if (alg.grade2(o), o.parity) != key]:
             tokens = ", ".join(x.token for x in args)
             raise ValueError(f"[{tokens}] has {bad[0]}, so a row leaves its class: {alg.name} is not graded")
-    pivots = solver._rref({~u: x for u, x in v.items()} for v in null)
-    return {~lead: {~u: x for u, x in p.items()} for lead, p in pivots.items()}
+    return null

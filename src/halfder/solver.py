@@ -31,7 +31,7 @@ from .basis import as_scalar
 _SERVED = {
     "render": "core", "_cut": "elimination", "_rref": "elimination",
     "_Window": "maps", "_check_bounds": "maps", "identity_map": "maps",
-    "select_rows": "rows", "closed_form_map": "candidates",
+    "nullspace_basis": "rows", "closed_form_map": "candidates",
 }
 __getattr__, _bind = _first_use(globals(), _SERVED, "candidates")
 
@@ -47,12 +47,20 @@ def bounded_tuples(alg, sources: Sequence, bracket):
 
 
 def _system_rows(win: _Window, delta: Fraction) -> dict:
-    """The reduced integer pivots of the window's solutions, from
-    rows.select_rows, which processes that never solve (the scans) never
-    compile.  It binds the table itself: a caller may hold a window and
-    call it before any solve."""
+    """The reduced integer pivots {f: row} of the window's solutions, one
+    per free column f, positive at f and 0 at the other free columns:
+    divided by its entry at f, a row is the vector a full elimination reads
+    off its reduced row echelon form for f.
+
+    One _rref of rows.nullspace_basis, keyed by ~u and keyed back, leads
+    each vector with its largest unknown; those leads are the free
+    columns, since a column is free when it is the largest unknown of some
+    nullspace vector.  Processes that never solve (the scans) never compile
+    halfder.rows.  It binds the table itself: a caller may hold a window
+    and call it before any solve."""
     _bind()
-    return select_rows(win, delta)
+    pivots = _rref({~u: x for u, x in v.items()} for v in nullspace_basis(win, delta))
+    return {~lead: {~u: x for u, x in p.items()} for lead, p in pivots.items()}
 
 
 class SolutionSpace:

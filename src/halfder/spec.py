@@ -1,7 +1,8 @@
 """AlgebraSpec, one algebra's index vocabulary and lazy structure
-constants; multilinear, the extension of a basis rule to Elements; and
-`_skew`, the extension of a bracket rule on ascending tuples to every
-ordering, which the builders of `halfder.catalogue`, `halfder.finite` and
+constants; `_check_bound`, the one rule for a window or shift bound;
+multilinear, the extension of a basis rule to Elements; and `_skew`, the
+extension of a bracket rule on ascending tuples to every ordering, which
+the builders of `halfder.catalogue`, `halfder.finite` and
 `halfder.superconformal` wrap their rules in.
 
 Structure constants are exact rationals, stored as packed int entries
@@ -90,14 +91,10 @@ class AlgebraSpec:
 
     def window_indices(self, window: int) -> list:
         """All valid sources for the window: |degree2| <= 2W, center always.
-        A finite algebra ignores W; an infinite one raises ValueError unless W
-        is an int (not a bool) of at least 1."""
+        A finite algebra ignores W; an infinite one checks it (_check_bound)."""
         if self.basis_list is not None:
             return sorted(self.basis_list)
-        if type(window) is not int:
-            raise ValueError(f"window must be an int, got {window!r}")
-        if window < 1:
-            raise ValueError("window must be positive")
+        _check_bound("window", window)
         return self.indices_in_degree2_range(-2 * window, 2 * window)
 
     def _check(self, idxs: tuple) -> None:
@@ -141,6 +138,15 @@ class AlgebraSpec:
     def assoc(self, x: Element, y: Element) -> Element:
         """Bilinear extension of the associative product."""
         return multilinear((x, y), lambda xy: [(1, 1, self.assoc_ints(*xy))])
+
+
+def _check_bound(name: str, bound) -> None:
+    """Raise ValueError, naming the bound, unless it is an int (not a bool)
+    of at least 1: the one rule for every window and shift bound."""
+    if type(bound) is not int:
+        raise ValueError(f"{name} must be an int, got {bound!r}")
+    if bound < 1:
+        raise ValueError(f"{name} must be positive")
 
 
 class BracketTable(dict):

@@ -256,6 +256,8 @@ def test_usage_errors_exit_2(capsys):
          "no mutation ambient is defined for algebra virasoro"),
         (["closure-check", "--algebra", "witt", "--product=mutation:w=e_0", "--q=e_x", "--window", "2"],
          "bad --q element: expected an integer (at position 2)"),
+        (["derive-solve", "--algebra", "witt", "--window", "0", "--shift", "2"], "window must be positive"),
+        (["derive-solve", "--algebra", "witt", "--window", "3", "--shift", "0"], "shift must be positive"),
     ],
 )
 def test_library_errors_are_usage_errors(argv, line, capsys):

@@ -14,7 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# above products.py, the largest module (1,241)
+# above spec.py, the largest module (1,283)
 MAX_CODE_TOKENS = 1400
 
 
@@ -157,7 +157,7 @@ def test_wrappers_set_before_first_use_are_called():
     assert proc.returncode == 0, proc.stderr
     code, code2, residuals, identities, calls = json.loads(proc.stdout.splitlines()[-1])
     assert code == code2 == 0
-    # one _rref in the solve's rows.select_rows and one in solver.stabilize
+    # one _rref in the solve's solver._system_rows and one in solver.stabilize
     assert calls == {"solve_stabilized": 1, "_rref": 2, "delta_residual": residuals,
                      "identity_residual": identities}, calls
     assert residuals > 0 and identities > 0
@@ -392,6 +392,23 @@ def test_one_koszul_sign():
                 folds.append(f"{name[:-3]}.{fn.name}")
     assert folds == ["algebras.leibniz_slots"], f"functions that fold slot parities: {folds}"
     assert {name: n for name, n in texts.items() if n} == {"algebras.py": 1}, texts
+
+
+def test_one_reduction():
+    """solver makes every reduced pivot: only its code calls _rref (in
+    _system_rows and stabilize), and rows imports nothing from solver but
+    bounded_tuples, so rows.nullspace_basis hands back vectors, not pivots."""
+    trees, calls = _trees(), {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "_rref" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls[name] = calls.get(name, 0) + 1
+    assert calls == {"solver.py": 2}, f"calls of _rref per module: {calls}"
+    from_solver = []
+    for node in ast.walk(trees["rows.py"]):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            from_solver += [a.name for a in node.names if node.module == "solver" or (node.module, a.name) == (None, "solver")]
+    assert from_solver == ["bounded_tuples"], f"rows imports from solver: {from_solver}"
 
 
 def test_no_import_inside_a_function():

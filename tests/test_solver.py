@@ -877,7 +877,7 @@ def _divided(pivots: dict) -> list[dict]:
 
 def _one_class(rows, ncols):
     """The canonical basis of rows fed to one _Class, read off its N as
-    select_rows reads it: one _rref keyed by ~u, each pivot over its lead."""
+    solver._system_rows reads it: one _rref keyed by ~u, each pivot over its lead."""
     c = rows_module._Class(list(range(ncols)))
     any(map(c.add, rows))
     pivots = _rref({~u: x for u, x in v.items()} for v in c.vectors())
@@ -996,7 +996,7 @@ def test_solve_filters_the_window_once(monkeypatch, name, params, window, shift)
         return original(*args)
 
     monkeypatch.setattr(rows_module, "bounded_tuples", counted)
-    assert _divided(rows_module.select_rows(win, HALF)) == expected
+    assert _divided(_system_rows(win, HALF)) == expected
     assert calls == [win.sources]
 
 
